@@ -24,6 +24,8 @@ from typing import Iterable, List, Optional, Sequence
 
 import pytest
 
+from repro.core.config import usable_cpus
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 #: Version of the BENCH_*.json document layout; bump on breaking changes so
@@ -56,14 +58,6 @@ def write_result(name: str, title: str, content: str) -> str:
     return path
 
 
-def usable_cores() -> int:
-    """CPU cores this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
-
-
 def host_info() -> dict:
     """Hardware/software facts that contextualize a measured number."""
     import numpy
@@ -74,7 +68,7 @@ def host_info() -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count() or 1,
-        "usable_cores": usable_cores(),
+        "usable_cores": usable_cpus(),
     }
 
 

@@ -41,7 +41,7 @@ import pytest
 
 from repro.backends import get_backend
 from repro.core import shm
-from repro.core.config import TMACConfig
+from repro.core.config import TMACConfig, usable_cpus
 from repro.core.executor import (
     process_executor_stats,
     reset_parallel_executor_stats,
@@ -62,22 +62,15 @@ NUM_SESSIONS = 6
 MAX_NEW_TOKENS = 8
 
 
-def available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
-
-
 def assert_measured_scaling() -> bool:
     """Whether to hard-assert measured wall-clock speedups (opt-in)."""
     return bool(os.environ.get("REPRO_ASSERT_THREAD_SCALING")) and \
-        available_cores() >= 4
+        usable_cpus() >= 4
 
 
 def measured_label(base: str) -> str:
     """Tag a measured series with the cores it actually ran on."""
-    return f"{base} (measured, {available_cores()} cores)"
+    return f"{base} (measured, {usable_cpus()} cores)"
 
 
 def parallel_config(threads: int, threshold: int = 0) -> TMACConfig:
@@ -184,7 +177,7 @@ def _append_measured(scaling_rows, scaling_points, series, seconds,
         ])
         scaling_points.append({
             "series": series, "kind": "measured",
-            "host_cores": available_cores(), "workers": workers,
+            "host_cores": usable_cpus(), "workers": workers,
             "latency_ms": secs * 1e3, "bandwidth_gbps": gbps,
             "speedup": speedup,
         })
@@ -229,7 +222,7 @@ def test_mpgemm_bandwidth_process_scaling(s0_plan, scaling_rows,
         return
     reset_process_executor_stats()
     plan, weight_bytes = s0_plan
-    cores = available_cores()
+    cores = usable_cpus()
     if cores < 2:
         # Still exercise the pool end-to-end (parity at 2 workers) so the
         # code path is covered; just don't record wall-clock "scaling".
@@ -304,7 +297,7 @@ def test_serving_throughput_thread_scaling(scaling_rows, scaling_points):
         ])
         scaling_points.append({
             "series": "serving decode", "kind": "measured",
-            "host_cores": available_cores(), "workers": threads,
+            "host_cores": usable_cpus(), "workers": threads,
             "tokens_per_s": tok_s[threads],
             "speedup": tok_s[threads] / tok_s[1],
         })
@@ -371,7 +364,7 @@ def test_cost_model_thread_scaling(scaling_rows, scaling_points,
     record_table(
         "thread_scaling",
         "Pooled executor scaling — measured and modeled "
-        f"(host cores: {available_cores()})",
+        f"(host cores: {usable_cpus()})",
         ["series", "workers", "latency", "throughput / bound", "speedup"],
         scaling_rows,
     )

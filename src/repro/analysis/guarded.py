@@ -82,7 +82,8 @@ CONSTRUCTOR_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 PLAN_ARTIFACT_CONSTRUCTORS = frozenset({
     "PreprocessedWeights",  # core/weights.py — offline weight operand
     "_LookupTables",        # core/plan.py — precomputed gather metadata
-    "SpecializedKernel",    # core/specialize.py — compiled codes-dot kernel
+    "SpecializedKernel",    # core/specialize.py — compiled float closures
+    "IntegerLutKernel",     # core/specialize.py — compiled integer LUT kernel
 })
 
 #: Parameter/variable names the attribute-write check treats as plan

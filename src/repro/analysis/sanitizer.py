@@ -323,21 +323,22 @@ def _plan_checksums(plan) -> Dict[str, int]:
     if cache is not None:
         for mirrored, tables in list(cache.items()):
             prefix = f"gather[{mirrored}]"
-            for i, arr in enumerate(getattr(tables, "folded", ()) or ()):
-                sums[f"{prefix}.folded[{i}]"] = _array_checksum(arr)
             for group in ("signs", "offsets"):
                 seq = getattr(tables, group, None)
                 for i, arr in enumerate(seq or ()):
                     sums[f"{prefix}.{group}[{i}]"] = _array_checksum(arr)
     spec_cache = getattr(plan, "_spec_cache", None)
     if spec_cache is not None:
-        # Specialized kernels mostly hold references to arrays already
-        # checksummed above; the scale*zero product is the one artifact
-        # they own, and a mutation there would corrupt every recombine.
+        # Compiled kernels mostly hold references to arrays already
+        # checksummed above; these are the artifacts they own (the float
+        # closures' scale*zero product, the integer kernel's index planes
+        # and transposed scales), and a mutation there would corrupt
+        # every call.
         for key, kernel in list(spec_cache.items()):
-            arr = getattr(kernel, "sz", None)
-            if arr is not None:
-                sums[f"spec[{key}].sz"] = _array_checksum(arr)
+            for name in ("sz", "planes", "scales_t", "sz_t"):
+                arr = getattr(kernel, name, None)
+                if arr is not None:
+                    sums[f"spec[{key}].{name}"] = _array_checksum(arr)
     return sums
 
 

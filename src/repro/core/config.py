@@ -33,6 +33,7 @@ __all__ = [
     "ablation_stages",
     "ABLATION_STAGE_NAMES",
     "DEFAULT_PARALLEL_THRESHOLD",
+    "usable_cpus",
 ]
 
 #: Minimum gather work (``N * M * K/g`` lookup elements) before the
@@ -42,63 +43,45 @@ __all__ = [
 DEFAULT_PARALLEL_THRESHOLD = 1 << 16
 
 
-def _default_executor() -> str:
-    """Executor default, overridable via ``REPRO_EXECUTOR`` (CI matrix)."""
-    return os.environ.get("REPRO_EXECUTOR", "vectorized")
+def usable_cpus() -> int:
+    """Cores this process may run on — what worker pools size themselves by.
+
+    The scheduler affinity mask (containers, ``taskset``) where the
+    platform exposes it; ``os.cpu_count()`` otherwise.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:
+        return max(1, os.cpu_count() or 1)
 
 
-def _default_num_threads() -> Optional[int]:
-    """Thread-count default, overridable via ``REPRO_NUM_THREADS``."""
-    raw = os.environ.get("REPRO_NUM_THREADS")
+def _env_str(name: str, default: str) -> str:
+    return os.environ.get(name, default)
+
+
+def _env_int(name: str, default: Optional[int]) -> Optional[int]:
+    raw = os.environ.get(name)
     if raw is None or raw == "":
-        return None
+        return default
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(
-            f"REPRO_NUM_THREADS must be an integer, got {raw!r}"
-        ) from None
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _default_lut_dtype() -> str:
-    """LUT decode-domain default, overridable via ``REPRO_LUT_DTYPE``."""
-    return os.environ.get("REPRO_LUT_DTYPE") or "float"
+def _env_float(name: str, default: Optional[float]) -> Optional[float]:
+    raw = os.environ.get(name)
+    if raw is None or raw == "":
+        return default
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {raw!r}") from None
 
 
 def _default_specialize() -> bool:
     """Specialization default (on), overridable via ``REPRO_SPECIALIZE``."""
     return os.environ.get("REPRO_SPECIALIZE", "1") not in ("0", "false", "no")
-
-
-def _default_gather_variant() -> str:
-    """Gather-driver default, overridable via ``REPRO_GATHER``."""
-    return os.environ.get("REPRO_GATHER") or "auto"
-
-
-def _default_chunk_elements() -> Optional[int]:
-    """Chunk-budget default, overridable via ``REPRO_CHUNK_ELEMENTS``."""
-    raw = os.environ.get("REPRO_CHUNK_ELEMENTS")
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_CHUNK_ELEMENTS must be an integer, got {raw!r}"
-        ) from None
-
-
-def _default_num_workers() -> Optional[int]:
-    """Process-worker default, overridable via ``REPRO_NUM_WORKERS``."""
-    raw = os.environ.get("REPRO_NUM_WORKERS")
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_NUM_WORKERS must be an integer, got {raw!r}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -125,8 +108,8 @@ class TMACConfig:
         Aggregate int8 lookup results with averaging (``rhadd``/``avg``)
         instructions instead of widening adds.  Faster but lossy.
     lut_scale_granularity:
-        ``"group"`` (one scale per weight-quantization group, required for
-        integer-domain accumulation and fast aggregation) or ``"fine"``
+        ``"group"`` (one scale per weight-quantization group — what the
+        integer LUT kernel and fast aggregation need) or ``"fine"``
         (one scale per g-element table, the finest dynamic granularity).
     s0 / s1:
         Values the one-bit weights {0, 1} are linearly mapped to before the
@@ -151,12 +134,13 @@ class TMACConfig:
         ``REPRO_EXECUTOR`` environment variable (the CI matrix uses this to
         run the whole suite under the parallel executor).
     num_threads:
-        Worker count for the parallel executor; ``None`` (default) uses
-        ``os.cpu_count()``.  Ignored by the serial executors.  Default
-        overridable via ``REPRO_NUM_THREADS``.
+        Worker count for the parallel executor; ``None`` (default) uses the
+        cores this process may run on (:func:`usable_cpus` — the scheduler
+        affinity mask, not ``os.cpu_count()``).  Ignored by the serial
+        executors.  Default overridable via ``REPRO_NUM_THREADS``.
     num_workers:
         Worker-*process* count for the process executor; ``None`` (default)
-        uses ``os.cpu_count()`` and lets the cost model delegate
+        uses :func:`usable_cpus` and lets the cost model delegate
         GIL-tolerant shapes to the thread pool, while an explicit count
         pins the call to the process pool.  Ignored by the other
         executors.  Default overridable via ``REPRO_NUM_WORKERS``.
@@ -164,26 +148,17 @@ class TMACConfig:
         Minimum gather work (``N * M * K/g`` elements) before the parallel
         or process executor shards a call; below it the serial vectorized
         path runs.
-    lut_dtype:
-        Decode domain for quantized lookup tables: ``"float"`` (default —
-        widen looked-up int8 entries to float64 before aggregation) or
-        ``"int8"`` (the paper's fig10 direction: keep gather, mirror signs
-        and accumulation in the integer domain, rescaling once per block).
-        Bit-identical to the float domain for group-granularity quantized
-        tables (all intermediates are exact small integers) and silently
-        ignored where it cannot apply (unquantized tables, fine scale
-        granularity, fast aggregation).  Default overridable via
-        ``REPRO_LUT_DTYPE`` (the CI int8 leg uses this).
     specialize:
-        Use plan-specialized codes-dot kernels
-        (:mod:`repro.core.specialize`): branches resolved at first use per
-        ``(plan, table mode)``, cached on the plan.  Bit-identical to the
-        generic path; on by default.  ``REPRO_SPECIALIZE=0`` disables.
+        Use plan-specialized span kernels (:mod:`repro.core.specialize`),
+        cached on the plan: the integer LUT kernel for group-granularity
+        quantized tables (this default config), float closures for the
+        other modes.  Bit-identical to the generic path; on by default.
+        ``REPRO_SPECIALIZE=0`` disables.
     gather_variant:
-        Gather driver inside specialized kernels: ``"fancy"`` (advanced
+        Gather driver of the float closures: ``"fancy"`` (advanced
         indexing), ``"take"`` (:func:`np.take`) or ``"auto"`` (default —
-        the host preference, overridable by the calibration pass in
-        :mod:`repro.hardware.calibrate`).  Env: ``REPRO_GATHER``.
+        the host preference, set by :mod:`repro.hardware.calibrate`).  The
+        integer LUT kernel always uses ``np.take``.  Env: ``REPRO_GATHER``.
     chunk_elements:
         Override of the executor's raw-gather element budget per chunk
         (``None`` uses the executor default).  Chunk boundaries never
@@ -205,15 +180,18 @@ class TMACConfig:
     interleave_weights: bool = True
     tuned: bool = False
     tile_config: Optional[TileConfig] = None
-    executor: str = field(default_factory=_default_executor)
-    num_threads: Optional[int] = field(default_factory=_default_num_threads)
-    num_workers: Optional[int] = field(default_factory=_default_num_workers)
+    executor: str = field(
+        default_factory=lambda: _env_str("REPRO_EXECUTOR", "vectorized"))
+    num_threads: Optional[int] = field(
+        default_factory=lambda: _env_int("REPRO_NUM_THREADS", None))
+    num_workers: Optional[int] = field(
+        default_factory=lambda: _env_int("REPRO_NUM_WORKERS", None))
     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
-    lut_dtype: str = field(default_factory=_default_lut_dtype)
     specialize: bool = field(default_factory=_default_specialize)
-    gather_variant: str = field(default_factory=_default_gather_variant)
+    gather_variant: str = field(
+        default_factory=lambda: _env_str("REPRO_GATHER", "") or "auto")
     chunk_elements: Optional[int] = field(
-        default_factory=_default_chunk_elements)
+        default_factory=lambda: _env_int("REPRO_CHUNK_ELEMENTS", None))
     name: str = "T-MAC"
     extra: dict = field(default_factory=dict, compare=False)
 
@@ -238,23 +216,14 @@ class TMACConfig:
             )
         if self.s0 == self.s1:
             raise ValueError("s0 and s1 must differ")
-        if self.num_threads is not None and self.num_threads < 1:
-            raise ValueError(
-                f"num_threads must be >= 1 (or None for cpu_count), "
-                f"got {self.num_threads}"
-            )
-        if self.num_workers is not None and self.num_workers < 1:
-            raise ValueError(
-                f"num_workers must be >= 1 (or None for cpu_count), "
-                f"got {self.num_workers}"
-            )
+        for name in ("num_threads", "num_workers"):
+            count = getattr(self, name)
+            if count is not None and count < 1:
+                raise ValueError(f"{name} must be >= 1 (or None for the "
+                                 f"usable cores), got {count}")
         if self.parallel_threshold < 0:
             raise ValueError(
                 f"parallel_threshold must be >= 0, got {self.parallel_threshold}"
-            )
-        if self.lut_dtype not in ("float", "int8"):
-            raise ValueError(
-                f"lut_dtype must be 'float' or 'int8', got {self.lut_dtype!r}"
             )
         if self.gather_variant not in ("auto", "fancy", "take"):
             raise ValueError(
@@ -292,30 +261,6 @@ class TMACConfig:
     def with_options(self, **kwargs) -> "TMACConfig":
         """Return a copy of this config with the given fields replaced."""
         return replace(self, **kwargs)
-
-
-def _env_str(name: str, default: str) -> str:
-    return os.environ.get(name, default)
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _env_float(name: str, default: Optional[float]) -> Optional[float]:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

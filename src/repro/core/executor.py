@@ -8,13 +8,14 @@ the mpGEMM result.  Two executors implement the same mathematics:
   loops over weight-quantization groups and bit planes, mirroring the tile
   walk of Algorithm 1 line by line.  Slow, obviously correct, kept as the
   numerical oracle.
-* :class:`VectorizedExecutor` — the production implementation: one batched
-  numpy gather per bit plane covering whole spans of quantization groups at
-  once (chunked so peak memory stays bounded), aggregation reshaped to
-  ``[N, M, QG, gpq]`` and reduced in a single operation.  It additionally
-  uses the plan's precomputed folded indices and mirror signs, so the
-  online cost is dominated by the gathers themselves — the numpy analogue
-  of the paper's ``TBL``-bound inner loop.
+* :class:`VectorizedExecutor` — the production implementation.  Spans run
+  through the plan's compiled kernel (:mod:`repro.core.specialize`): for
+  the default group-granularity quantized tables the reduce-major,
+  row-minor integer LUT kernel — the numpy analogue of the paper's
+  ``TBL``-bound inner loop.  With ``specialize=False`` it falls back to a
+  generic walk: one batched gather per bit plane over the plan's
+  precomputed offsets and mirror signs, aggregation reshaped to
+  ``[N, M, QG, gpq]`` and reduced in a single operation.
 * :class:`ParallelExecutor` — the multi-core implementation: the vectorized
   executor's output columns are sharded into contiguous spans aligned to
   the plan's ``m_tm`` layout tile (:meth:`KernelPlan.output_tiles`) and
@@ -44,7 +45,6 @@ executor is selected per kernel via ``TMACConfig.executor``.
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Type
@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.analysis.sanitizer import plan_canary
 from repro.core.aggregation import exact_aggregate, fast_aggregate
-from repro.core.config import TMACConfig
+from repro.core.config import TMACConfig, usable_cpus
 from repro.core.lut import LookupTable, lookup
 from repro.core.plan import KernelPlan
 from repro.core.shm import ExecutorWorkerError
@@ -61,6 +61,7 @@ from repro.core.specialize import (
     _StatsBlock,
     maybe_specialized,
     reset_specialize_stats,
+    specialization_key,
     specialize_stats,
 )
 
@@ -105,27 +106,6 @@ class KernelExecutor:
         ``[N, M]`` accumulator immediately, like the original kernel did.
         """
         raise NotImplementedError
-
-    def codes_dot(
-        self,
-        plan: KernelPlan,
-        table: LookupTable,
-        config: TMACConfig,
-        group_sums: np.ndarray,
-    ) -> np.ndarray:
-        """Materialized ``[N, M, QG]`` codes-dot (tests / ``matmul_codes``).
-
-        Prefer :meth:`iter_codes_dot` in execution paths — this helper
-        holds every quantization group at once.
-        """
-        n = group_sums.shape[0]
-        out = np.empty(
-            (n, plan.out_features, plan.num_qgroups), dtype=np.float64
-        )
-        for qg0, qg1, chunk in self.iter_codes_dot(plan, table, config,
-                                                   group_sums):
-            out[:, :, qg0:qg1] = chunk
-        return out
 
     def iter_codes_dot_span(
         self,
@@ -292,23 +272,20 @@ class LoopExecutor(KernelExecutor):
 
 
 class VectorizedExecutor(KernelExecutor):
-    """Batched executor: one gather per bit-plane chunk, no per-group loops.
+    """Batched executor: compiled span kernels, or the generic walk.
 
-    For each bit plane the ``[N, M, K/g]`` lookup is performed with large
-    fancy-index gathers using the plan's precomputed folded indices; the
-    result is reshaped to ``[N, M, QG, gpq]`` and aggregated along the last
-    axis for every covered quantization group simultaneously.  Only the (at
-    most 8) bit planes and the memory-bounding chunk walk remain as Python
-    loops — in the decode regime (small N) a whole bit plane is one chunk.
+    The generic walk (``specialize=False``) performs each bit plane's
+    ``[N, M, K/g]`` lookup as large fancy-index gathers over the plan's
+    precomputed offsets, reshaped to ``[N, M, QG, gpq]`` and aggregated
+    for every covered quantization group at once.
     """
 
     name = "vectorized"
 
-    #: Upper bound on the elements of one raw-lookup temporary
-    #: (``N * M * chunk_groups`` float64).  Decode-regime calls (small N)
-    #: fit in one chunk; prefill-style mpGEMM over large N is processed in
-    #: quantization-group chunks so peak memory stays bounded instead of
-    #: materializing the full ``[N, M, K/g]`` gather at once.
+    #: Upper bound on the elements of one span temporary (float64).
+    #: Decode-regime calls (small N) fit in one chunk; prefill-style mpGEMM
+    #: over large N is chunked — the float paths along the quantization
+    #: groups, the integer kernel along the output columns.
     max_gather_elements = 1 << 24
 
     def gather_budget(self, config: TMACConfig) -> int:
@@ -334,21 +311,11 @@ class VectorizedExecutor(KernelExecutor):
         """Lookup of one bit plane over groups ``[j0, j1)`` restricted to
         output columns ``[m0, m1)``: ``[N, m1-m0, j1-j0]``.
 
-        ``tables`` is the plan's gather metadata for ``table.mirrored``,
-        looked up once per call in :meth:`iter_codes_dot_span` instead of
-        once per bit plane per chunk here.
+        ``tables`` is the plan's gather metadata for ``table.mirrored``.
         """
         n = table.num_rows
         flat = table.values.reshape(n, -1)
-        if tables.offsets is not None:
-            offsets = tables.offsets[bit][m0:m1, j0:j1]
-        else:
-            # Very large weights: the plan skips offset precomputation;
-            # derive the chunk's offsets from the folded indices on the fly.
-            offsets = (
-                np.arange(j0, j1, dtype=np.int64)[None, :] * tables.stored
-                + tables.folded[bit][m0:m1, j0:j1]
-            )
+        offsets = tables.offsets[bit][m0:m1, j0:j1]
         raw = flat[:, offsets.reshape(-1)].astype(np.float64)
         raw = raw.reshape(n, m1 - m0, j1 - j0)
         if tables.signs is not None:
@@ -384,10 +351,11 @@ class VectorizedExecutor(KernelExecutor):
         divides the quantization groups.
 
         When the config enables specialization (the default), the span is
-        delegated to the plan's compiled kernel — bit-identical to the
-        generic walk below, which remains both the fallback
-        (``specialize=False``) and the reference the specialized kernels
-        are tested against.
+        delegated to the plan's compiled kernel (:mod:`repro.core.specialize`
+        — the integer LUT kernel for group-granularity quantized tables) —
+        bit-identical to the generic walk below, which remains both the
+        fallback (``specialize=False``) and a reference the compiled
+        kernels are tested against.
         """
         spec = maybe_specialized(plan, table, config)
         if spec is not None:
@@ -570,7 +538,8 @@ class ParallelExecutor(VectorizedExecutor):
 
     ``TMACConfig`` knobs:
 
-    * ``num_threads`` — worker count; ``None`` uses ``os.cpu_count()``.
+    * ``num_threads`` — worker count; ``None`` uses the usable cores
+      (:func:`~repro.core.config.usable_cpus`).
     * ``parallel_threshold`` — minimum gather work (``N * M * K/g``
       elements) before sharding pays; smaller calls (tiny decode-regime
       kernels) take the serial path unchanged.
@@ -579,10 +548,20 @@ class ParallelExecutor(VectorizedExecutor):
     name = "parallel"
 
     def resolve_threads(self, config: TMACConfig) -> int:
-        """Worker count for this call (config override or CPU count)."""
+        """Worker count for this call (config override or usable cores)."""
         if config.num_threads is not None:
             return max(1, config.num_threads)
-        return max(1, os.cpu_count() or 1)
+        return usable_cpus()
+
+    def _warm_shared(self, plan: KernelPlan, table: LookupTable,
+                     config: TMACConfig) -> None:
+        """Build a sharded call's lazily shared state (compiled kernel or
+        gather tables, row-minor table) in the calling thread, so pool
+        workers only ever read it."""
+        if not config.specialize:
+            plan.lookup_tables(table.mirrored)
+        elif plan.specialized(specialization_key(table, config)).key.integer:
+            table.row_minor()
 
     def matmul_with_table(
         self,
@@ -601,9 +580,7 @@ class ParallelExecutor(VectorizedExecutor):
             _PARALLEL_STATS.add(parallel_calls=1, parallel_serial_fallbacks=1)
             return super().matmul_with_table(plan, table, config, activation)
 
-        # Build the shared gather metadata once, in the calling thread, so
-        # workers only ever read it.
-        plan.lookup_tables(table.mirrored)
+        self._warm_shared(plan, table, config)
         group_sums = activation.reshape(n, plan.num_qgroups, -1).sum(axis=2)
         out = np.empty((n, plan.out_features), dtype=np.float32)
         # Split the raw-temporary element budget across the concurrent
@@ -635,8 +612,9 @@ class ProcessExecutor(VectorizedExecutor):
     (:meth:`KernelPlan.output_tiles`, tile-aligned, disjoint output spans),
     but the shards execute in separate processes, so the Python glue
     between numpy gathers genuinely overlaps instead of serializing on the
-    GIL.  Plan artifacts (weight scales/zeros, folded indices, signs,
-    gather offsets) are published once per plan into shared memory by
+    GIL.  Plan artifacts (weight scales/zeros plus the kernel's index
+    array — reduce-major planes or gather offsets and signs) are
+    published once per plan into shared memory by
     :mod:`repro.core.shm`; per call only the activation lookup table, the
     group sums and the output move, all through a reusable scratch arena.
     Workers run the same span pipeline over the same bytes with the same
@@ -661,10 +639,10 @@ class ProcessExecutor(VectorizedExecutor):
     name = "process"
 
     def resolve_workers(self, config: TMACConfig) -> int:
-        """Worker-process count for this call (override or CPU count)."""
+        """Worker-process count for this call (override or usable cores)."""
         if config.num_workers is not None:
             return max(1, config.num_workers)
-        return max(1, os.cpu_count() or 1)
+        return usable_cpus()
 
     def matmul_with_table(
         self,

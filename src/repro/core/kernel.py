@@ -153,10 +153,6 @@ class TMACKernel:
         """Weight bit width."""
         return self.config.bits
 
-    @property
-    def _groups_per_qgroup(self) -> int:
-        return self.plan.groups_per_qgroup
-
     # ------------------------------------------------------------------ #
     # Online stage
     # ------------------------------------------------------------------ #

@@ -19,7 +19,7 @@ Two storage reductions from Section 3.3 are implemented:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,6 +28,7 @@ from repro.core.bitserial import BitSerialTransform
 
 __all__ = [
     "LookupTable",
+    "accumulator_dtype",
     "build_lut",
     "precompute_lut",
     "lookup",
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 _INT8_MAX = 127.0
+
+
+def accumulator_dtype(count: int) -> np.dtype:
+    """Narrowest integer dtype that sums ``count`` int8 table entries exactly."""
+    return np.dtype(np.int16 if count * 127 < 1 << 15 else np.int32)
 
 
 @dataclass
@@ -77,6 +83,10 @@ class LookupTable:
     s0: Optional[float] = None
     s1: Optional[float] = None
     act_dtype: Optional[str] = None
+    #: Memo of :meth:`row_minor` — every kernel consuming this table (the
+    #: q/k/v or gate/up projections sharing one input) reuses one expansion.
+    _row_minor: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def num_rows(self) -> int:
@@ -105,6 +115,30 @@ class LookupTable:
         if self.scales is not None:
             total += self.scales.size * 2  # fp16 scales
         return int(total)
+
+    def row_minor(self) -> np.ndarray:
+        """The quantized table re-laid for the integer LUT kernel (memoized).
+
+        Returns frozen ``lut[p, block * 2**g + idx, n]``: ``p`` is the
+        position of a group inside its scale block, the middle axis
+        addresses the *full* ``2**g`` patterns of every block (the mirrored
+        half is one negation, ``concat(T, -T[::-1])``, not a sign multiply
+        per lookup), and the activation rows are the minor axis so a single
+        index fetches all ``N`` rows.  Entries are widened once to
+        :func:`accumulator_dtype`, so the reduction is same-dtype adds.
+        """
+        if self._row_minor is None:
+            n, groups, _ = self.values.shape
+            blocks = groups // self.scale_block
+            values = self.values.astype(accumulator_dtype(self.scale_block))
+            if self.mirrored:
+                values = np.concatenate([values, -values[:, :, ::-1]], axis=2)
+            lut = values.reshape(n, blocks, self.scale_block, self.full_length)
+            lut = np.ascontiguousarray(lut.transpose(2, 1, 3, 0)).reshape(
+                self.scale_block, blocks * self.full_length, n)
+            lut.setflags(write=False)
+            self._row_minor = lut
+        return self._row_minor
 
 
 def build_lut(

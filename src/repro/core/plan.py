@@ -44,11 +44,6 @@ from repro.core.weights import (
 )
 from repro.quant.uniform import QuantizedWeight
 
-#: Precompute int32 gather offsets only while ``M * K/g`` stays below this
-#: bound (~32 MB per bit plane); beyond it the memory cost of 4 bytes per
-#: index outweighs the per-call arithmetic it saves.
-_OFFSETS_PRECOMPUTE_MAX = 1 << 23
-
 __all__ = [
     "KernelPlan",
     "build_plan",
@@ -117,26 +112,21 @@ def weight_fingerprint(qweight: QuantizedWeight) -> str:
 class _LookupTables:
     """Precomputed gather metadata for one mirror setting (executor detail).
 
-    For every bit plane the folded (mirror-consolidated) table indices and
-    the mirror-reconstruction signs are pure functions of the weight
-    indices — computed once per plan and reused by every online call, which
-    matters in the decode regime where ``N = 1`` and the index arithmetic
-    is as large as the gather itself.  Stored at index-plane width (one
-    byte per index) so the footprint matches the index planes themselves.
+    Used by the generic vectorized walk and the float-domain specialized
+    closures (unquantized, fine-granularity and fast-aggregation tables);
+    the default group-granularity mode runs
+    :class:`~repro.core.specialize.IntegerLutKernel` and never builds it.
+    The mirror-folded table offsets and the mirror-reconstruction signs are
+    pure functions of the weight indices — computed once per plan and
+    reused by every online call.
     """
 
-    #: Entries stored per table row (``2**g``, halved when mirrored).
-    stored: int
-    #: Per bit: ``[M, J]`` folded indices into the stored table.
-    folded: List[np.ndarray]
     #: Per bit: ``[M, J]`` int8 ``+1``/``-1`` factors; ``None`` if unmirrored.
     signs: Optional[List[np.ndarray]]
     #: Per bit: ``[M, J]`` int32 flat offsets into a ``[J * stored]`` table
-    #: row (``j * stored + folded``), precomputed so the decode-regime
-    #: gather needs no per-call index arithmetic.  ``None`` for very large
-    #: weight matrices, where the 4-bytes-per-index cost outweighs the
-    #: saving — the executor then derives offsets from ``folded`` per chunk.
-    offsets: Optional[List[np.ndarray]] = None
+    #: row (``j * stored + folded index``; ``stored`` is ``2**g``, halved
+    #: when mirrored), so the gather needs no per-call index arithmetic.
+    offsets: List[np.ndarray]
 
 
 @dataclass
@@ -165,8 +155,8 @@ class KernelPlan:
     _gather_cache: Dict[bool, _LookupTables] = field(
         default_factory=dict, repr=False
     )
-    #: Specialization key -> compiled codes-dot kernel
-    #: (:class:`~repro.core.specialize.SpecializedKernel`).  Lazily built,
+    #: Specialization key -> compiled span kernel
+    #: (:mod:`repro.core.specialize`).  Lazily built,
     #: guarded by the same lock as the gather tables, and owned by the
     #: plan: evicting the plan from the :class:`PlanCache` releases every
     #: compiled kernel with it (the kernels hold no reference back).
@@ -262,7 +252,7 @@ class KernelPlan:
         )
 
     def lookup_tables(self, mirrored: bool) -> _LookupTables:
-        """Precomputed per-bit folded indices and signs (lazily built).
+        """Precomputed per-bit gather offsets and signs (lazily built).
 
         Thread-safe: concurrent callers (e.g. parallel-executor workers)
         build the metadata exactly once and all receive the same object.
@@ -282,38 +272,24 @@ class KernelPlan:
         if cached is not None:
             return cached
         full = 1 << self.g
-        stored = full >> 1 if mirrored else full
-        folded_planes: List[np.ndarray] = []
+        half = full >> 1
+        col = np.arange(self.num_groups, dtype=np.int32) * (
+            half if mirrored else full)
         signs: Optional[List[np.ndarray]] = [] if mirrored else None
+        offsets: List[np.ndarray] = []
         for plane in self.weights.index_planes:
+            folded = plane
             if mirrored:
-                half = full >> 1
                 negate = plane >= half
                 folded = np.where(negate, (full - 1) - plane, plane)
                 signs.append(np.where(negate, -1, 1).astype(np.int8))
-                folded_planes.append(folded.astype(plane.dtype))
-            else:
-                # Unmirrored: the plane already is the folded index — share
-                # it rather than duplicating M*K/g bytes per bit.
-                folded_planes.append(plane)
-        offsets: Optional[List[np.ndarray]] = None
-        if self.out_features * self.num_groups <= _OFFSETS_PRECOMPUTE_MAX:
-            col = np.arange(self.num_groups, dtype=np.int32) * stored
-            offsets = [
-                (col[None, :] + folded).astype(np.int32)
-                for folded in folded_planes
-            ]
+            offsets.append((col[None, :] + folded).astype(np.int32))
         # Freeze before publication: the tables escape to every executor
         # thread/process, and a writable view would let a kernel bug
         # corrupt results silently instead of raising.
-        for arr in folded_planes:
+        for arr in (*(signs or ()), *offsets):
             arr.setflags(write=False)
-        for group in (signs, offsets):
-            if group is not None:
-                for arr in group:
-                    arr.setflags(write=False)
-        tables = _LookupTables(stored=stored, folded=folded_planes,
-                               signs=signs, offsets=offsets)
+        tables = _LookupTables(signs=signs, offsets=offsets)
         self._gather_cache[mirrored] = tables
         return tables
 
@@ -339,15 +315,14 @@ class KernelPlan:
         cached = self._spec_cache.get(key)
         if cached is not None:
             return cached
-        # Imported lazily: specialize is a leaf module, but keeping the
-        # import out of module scope lets plan.py load without it in
-        # pickling-restricted worker contexts.
+        # Resolved per build: tests substitute the compiler on the module.
         from repro.core.specialize import compile_specialized
 
-        # Build the gather tables with the lock already held (re-entering
-        # lookup_tables() here would self-deadlock on the non-reentrant
-        # plan lock).
-        tables = self._build_lookup_tables_locked(key.mirrored)
+        # The integer kernel builds its own planes and leaves the gather
+        # tables unbuilt; the float closures need them, built with the
+        # non-reentrant lock already held.
+        tables = (None if key.integer
+                  else self._build_lookup_tables_locked(key.mirrored))
         kernel = compile_specialized(self, key, tables)
         self._spec_cache[key] = kernel
         return kernel

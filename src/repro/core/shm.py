@@ -7,8 +7,10 @@ This module provides the machinery that moves the sharded mpGEMM/mpGEMV
 pipeline onto real cores:
 
 * :class:`PlanSegmentRegistry` — publishes a :class:`~repro.core.plan.
-  KernelPlan`'s offline artifacts (weight scales/zeros, per-bit folded
-  indices, mirror signs, precomputed gather offsets) **once** into a
+  KernelPlan`'s offline artifacts (weight scales/zeros plus what the call's
+  compiled kernel gathers through: the integer LUT kernel's reduce-major
+  ``planes``, or the float closures' gather offsets and mirror signs)
+  **once** into a
   ``multiprocessing.shared_memory`` segment keyed by the plan's content
   address.  Plans are frozen read-only after the offline build, which is
   exactly the shape shared memory needs: workers attach lazily and map the
@@ -51,6 +53,12 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
+
+from repro.core.specialize import (
+    compile_specialized,
+    resolve_gather_variant,
+    specialization_key,
+)
 
 __all__ = [
     "ExecutorWorkerError",
@@ -182,9 +190,10 @@ class _PlanSegment:
 class PlanSegmentRegistry:
     """Process-wide shared-memory publication of kernel plans.
 
-    Segments are keyed by ``(weight fingerprint, layout key, mirrored)`` —
-    the plan's content address plus the gather-metadata variant — so two
-    plan objects for the same weights share one segment.  Each segment is
+    Segments are keyed by ``(weight fingerprint, layout key, variant)`` —
+    the plan's content address plus which index artifact the segment
+    carries (``"planes"``, or the mirror flag of the gather tables) — so
+    two plan objects for the same weights share one segment.  Each segment is
     retained by the set of live plan objects that published it; a
     ``weakref.finalize`` per plan decrements the count and the segment is
     unlinked when it reaches zero (plans dropped by ``PlanCache`` eviction
@@ -195,40 +204,43 @@ class PlanSegmentRegistry:
         self._lock = threading.Lock()
         self._segments: Dict[tuple, _PlanSegment] = {}
 
-    def publish(self, plan, mirrored: bool) -> dict:
+    def publish(self, plan, mirrored: bool, planes=None) -> dict:
         """Publish (or re-use) the segment for ``plan`` and return its
-        manifest — everything a worker needs to rebuild read-only views."""
+        manifest — everything a worker needs to rebuild read-only views.
+
+        ``planes`` (the integer LUT kernel's index array) is published in
+        place of the ``mirrored`` gather tables when given.
+        """
         from repro.core.plan import _layout_key
 
         key = (
             plan.fingerprint,
             _layout_key(plan.config, plan.weights.tile_config),
-            bool(mirrored),
+            "planes" if planes is not None else bool(mirrored),
         )
         with self._lock:
             entry = self._segments.get(key)
             if entry is None:
-                entry = self._build(key, plan, mirrored)
+                entry = self._build(key, plan, mirrored, planes)
                 self._segments[key] = entry
             if id(plan) not in entry.owners:
                 entry.owners.add(id(plan))
                 weakref.finalize(plan, self._release, key, id(plan))
             return entry.manifest
 
-    def _build(self, key: tuple, plan, mirrored: bool) -> _PlanSegment:
-        tables = plan.lookup_tables(mirrored)
+    def _build(self, key: tuple, plan, mirrored: bool,
+               planes) -> _PlanSegment:
         arrays: Dict[str, np.ndarray] = {
             "scales": plan.weights.scales,
             "zeros": plan.weights.zeros,
         }
-        for bit, folded in enumerate(tables.folded):
-            arrays[f"folded_{bit}"] = folded
-        if tables.signs is not None:
-            for bit, signs in enumerate(tables.signs):
-                arrays[f"signs_{bit}"] = signs
-        if tables.offsets is not None:
-            for bit, offsets in enumerate(tables.offsets):
-                arrays[f"offsets_{bit}"] = offsets
+        if planes is not None:
+            arrays["planes"] = planes
+        else:
+            tables = plan.lookup_tables(mirrored)
+            for group in ("signs", "offsets"):
+                for bit, arr in enumerate(getattr(tables, group) or ()):
+                    arrays[f"{group}_{bit}"] = arr
 
         total, entries = _pack_arrays(arrays)
         shm = _shared_memory.SharedMemory(
@@ -245,14 +257,9 @@ class PlanSegmentRegistry:
             "alpha": plan.transform.alpha,
             "beta": plan.transform.beta,
             "out_features": plan.out_features,
-            "in_features": plan.in_features,
             "num_qgroups": plan.num_qgroups,
             "groups_per_qgroup": plan.groups_per_qgroup,
-            "num_groups": plan.num_groups,
-            "stored": tables.stored,
             "mirrored": bool(mirrored),
-            "has_signs": tables.signs is not None,
-            "has_offsets": tables.offsets is not None,
         }
         return _PlanSegment(key=key, shm=shm, manifest=manifest,
                             nbytes=max(1, total))
@@ -319,7 +326,8 @@ class _WorkerPlan:
     Duck-types the subset of :class:`~repro.core.plan.KernelPlan` the
     vectorized span pipeline touches (shape properties, ``weights.scales``
     / ``weights.zeros``, ``transform.alpha`` / ``beta``,
-    ``lookup_tables``), backed by zero-copy views over the shared segment.
+    ``lookup_tables``, ``specialized``), backed by zero-copy views over the
+    shared segment.
     """
 
     def __init__(self, manifest: dict, segment):
@@ -330,10 +338,8 @@ class _WorkerPlan:
         self.segment_name = manifest["segment"]
         self.bits = manifest["bits"]
         self.out_features = manifest["out_features"]
-        self.in_features = manifest["in_features"]
         self.num_qgroups = manifest["num_qgroups"]
         self.groups_per_qgroup = manifest["groups_per_qgroup"]
-        self.num_groups = manifest["num_groups"]
         self.mirrored = manifest["mirrored"]
         self.weights = SimpleNamespace(
             scales=_view(buf, entries["scales"]),
@@ -342,19 +348,19 @@ class _WorkerPlan:
         self.transform = SimpleNamespace(
             alpha=manifest["alpha"], beta=manifest["beta"]
         )
-        folded = [_view(buf, entries[f"folded_{b}"])
-                  for b in range(self.bits)]
-        signs = None
-        if manifest["has_signs"]:
-            signs = [_view(buf, entries[f"signs_{b}"])
-                     for b in range(self.bits)]
-        offsets = None
-        if manifest["has_offsets"]:
+        #: The one index artifact the segment carries: the integer
+        #: kernel's planes, or the float closures' gather tables.
+        self._planes = self._tables = None
+        if "planes" in entries:
+            self._planes = _view(buf, entries["planes"])
+        else:
+            signs = offsets = None
+            if "signs_0" in entries:
+                signs = [_view(buf, entries[f"signs_{b}"])
+                         for b in range(self.bits)]
             offsets = [_view(buf, entries[f"offsets_{b}"])
                        for b in range(self.bits)]
-        self._tables = _LookupTables(stored=manifest["stored"],
-                                     folded=folded, signs=signs,
-                                     offsets=offsets)
+            self._tables = _LookupTables(signs=signs, offsets=offsets)
         #: Specialization key -> compiled kernel, mirroring
         #: :meth:`KernelPlan.specialized`.  The worker loop is
         #: single-threaded, so no lock is needed; the cache lives as long
@@ -362,10 +368,10 @@ class _WorkerPlan:
         self._spec_cache: dict = {}
 
     def lookup_tables(self, mirrored: bool):
-        if bool(mirrored) != self.mirrored:
+        if self._tables is None or bool(mirrored) != self.mirrored:
             raise RuntimeError(
-                f"plan segment published for mirrored={self.mirrored}, "
-                f"call requires mirrored={mirrored}"
+                f"plan segment {self.segment_name} does not carry gather "
+                f"tables for mirrored={mirrored}"
             )
         return self._tables
 
@@ -373,10 +379,9 @@ class _WorkerPlan:
         """Worker-side specialization cache (single-threaded, lock-free)."""
         cached = self._spec_cache.get(key)
         if cached is None:
-            from repro.core.specialize import compile_specialized
-
-            cached = compile_specialized(self, key,
-                                         self.lookup_tables(key.mirrored))
+            cached = compile_specialized(
+                self, key, self._planes if key.integer
+                else self.lookup_tables(key.mirrored))
             self._spec_cache[key] = cached
         return cached
 
@@ -439,9 +444,9 @@ def _execute_shard(plans: dict, seg_cache: dict, task: tuple) -> None:
                         quantized=quantized, scales=scales,
                         scale_block=scale_block, s0=s0, s1=s1,
                         act_dtype=act_dtype)
-    fast_aggregation, specialize, lut_dtype, gather_variant = exec_opts
+    fast_aggregation, specialize, gather_variant = exec_opts
     config = SimpleNamespace(fast_aggregation=fast_aggregation,
-                             specialize=specialize, lut_dtype=lut_dtype,
+                             specialize=specialize,
                              gather_variant=gather_variant)
     executor = VectorizedExecutor()
     # Assignment into the float32 slice rounds exactly like the serial
@@ -662,7 +667,17 @@ class ProcessWorkerPool:
         with self._lock:
             self._drain_stale_results_locked()
             self._ensure_workers_locked(count_restarts=True)
-            manifest = PLAN_SEGMENTS.publish(plan, table.mirrored)
+            # The execution flags the span pipeline reads off the config.
+            # The gather variant is resolved here (in the parent, where a
+            # calibration profile may have set the host preference) so
+            # every worker runs the same driver.
+            exec_opts = (bool(config.fast_aggregation),
+                         bool(config.specialize),
+                         resolve_gather_variant(config))
+            spec_key = specialization_key(table, config)
+            planes = (plan.specialized(spec_key).planes
+                      if config.specialize and spec_key.integer else None)
+            manifest = PLAN_SEGMENTS.publish(plan, table.mirrored, planes)
             plan_key = manifest["key"]
 
             arrays = {
@@ -687,16 +702,6 @@ class ProcessWorkerPool:
             table_meta = (table.g, table.mirrored, table.quantized,
                           table.scale_block, table.s0, table.s1,
                           table.act_dtype)
-            # The execution flags the span pipeline reads off the config.
-            # The gather variant is resolved here (in the parent, where a
-            # calibration profile may have set the host preference) so
-            # every worker runs the same driver.
-            from repro.core.specialize import resolve_gather_variant
-
-            exec_opts = (bool(config.fast_aggregation),
-                         bool(getattr(config, "specialize", False)),
-                         getattr(config, "lut_dtype", "float"),
-                         resolve_gather_variant(config))
             pending: Dict[int, Tuple[int, int]] = {
                 i: span for i, span in enumerate(shards)
             }

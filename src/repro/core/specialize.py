@@ -1,51 +1,46 @@
-"""Plan-specialized codes-dot kernels (hot-path codegen, built once per plan).
+"""Plan-specialized span kernels (hot-path codegen, built once per plan).
 
-The generic :class:`~repro.core.executor.VectorizedExecutor` re-resolves
-``table.quantized`` / ``scale_block`` / ``fast_aggregation`` / offsets-vs-
-derived branches inside the per-bit-plane loop on *every* mpGEMV call.  The
-csl-experiments breakdown referenced in the roadmap (74% overhead vs 26%
-useful FMACS) is a warning about exactly this: a LUT kernel loses its
-roofline to per-call dispatch, not to arithmetic.
+At first use one kernel is compiled per ``(KernelPlan, table mode,
+execution flags)`` and cached on the plan (:meth:`KernelPlan.specialized`);
+serial, thread-sharded and process-worker execution all reach it through
+that one hook.  Two kernels exist:
 
-This module is the repo's answer — at first use, one
-:class:`SpecializedKernel` is compiled per ``(KernelPlan, table mode,
-execution flags)`` and cached on the plan (same lock and lifetime as the
-lazy gather tables).  Compilation resolves every branch into closures:
-
-* the gather driver (precomputed int32 offsets vs on-the-fly derivation,
-  fancy indexing vs :func:`np.take` — selectable, for the calibrated cost
-  model to choose per host),
-* the mirror-sign application, *fused* into the gather widening
-  (``np.multiply(gathered, signs, dtype=...)`` — one pass instead of an
-  ``astype`` followed by an in-place multiply),
-* the aggregation mode (unquantized float sum / fine-granularity rescale /
-  group-granularity exact or fast aggregation),
-* optionally the paper's fig10 int8-table direction: with
-  ``TMACConfig(lut_dtype="int8")`` the gather + sign + aggregation stay in
-  the integer domain (int8/int16 temporaries instead of float64 — half to
-  an eighth of the memory traffic) and a single float rescale follows.
-
-Bit-exactness is load-bearing and asserted by the parity suites: every
-fused operation is integer-exact or performs the same float64 operation
-sequence as the generic path, so specialized results are *bit-identical*
-to the generic vectorized executor (and therefore to the loop oracle) for
-every table mode, and the int8 domain is bit-identical to the float domain
-for group-granularity quantized tables (all intermediate values are exact
-small integers in both).
+* :class:`IntegerLutKernel` — the production path for group-granularity
+  quantized tables (the default :class:`~repro.core.config.TMACConfig`),
+  the paper's LUT-centric layout (§3.2/§3.3) in numpy terms.  Offline the
+  weight indices are stored *reduce-major* as local table addresses
+  ``planes[p, m, bit, qg] = qg * 2**g + idx`` (``p`` = position inside the
+  quantization group); online the table is expanded once per activation to
+  *row-minor* ``lut[p, qg * 2**g + idx, n]``
+  (:meth:`~repro.core.lut.LookupTable.row_minor`).  The heavy phase is
+  ``acc += np.take(lut[p], planes[p, m0:m1].ravel(), axis=0)`` for ``p`` in
+  ``range(gpq)``: one index fetches all ``N`` rows contiguously and no
+  float ``[N, M, K/g]`` temporary exists.  The integer block sums are
+  exact and the float epilogue (1/gpq of the data) performs the loop
+  oracle's operations in the oracle's order, so results are bit-identical
+  to :class:`~repro.core.executor.LoopExecutor`.
+* :class:`SpecializedKernel` — branch-resolved float closures for the
+  modes whose float sums are order-sensitive (unquantized tables, fine
+  scale granularity, fast aggregation).  Bit-identical to the generic
+  vectorized walk.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.core.aggregation import fast_aggregate
+from repro.core.lut import accumulator_dtype
 
 __all__ = [
     "SpecializationKey",
     "SpecializedKernel",
+    "IntegerLutKernel",
+    "reduce_major_planes",
     "specialization_key",
     "compile_specialized",
     "maybe_specialized",
@@ -63,15 +58,20 @@ class SpecializationKey(NamedTuple):
     The fields are *normalized* (irrelevant flags forced to a canonical
     value) so configs that cannot differ in behaviour share one compiled
     kernel — e.g. ``fast_aggregation`` is meaningless for unquantized
-    tables and never forks a second build.
+    tables and never forks a second build, and the integer kernel serves
+    mirrored and unmirrored tables under either gather preference.
     """
 
     mirrored: bool
     quantized: bool
     fine: bool  # scale_block == 1 (per-group dynamic scales)
     fast_aggregation: bool
-    int_domain: bool  # int8 LUT decode path (lut_dtype="int8")
     gather: str  # "fancy" | "take"
+
+    @property
+    def integer(self) -> bool:
+        """Group-granularity exact aggregation: :class:`IntegerLutKernel`."""
+        return self.quantized and not self.fine and not self.fast_aggregation
 
 
 class _StatsBlock:
@@ -105,7 +105,6 @@ class _StatsBlock:
 _SPECIALIZE_STATS = _StatsBlock((
     "specialize_builds",  # kernels compiled (cache misses)
     "specialize_calls",  # span executions routed through a compiled kernel
-    "specialize_int8_calls",  # of those, integer-domain (lut_dtype="int8")
     "specialize_generic_calls",  # spans that fell back to the generic path
 ))
 
@@ -146,9 +145,7 @@ def default_gather_variant() -> str:
 def resolve_gather_variant(config) -> str:
     """Resolve a config's ``gather_variant`` to a concrete driver."""
     raw = getattr(config, "gather_variant", "auto") or "auto"
-    if raw == "auto":
-        return _DEFAULT_GATHER
-    return raw
+    return _DEFAULT_GATHER if raw == "auto" else raw
 
 
 def specialization_key(table, config) -> SpecializationKey:
@@ -161,26 +158,21 @@ def specialization_key(table, config) -> SpecializationKey:
     """
     quantized = bool(table.quantized)
     fine = quantized and table.scale_block == 1
-    group = quantized and not fine
-    fast = group and bool(getattr(config, "fast_aggregation", False))
-    # The int8 decode path needs integer table entries and a single scale
-    # per aggregation block; everything else silently stays in the float
-    # domain (a preference, not an error — the CI int8 leg runs the whole
-    # suite, including unquantized and fine-granularity configs).
-    int_domain = (group and not fast
-                  and getattr(config, "lut_dtype", "float") == "int8")
-    return SpecializationKey(
+    key = SpecializationKey(
         mirrored=bool(table.mirrored),
         quantized=quantized,
         fine=fine,
-        fast_aggregation=fast,
-        int_domain=int_domain,
+        fast_aggregation=(quantized and not fine
+                          and bool(getattr(config, "fast_aggregation", False))),
         gather=resolve_gather_variant(config),
     )
+    # The integer kernel reads the mirror flag off the table it expands
+    # and always gathers with np.take: neither forks a second build.
+    return key._replace(mirrored=False, gather="take") if key.integer else key
 
 
 class SpecializedKernel:
-    """One compiled codes-dot pipeline for a plan + table mode.
+    """One compiled float-domain codes-dot pipeline for a plan + table mode.
 
     Holds only frozen plan artifacts (by reference) and scalars — never
     the plan itself — so evicting a plan from the :class:`PlanCache`
@@ -192,14 +184,12 @@ class SpecializedKernel:
     bit-identical to :class:`~repro.core.executor.VectorizedExecutor`.
     """
 
-    def __init__(self, key: SpecializationKey, *, stored: int,
-                 folded: List[np.ndarray], signs: Optional[List[np.ndarray]],
-                 offsets: Optional[List[np.ndarray]], scales: np.ndarray,
+    def __init__(self, key: SpecializationKey, *,
+                 signs: Optional[List[np.ndarray]],
+                 offsets: List[np.ndarray], scales: np.ndarray,
                  sz: np.ndarray, alpha: float, beta: float, bits: int,
-                 gpq: int, qgroups: int, out_features: int):
+                 gpq: int, qgroups: int):
         self.key = key
-        self.stored = stored
-        self.folded = folded
         self.signs = signs
         self.offsets = offsets
         self.scales = scales  # weight scales [M, QG] (frozen, plan-owned)
@@ -209,7 +199,6 @@ class SpecializedKernel:
         self.bits = bits
         self.gpq = gpq
         self.qgroups = qgroups
-        self.out_features = out_features
         #: Bit-plane weights ``2**bit`` as python floats (the generic path
         #: computes ``float(1 << bit)`` per chunk per bit).
         self.bit_weights = [float(1 << bit) for bit in range(bits)]
@@ -220,28 +209,15 @@ class SpecializedKernel:
 
     def _make_raw(self):
         """The gather + sign driver: ``(flat, bit, j0, j1, m0, m1) ->
-        [N, m1-m0, j1-j0]`` looked-up (and sign-reconstructed) values.
+        [N, m1-m0, j1-j0]`` looked-up (and sign-reconstructed) float64.
 
-        Every branch of the generic ``_raw_chunk`` is resolved here once.
         The 2-D offset *view* indexes the flat table directly (yielding
         the 3-D result with no index flatten/copy), and the mirror signs
         are fused into the widening multiply — both bit-identical to the
         gather→astype→inplace-multiply sequence of the generic path.
         """
         offsets = self.offsets
-        folded = self.folded
         signs = self.signs
-        stored = self.stored
-
-        if offsets is not None:
-            def index(bit, j0, j1, m0, m1):
-                return offsets[bit][m0:m1, j0:j1]
-        else:
-            # Very large weights: the plan skips offset precomputation;
-            # derive the chunk's offsets from the folded indices on the fly.
-            def index(bit, j0, j1, m0, m1):
-                return (np.arange(j0, j1, dtype=np.int64)[None, :] * stored
-                        + folded[bit][m0:m1, j0:j1])
 
         if self.key.gather == "take":
             def gather(flat, off):
@@ -250,25 +226,14 @@ class SpecializedKernel:
             def gather(flat, off):
                 return flat[:, off]
 
-        # Integer domain: int8 entries * int8 signs fit int16 exactly, so
-        # the widening multiply (and the downstream int32 accumulation)
-        # loses nothing versus float64 — the values are identical.
-        out_dtype = np.int16 if self.key.int_domain else np.float64
-
         if signs is not None:
             def raw(flat, bit, j0, j1, m0, m1):
-                off = index(bit, j0, j1, m0, m1)
-                return np.multiply(gather(flat, off),
+                return np.multiply(gather(flat, offsets[bit][m0:m1, j0:j1]),
                                    signs[bit][m0:m1, j0:j1],
-                                   dtype=out_dtype)
-        elif self.key.int_domain:
-            def raw(flat, bit, j0, j1, m0, m1):
-                # Unmirrored int8 entries pass through; the aggregation
-                # widens to int32.
-                return gather(flat, index(bit, j0, j1, m0, m1))
+                                   dtype=np.float64)
         else:
             def raw(flat, bit, j0, j1, m0, m1):
-                return gather(flat, index(bit, j0, j1, m0, m1)).astype(
+                return gather(flat, offsets[bit][m0:m1, j0:j1]).astype(
                     np.float64)
         return raw
 
@@ -287,20 +252,12 @@ class SpecializedKernel:
                 scales = table.scales[:, j0:j1].reshape(
                     blocked.shape[0], 1, qg1 - qg0, gpq)
                 return (blocked * scales).sum(axis=-1)
-        elif self.key.fast_aggregation:
+        else:
+            # Fast aggregation — exact group aggregation never gets here
+            # (it compiles to IntegerLutKernel).
             def partial(table, blocked, qg0, qg1, j0, j1):
                 return (fast_aggregate(blocked, axis=-1)
                         * table.scales[:, None, qg0:qg1])
-        elif self.key.int_domain:
-            # Integer-domain accumulation: the int16 (or int8) products
-            # sum exactly in int32 — the same integers the float64 path
-            # accumulates — and one float rescale per block follows.
-            def partial(table, blocked, qg0, qg1, j0, j1):
-                aggregated = blocked.sum(axis=-1, dtype=np.int32)
-                return aggregated * table.scales[:, None, qg0:qg1]
-        else:
-            def partial(table, blocked, qg0, qg1, j0, j1):
-                return blocked.sum(axis=-1) * table.scales[:, None, qg0:qg1]
         return partial
 
     # -- per-call entry points ------------------------------------------ #
@@ -360,42 +317,157 @@ class SpecializedKernel:
         return out
 
 
-def compile_specialized(plan, key: SpecializationKey,
-                        tables=None) -> SpecializedKernel:
-    """Compile one specialized kernel for ``plan`` under ``key``.
+def reduce_major_planes(index_planes, g: int, gpq: int) -> np.ndarray:
+    """Permute the ``[M, K/g]`` index planes to the integer kernel's layout.
 
-    ``tables`` lets :meth:`KernelPlan._build_specialized_locked` pass the
-    gather metadata it already built under the plan lock (re-entering
-    ``lookup_tables`` there would self-deadlock); other callers leave it
-    ``None``.  Works against any plan-shaped object exposing the
-    :class:`~repro.core.plan.KernelPlan` span-pipeline surface — including
-    the process executor's worker-side ``_WorkerPlan`` reconstruction.
+    Returns frozen ``planes[p, m, bit, qg] = qg * 2**g + idx`` in the
+    narrowest unsigned dtype holding ``QG * 2**g``.  ``p`` (the reduction
+    axis) is outermost, so each reduction step reads one contiguous index
+    run per output span; the entries are *local* addresses into one
+    ``lut[p]`` slab — no per-call index arithmetic, 1-2 bytes per index.
     """
-    if tables is None:
-        tables = plan.lookup_tables(key.mirrored)
+    m, groups = index_planes[0].shape
+    qgroups = groups // gpq
+    dtype = next(dt for dt in (np.uint8, np.uint16, np.uint32)
+                 if (qgroups << g) - 1 <= np.iinfo(dt).max)
+    base = np.arange(qgroups, dtype=dtype) << g
+    planes = np.empty((gpq, m, len(index_planes), qgroups), dtype=dtype)
+    for bit, plane in enumerate(index_planes):
+        np.add(plane.reshape(m, qgroups, gpq).transpose(2, 0, 1), base,
+               out=planes[:, :, bit, :])
+    planes.setflags(write=False)
+    return planes
+
+
+class IntegerLutKernel:
+    """The reduce-major, row-minor integer LUT kernel (module docstring).
+
+    Owns its frozen artifacts — ``planes`` plus ``[QG, M]`` transposes of
+    the weight scales and of the ``scales * zeros`` product — and scalars,
+    never the plan.  Same span API as :class:`SpecializedKernel`.
+    """
+
+    def __init__(self, key: SpecializationKey, *, planes: np.ndarray,
+                 scales_t: np.ndarray, sz_t: np.ndarray, alpha: float,
+                 beta: float):
+        self.key = key
+        self.planes = planes
+        self.scales_t = scales_t
+        self.sz_t = sz_t
+        self.alpha = alpha
+        self.beta = beta
+        self.gpq, _, self.bits, self.qgroups = planes.shape
+        #: int16 while ``gpq * 127`` fits, else int32 — the dtype
+        #: :meth:`LookupTable.row_minor` widens the entries to.
+        self.acc_dtype = accumulator_dtype(self.gpq)
+        #: ``2**bit`` as ``[bits, 1, 1, 1]``.  Scaling by a power of two
+        #: commutes with every float rounding, so the epilogue folds the
+        #: bit weights — and alpha when it is one (0.5 by default) — into
+        #: its small per-(qg, n) factors instead of passes over the data.
+        self.bit_weights = np.ldexp(1.0, np.arange(self.bits)).reshape(
+            -1, 1, 1, 1)
+        self.fold_alpha = math.frexp(alpha)[0] == 0.5
+
+    def _codes_dot(self, lut, tscale, sums, m0: int, m1: int) -> np.ndarray:
+        """``[QG, N, m1-m0]`` float64 codes-dot of one output span."""
+        n = lut.shape[2]
+        m = m1 - m0
+        index = self.planes[:, m0:m1].reshape(self.gpq, -1)
+        acc = np.zeros((index.shape[1], n), dtype=self.acc_dtype)
+        looked_up = np.empty_like(acc)
+        for p in range(self.gpq):
+            # Indices are in range by construction; "clip" (unlike "raise")
+            # lets take write straight into ``out``.
+            lut[p].take(index[p], axis=0, out=looked_up, mode="clip")
+            acc += looked_up
+        # Exact integer block sums S[bit, qg, n, m]; from here on the
+        # oracle's float operations, in the oracle's order, with the output
+        # columns as the long contiguous axis:
+        # chunk = sum_bit 2**bit * (alpha * (S * tscale) + beta * sums).
+        partial = acc.reshape(m, self.bits, self.qgroups, n).transpose(
+            1, 2, 3, 0).astype(np.float64, order="C")
+        if self.fold_alpha:
+            partial *= tscale * (self.bit_weights * self.alpha)
+        else:
+            partial *= tscale * self.bit_weights
+            partial *= self.alpha
+        partial += (self.beta * sums) * self.bit_weights
+        chunk = partial[0]
+        for bit in range(1, self.bits):
+            chunk += partial[bit]
+        return chunk
+
+    def _spans(self, table, group_sums, m0: int, m1: int, budget: int):
+        """Yield ``(s0, s1, codes_dot)`` over sub-spans of ``[m0, m1)``.
+
+        The transient is bounded by splitting the output columns — never
+        the quantization groups — so every sub-span is one full reduction.
+        """
+        lut = table.row_minor()
+        tscale = table.scales.T[:, :, None]  # [QG, N, 1]
+        sums = group_sums.T[:, :, None]  # [QG, N, 1]
+        per_column = lut.shape[2] * self.bits * self.qgroups
+        step = max(1, budget // per_column)
+        for s0 in range(m0, m1, step):
+            s1 = min(s0 + step, m1)
+            yield s0, s1, self._codes_dot(lut, tscale, sums, s0, s1)
+
+    def iter_span(self, table, group_sums, m0: int, m1: int, budget: int):
+        """The whole span as one ``(0, QG, [N, m1-m0, QG])`` chunk."""
+        chunk = np.empty((table.num_rows, m1 - m0, self.qgroups),
+                         dtype=np.float64)
+        for s0, s1, codes in self._spans(table, group_sums, m0, m1, budget):
+            chunk[:, s0 - m0:s1 - m0, :] = codes.transpose(1, 2, 0)
+        yield 0, self.qgroups, chunk
+
+    def recombine_span(self, table, group_sums, m0: int, m1: int,
+                       budget: int) -> np.ndarray:
+        """Scale/zero recombination over output columns ``[m0, m1)``."""
+        sums = group_sums.T[:, :, None]
+        out = np.zeros((table.num_rows, m1 - m0), dtype=np.float64)
+        for s0, s1, codes in self._spans(table, group_sums, m0, m1, budget):
+            codes *= self.scales_t[:, None, s0:s1]
+            zero_terms = self.sz_t[:, None, s0:s1] * sums
+            span = out[:, s0 - m0:s1 - m0]
+            for qg in range(self.qgroups):
+                span += codes[qg]
+                span -= zero_terms[qg]
+        return out
+
+
+def compile_specialized(plan, key: SpecializationKey, artifacts=None):
+    """Compile the kernel for ``plan`` under ``key``.
+
+    ``artifacts`` is what the key's kernel gathers through — the
+    reduce-major ``planes`` for integer keys, the plan's ``_LookupTables``
+    otherwise; ``None`` builds them from the plan.  The plan passes the
+    tables it built under its (non-reentrant) lock, the process worker's
+    plan-shaped ``_WorkerPlan`` its shared-memory views.
+    """
     scales = plan.weights.scales
-    zeros = plan.weights.zeros
-    # Precompute the recombination's scale*zero product once (float32 in,
-    # float32 out — the exact per-call product of the generic path), and
-    # freeze it: it is published to every executor thread/process with
-    # the same lifetime as the plan's other artifacts.
-    sz = np.multiply(scales, zeros)
-    sz.setflags(write=False)
-    kernel = SpecializedKernel(
-        key,
-        stored=tables.stored,
-        folded=tables.folded,
-        signs=tables.signs,
-        offsets=tables.offsets,
-        scales=scales,
-        sz=sz,
-        alpha=plan.transform.alpha,
-        beta=plan.transform.beta,
-        bits=plan.bits,
-        gpq=plan.groups_per_qgroup,
-        qgroups=plan.num_qgroups,
-        out_features=plan.out_features,
-    )
+    # The recombination's scale*zero product, once per plan (float32 in,
+    # float32 out — the exact per-call product of the generic path).
+    sz = np.multiply(scales, plan.weights.zeros)
+    alpha, beta = plan.transform.alpha, plan.transform.beta
+    if key.integer:
+        if artifacts is None:
+            artifacts = reduce_major_planes(
+                plan.weights.index_planes, plan.g, plan.groups_per_qgroup)
+        scales_t = np.ascontiguousarray(scales.T)
+        sz_t = np.ascontiguousarray(sz.T)
+        # Frozen before publication: shared by every executor thread.
+        scales_t.setflags(write=False)
+        sz_t.setflags(write=False)
+        kernel = IntegerLutKernel(key, planes=artifacts, scales_t=scales_t,
+                                  sz_t=sz_t, alpha=alpha, beta=beta)
+    else:
+        if artifacts is None:
+            artifacts = plan.lookup_tables(key.mirrored)
+        sz.setflags(write=False)
+        kernel = SpecializedKernel(
+            key, signs=artifacts.signs, offsets=artifacts.offsets,
+            scales=scales, sz=sz, alpha=alpha, beta=beta, bits=plan.bits,
+            gpq=plan.groups_per_qgroup, qgroups=plan.num_qgroups)
     _SPECIALIZE_STATS.add(specialize_builds=1)
     return kernel
 
@@ -409,17 +481,10 @@ def maybe_specialized(plan, table, config) -> Optional[SpecializedKernel]:
     once per span execution — the per-call cost is one dict hit on the
     plan's cache.
     """
-    if not getattr(config, "specialize", False):
-        _SPECIALIZE_STATS.add(specialize_generic_calls=1)
-        return None
     getter = getattr(plan, "specialized", None)
-    if getter is None:
+    if getter is None or not getattr(config, "specialize", False):
         _SPECIALIZE_STATS.add(specialize_generic_calls=1)
         return None
-    key = specialization_key(table, config)
-    kernel = getter(key)
-    if key.int_domain:
-        _SPECIALIZE_STATS.add(specialize_calls=1, specialize_int8_calls=1)
-    else:
-        _SPECIALIZE_STATS.add(specialize_calls=1)
+    kernel = getter(specialization_key(table, config))
+    _SPECIALIZE_STATS.add(specialize_calls=1)
     return kernel

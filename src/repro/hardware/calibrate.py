@@ -7,10 +7,12 @@ mpGEMV/mpGEMM probes with the real kernels, times the pipeline phases, and
 fits one linear coefficient per cost term —
 
 * **LUT build** — ``precompute`` seconds vs. table elements built,
-* **gather** — codes-dot seconds vs. elements gathered
-  (``N * M * K/g * bits``),
-* **aggregate** — vs. per-quantization-group partials produced
-  (``N * M * QG * bits``),
+* **gather** — codes-dot seconds vs. table indices fetched
+  (``M * K/g * bits`` — *not* times ``N``: the integer LUT kernel's
+  row-minor table returns all ``N`` activation rows per index, so the
+  lookup cost is amortised over rows),
+* **aggregate** — vs. per-quantization-group block sums carried through
+  the float epilogue (``N * M * QG * bits``),
 * **recombine** — vs. scale/zero recombination iterations
   (``N * M * QG``),
 
@@ -133,8 +135,8 @@ class CalibrationProfile:
         LUT-build phase: constant + per-table-element cost.
     ``span_base_s`` / ``gather_per_elem_s`` / ``aggregate_per_elem_s`` /
     ``recombine_per_iter_s``
-        Codes-dot + recombination phase: constant, per gathered element,
-        per aggregated partial, per recombination iteration.
+        Codes-dot + recombination phase: constant, per table index
+        fetched, per aggregated block sum, per recombination iteration.
 
     The probes used for the fit are kept (measured *and* predicted), so
     the profile is self-validating: :meth:`max_relative_error` reports the
@@ -188,9 +190,7 @@ class CalibrationProfile:
 
         ``gemv_only`` restricts to the N=1 probes — the decode-regime
         latencies the acceptance gate (and the autotuner's dispatch
-        decisions) actually depend on.  Batched (N>1) probes aggregate
-        more efficiently per element than a linear model can express, so
-        their error runs a little higher.
+        decisions) actually depend on.
         """
         probes = [p for p in self.probes if p.shape.n == 1 or not gemv_only]
         if not probes:
@@ -248,7 +248,7 @@ def _features(shape: ProbeShape, config) -> Tuple[int, int, int, int]:
     groups = shape.k // config.g
     qgroups = shape.k // shape.group_size
     lut_elems = shape.n * groups * config.table_length
-    gather_elems = shape.n * shape.m * groups * shape.bits
+    gather_elems = shape.m * groups * shape.bits  # one fetch serves N rows
     aggregate_elems = shape.n * shape.m * qgroups * shape.bits
     recombine_iters = shape.n * shape.m * qgroups
     return lut_elems, gather_elems, aggregate_elems, recombine_iters
@@ -445,6 +445,8 @@ def calibrate(
     """
     import platform
 
+    from repro.core.config import usable_cpus
+
     if quick:
         shapes = shapes or QUICK_PROBE_SHAPES
         repeats = min(repeats, 3)
@@ -464,7 +466,7 @@ def calibrate(
 
     profile = CalibrationProfile(
         host=platform.node() or "unknown",
-        cores=os.cpu_count() or 1,
+        cores=usable_cpus(),
         numpy_version=np.__version__,
         repeats=repeats,
         gather_variant=gather_variant,

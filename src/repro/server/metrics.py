@@ -341,16 +341,12 @@ class GatewayMetrics:
             "Bytes held in shared-memory segments.")
         self.specialize_builds = registry.counter(
             f"{ns}_specialized_kernel_builds_total",
-            "Specialized codes-dot kernels compiled (one per plan + "
-            "table mode; process-wide counter).")
+            "Specialized span kernels compiled (one per plan + table "
+            "mode; process-wide counter).")
         self.specialize_calls = registry.counter(
             f"{ns}_specialized_span_calls_total",
             "Span executions routed through a compiled specialized "
             "kernel.")
-        self.specialize_int8_calls = registry.counter(
-            f"{ns}_specialized_int8_span_calls_total",
-            "Specialized span executions that ran the integer-domain "
-            "(int8 LUT) decode path.")
 
     def observe_timing(self, samples: Dict[str, List[float]]) -> None:
         """Feed drained engine timing samples into the histograms."""
@@ -381,8 +377,6 @@ class GatewayMetrics:
         self.process_shm_bytes.set(stats.get("process_shm_bytes", 0))
         self.specialize_builds.set_total(stats.get("specialize_builds", 0))
         self.specialize_calls.set_total(stats.get("specialize_calls", 0))
-        self.specialize_int8_calls.set_total(
-            stats.get("specialize_int8_calls", 0))
 
     def observe_counts(self, active: int, prefilling: int) -> None:
         self.active_sessions.set(active)

@@ -226,16 +226,15 @@ class TestPlanCanary:
             # The gather tables appear mid-dispatch (lazy build): that is
             # publication, not mutation.
             class _Tables:
-                folded = [np.arange(16, dtype=np.int32)]
                 signs = None
-                offsets = None
+                offsets = [np.arange(16, dtype=np.int32)]
 
             plan._gather_cache[True] = _Tables()
         assert registry.trips == 0
         # ... but mutating the now-known artifact on the next dispatch trips.
         with pytest.raises(PlanMutationError, match="gather"):
             with registry.canary(plan):
-                plan._gather_cache[True].folded[0][0] = 99
+                plan._gather_cache[True].offsets[0][0] = 99
         assert registry.trips == 1
 
     def test_real_plan_mutation_trips_through_executor(self):

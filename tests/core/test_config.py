@@ -1,8 +1,16 @@
 """Unit tests for the kernel configuration and ablation stages."""
 
+import os
+
 import pytest
 
-from repro.core.config import ABLATION_STAGE_NAMES, TMACConfig, ablation_stages
+from repro.core.config import (
+    ABLATION_STAGE_NAMES,
+    TMACConfig,
+    ablation_stages,
+    usable_cpus,
+)
+from repro.core.executor import ParallelExecutor, ProcessExecutor
 
 
 class TestTMACConfig:
@@ -69,3 +77,41 @@ class TestAblationStages:
     def test_stages_respect_requested_bits(self):
         stages = ablation_stages(bits=2)
         assert all(s.bits == 2 for s in stages)
+
+
+class TestUsableCpus:
+    """Worker pools size themselves by the affinity mask, not the host."""
+
+    def test_pools_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5, 7},
+                            raising=False)
+        auto = TMACConfig(num_threads=None, num_workers=None)
+        assert usable_cpus() == 3
+        assert ParallelExecutor().resolve_threads(auto) == 3
+        assert ProcessExecutor().resolve_workers(auto) == 3
+        # Explicit counts still win.
+        pinned = TMACConfig(num_threads=5, num_workers=6)
+        assert ParallelExecutor().resolve_threads(pinned) == 5
+        assert ProcessExecutor().resolve_workers(pinned) == 6
+
+    def test_falls_back_to_cpu_count_without_affinity_support(
+            self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
+
+    def test_calibration_profile_records_usable_cores(self, monkeypatch):
+        from repro.core import specialize
+        from repro.hardware.calibrate import calibrate
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        # calibrate() applies the measured gather preference process-wide.
+        monkeypatch.setattr(specialize, "_DEFAULT_GATHER",
+                            specialize.default_gather_variant())
+        profile = calibrate(shapes=[(1, 64, 128, 4, 32)], repeats=1,
+                            sweep_chunks=False)
+        assert profile.cores == 3

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import TMACConfig
+from repro.core.kernel import TMACKernel
 from repro.core.plan import build_plan
 from repro.core.weights import preprocess_weights
 from repro.quant.uniform import quantize_weights
@@ -48,10 +49,7 @@ class TestGatherTablesFrozen:
     def test_lookup_tables_are_read_only(self, mirrored):
         plan, _ = make_plan(mirrored=mirrored)
         tables = plan.lookup_tables(mirrored)
-        arrays = list(tables.folded)
-        for group in (tables.signs, tables.offsets):
-            if group is not None:
-                arrays.extend(group)
+        arrays = [*(tables.signs or ()), *tables.offsets]
         assert arrays
         for arr in arrays:
             assert not arr.flags.writeable
@@ -62,4 +60,27 @@ class TestGatherTablesFrozen:
         second = plan.lookup_tables(True)
         assert first is second
         with pytest.raises(ValueError):
-            first.folded[0][0] = 0
+            first.offsets[0][0, 0] = 0
+
+
+class TestIntegerKernelFrozen:
+    def test_default_matmul_publishes_only_frozen_integer_artifacts(self):
+        """The default config compiles the integer LUT kernel: its arrays
+        (and the table's row-minor expansion) are read-only, and the
+        gather tables of the float closures are never built."""
+        plan, config = make_plan()
+        kernel = TMACKernel.from_plan(plan, config)
+        activation = np.random.default_rng(5).standard_normal(
+            (3, 128)).astype(np.float32)
+        table = kernel.precompute(activation)
+        kernel.matmul_with_table(activation, table)
+
+        assert plan._gather_cache == {}
+        (compiled,) = plan._spec_cache.values()
+        for arr in (compiled.planes, compiled.scales_t, compiled.sz_t,
+                    table.row_minor()):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            compiled.planes[0, 0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            table.row_minor()[0, 0, 0] = 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import shm
-from repro.core.config import TMACConfig
+from repro.core.config import TMACConfig, usable_cpus
 from repro.core.executor import (
     ExecutorWorkerError,
     ProcessExecutor,
@@ -174,7 +174,7 @@ class TestDispatchPolicy:
         a = gaussian_activation(2, 128, seed=5)
         np.testing.assert_array_equal(serial.matmul(a), kernel.matmul(a))
         stats = process_executor_stats()
-        if shm.multiprocessing is None or (shm.os.cpu_count() or 1) < 2:
+        if shm.multiprocessing is None or usable_cpus() < 2:
             assert stats["process_serial_fallbacks"] == 1
         else:
             assert stats["process_thread_delegations"] == 1

@@ -1,5 +1,11 @@
 """Plan-specialized kernels: bit-exactness, cache behaviour, lifetimes.
 
+Two kernels compile behind ``plan.specialized(key)``: the integer LUT
+kernel (group-granularity quantized tables — the default config) and the
+float closures (every other table mode).  Oracle parity of the integer
+kernel over its whole shape space lives in
+``tests/properties/test_property_core.py``.
+
 The specialization cache lives on the plan (same lock as the lazy gather
 tables), so the properties that matter are the plan cache's, one level
 down: exactly one compile per ``(plan, SpecializationKey)`` no matter how
@@ -24,6 +30,7 @@ from repro.core.executor import get_executor, get_worker_pool
 from repro.core.kernel import TMACKernel
 from repro.core.plan import PlanCache, build_plan
 from repro.core.specialize import (
+    IntegerLutKernel,
     SpecializedKernel,
     compile_specialized,
     default_gather_variant,
@@ -64,7 +71,8 @@ TABLE_MODES = {
                            lut_scale_granularity="fine"),
     "fast_aggregation": dict(table_quantization=True, fast_aggregation=True),
     "unmirrored": dict(mirror_consolidation=False),
-    "int8": dict(table_quantization=True, lut_dtype="int8"),
+    "unmirrored_float": dict(mirror_consolidation=False,
+                             table_quantization=False),
 }
 
 
@@ -87,14 +95,6 @@ def test_specialized_parity_across_bit_widths(bits, group_size):
     generic = make_kernel(bits=bits, group_size=group_size, specialize=False)
     a = activations()
     np.testing.assert_array_equal(spec.matmul(a), generic.matmul(a))
-
-
-def test_int8_domain_bit_identical_to_float_domain():
-    """fig10: the int8 decode path changes memory traffic, not values."""
-    int8 = make_kernel(specialize=True, lut_dtype="int8")
-    floats = make_kernel(specialize=True, lut_dtype="float")
-    a = activations()
-    np.testing.assert_array_equal(int8.matmul(a), floats.matmul(a))
 
 
 @pytest.mark.parametrize("executor,workers", [("parallel", 3),
@@ -126,23 +126,41 @@ def test_irrelevant_flags_do_not_fork_kernels():
     kernel = make_kernel(table_quantization=False, specialize=True)
     table = kernel.precompute(activations())
     base = specialization_key(table, kernel.config)
-    # lut_dtype only matters for group-granularity quantized tables; on an
-    # unquantized table it must not fork a second compiled kernel.
+    # fast_aggregation only matters for group-granularity quantized
+    # tables; on an unquantized table it must not fork a second kernel.
     forked = specialization_key(
-        table, kernel.config.with_options(lut_dtype="int8"))
+        table, kernel.config.with_options(table_quantization=True,
+                                          fast_aggregation=True))
     assert base == forked
     assert not base.fast_aggregation
-    assert not base.int_domain  # int8 needs quantized group tables
+    assert not base.integer  # the integer kernel needs quantized tables
 
 
-def test_int8_key_requires_group_granularity():
-    fine = make_kernel(lut_scale_granularity="fine", lut_dtype="int8",
-                       specialize=True)
-    table = fine.precompute(activations())
-    assert not specialization_key(table, fine.config).int_domain
-    group = make_kernel(lut_dtype="int8", specialize=True)
+def test_integer_key_requires_exact_group_granularity():
+    for kwargs in (dict(lut_scale_granularity="fine"),
+                   dict(fast_aggregation=True),
+                   dict(table_quantization=False)):
+        kernel = make_kernel(specialize=True, **kwargs)
+        table = kernel.precompute(activations())
+        assert not specialization_key(table, kernel.config).integer
+    group = make_kernel(specialize=True)
     table = group.precompute(activations())
-    assert specialization_key(table, group.config).int_domain
+    assert specialization_key(table, group.config).integer
+
+
+def test_integer_kernel_is_shared_across_mirror_and_gather_settings():
+    """One compiled kernel serves mirrored and unmirrored tables under
+    either gather preference: the table expansion absorbs the mirror."""
+    kernel = make_kernel(specialize=True)
+    a = activations()
+    keys = set()
+    for mirrored in (True, False):
+        for gather in ("fancy", "take"):
+            config = kernel.config.with_options(
+                mirror_consolidation=mirrored, gather_variant=gather)
+            keys.add(specialization_key(kernel.plan.precompute(a, config),
+                                        config))
+    assert len(keys) == 1
 
 
 def test_gather_variant_resolution():
@@ -174,12 +192,12 @@ class CountingCompiler:
         self.lock = threading.Lock()
         self.delay = delay
 
-    def __call__(self, plan, key, tables=None):
+    def __call__(self, plan, key, artifacts=None):
         with self.lock:
             self.calls += 1
         if self.delay:
             time.sleep(self.delay)
-        return compile_specialized(plan, key, tables)
+        return compile_specialized(plan, key, artifacts)
 
 
 def test_concurrent_dispatch_compiles_exactly_once(monkeypatch):
@@ -202,7 +220,7 @@ def test_concurrent_dispatch_compiles_exactly_once(monkeypatch):
 
     assert compiler.calls == 1
     assert all(built is kernels[0] for built in kernels)
-    assert isinstance(kernels[0], SpecializedKernel)
+    assert isinstance(kernels[0], IntegerLutKernel)
 
 
 def test_concurrent_matmul_through_thread_pool_compiles_once(monkeypatch):
@@ -230,7 +248,7 @@ def test_concurrent_matmul_through_thread_pool_compiles_once(monkeypatch):
 def test_distinct_keys_compile_distinct_kernels(monkeypatch):
     compiler = CountingCompiler(delay=0)
     monkeypatch.setattr(spec_mod, "compile_specialized", compiler)
-    kernel = make_kernel(specialize=True)
+    kernel = make_kernel(specialize=True, table_quantization=False)
     table = kernel.precompute(activations())
     fancy = specialization_key(table, kernel.config)
     take = specialization_key(
@@ -241,18 +259,18 @@ def test_distinct_keys_compile_distinct_kernels(monkeypatch):
     third = kernel.plan.specialized(fancy)  # cache hit, no recompile
     assert compiler.calls == 2
     assert first is third and first is not second
+    assert isinstance(first, SpecializedKernel)
 
 
 def test_specialize_stats_counters():
     reset_specialize_stats()
-    kernel = make_kernel(specialize=True, lut_dtype="int8")
+    kernel = make_kernel(specialize=True)
     a = activations()
     kernel.matmul(a)
     kernel.matmul(a)
     stats = specialize_stats()
     assert stats["specialize_builds"] == 1  # second call reuses the cache
     assert stats["specialize_calls"] >= 2
-    assert stats["specialize_int8_calls"] >= 2
     assert stats["specialize_generic_calls"] == 0
 
     reset_specialize_stats()
@@ -323,14 +341,17 @@ def test_cache_clear_releases_specialized_kernels():
     assert spec_ref() is None
 
 
-def test_specialized_kernel_does_not_reference_plan():
+@pytest.mark.parametrize("table_quantization", [True, False],
+                         ids=["integer", "float_closures"])
+def test_specialized_kernel_does_not_reference_plan(table_quantization):
     """The compiled kernel must never close over the plan object."""
+    config = TMACConfig(bits=4, specialize=True, executor="vectorized",
+                        table_quantization=table_quantization)
     plan = build_plan(
         quantize_weights(gaussian_weights(64, 128, seed=3), bits=4,
                          group_size=32),
-        TMACConfig(bits=4, specialize=True, executor="vectorized"),
+        config,
     )
-    config = TMACConfig(bits=4, specialize=True, executor="vectorized")
     table = plan.precompute(activations(), config)
     kernel = plan.specialized(specialization_key(table, config))
     seen = {id(kernel)}

@@ -1,7 +1,7 @@
 """Property-based tests for the T-MAC core invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -10,6 +10,7 @@ from repro.core.bitserial import compose_bits, decompose_bits
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
 from repro.core.lut import build_lut, lookup, precompute_lut
+from repro.core.specialize import IntegerLutKernel, specialization_key
 from repro.core.weights import (
     deinterleave_packed,
     group_bits,
@@ -153,3 +154,58 @@ class TestKernelProperties:
         from repro.baselines.reference import quantized_reference_gemm
         ref = quantized_reference_gemm(a, qw)
         assert np.allclose(out, ref, atol=1e-3, rtol=1e-4)
+
+
+class TestIntegerLutKernelProperties:
+    @given(
+        bits=st.integers(1, 4),
+        g=st.sampled_from([1, 2, 4, 8]),
+        # Groups per quantization group: 258 is the last block length whose
+        # sums fit the int16 accumulator (258 * 127 = 32766), 259 the first
+        # that needs int32; g=1 with gpq=512 is group_size=512.  (gpq=1
+        # is per-table scales, i.e. the fine-granularity float closures.)
+        gpq=st.sampled_from([2, 3, 16, 258, 259, 512]),
+        qgroups=st.integers(1, 3),
+        mirrored=st.booleans(),
+        # alpha = 1 / (2 * s1): 0.5 folds into the epilogue's scale
+        # factors (a power of two), 1/3 takes the unfolded pass.
+        s1=st.sampled_from([1.0, 1.5]),
+        n=st.sampled_from([1, 2, 3, 8, 33]),
+        m=st.integers(1, 40),
+        span=st.tuples(st.integers(0, 39), st.integers(1, 40)),
+        budget=st.sampled_from([1, 1 << 10, 1 << 24]),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_loop_oracle(self, bits, g, gpq, qgroups,
+                                          mirrored, s1, n, m, span, budget,
+                                          seed):
+        """The integer LUT kernel ``np.array_equal``s the loop oracle on
+        full calls and on tile-unaligned output spans under any budget."""
+        assume(g * gpq <= 1040)  # keeps the 2**g-entry tables small
+        group_size = g * gpq
+        k = group_size * qgroups
+        rng = np.random.default_rng(seed)
+        qw = quantize_weights(
+            rng.standard_normal((m, k)).astype(np.float32), bits=bits,
+            group_size=group_size)
+        a = rng.standard_normal((n, k)).astype(np.float32)
+        config = TMACConfig(bits=bits, g=g, mirror_consolidation=mirrored,
+                            s0=-s1, s1=s1, executor="vectorized",
+                            specialize=True)
+        kernel = TMACKernel(qw, config)
+        oracle = TMACKernel.from_plan(
+            kernel.plan, config.with_options(executor="loop")).matmul(a)
+        np.testing.assert_array_equal(kernel.matmul(a), oracle)
+
+        table = kernel.precompute(a)
+        compiled = kernel.plan.specialized(specialization_key(table, config))
+        assert isinstance(compiled, IntegerLutKernel)
+        assert compiled.acc_dtype == (
+            np.int16 if gpq * 127 <= 32767 else np.int32)
+        m0 = span[0] % m
+        m1 = m0 + 1 + (span[1] - 1) % (m - m0)
+        group_sums = a.reshape(n, qgroups, -1).sum(axis=2)
+        shard = compiled.recombine_span(table, group_sums, m0, m1, budget)
+        np.testing.assert_array_equal(shard.astype(np.float32),
+                                      oracle[:, m0:m1])
