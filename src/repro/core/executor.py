@@ -554,13 +554,16 @@ class ParallelExecutor(VectorizedExecutor):
         return usable_cpus()
 
     def _warm_shared(self, plan: KernelPlan, table: LookupTable,
-                     config: TMACConfig) -> None:
+                     config: TMACConfig, span_budget: int) -> None:
         """Build a sharded call's lazily shared state (compiled kernel or
-        gather tables, row-minor table) in the calling thread, so pool
-        workers only ever read it."""
+        gather tables, row-minor table when one block covers it) in the
+        calling thread, so pool workers only ever read it."""
         if not config.specialize:
             plan.lookup_tables(table.mirrored)
-        elif plan.specialized(specialization_key(table, config)).key.integer:
+            return
+        kernel = plan.specialized(specialization_key(table, config))
+        if (kernel.key.integer
+                and kernel.block_rows(table, span_budget) >= table.num_rows):
             table.row_minor()
 
     def matmul_with_table(
@@ -580,12 +583,12 @@ class ParallelExecutor(VectorizedExecutor):
             _PARALLEL_STATS.add(parallel_calls=1, parallel_serial_fallbacks=1)
             return super().matmul_with_table(plan, table, config, activation)
 
-        self._warm_shared(plan, table, config)
-        group_sums = activation.reshape(n, plan.num_qgroups, -1).sum(axis=2)
-        out = np.empty((n, plan.out_features), dtype=np.float32)
         # Split the raw-temporary element budget across the concurrent
         # shards so total transient memory matches the serial bound.
         span_budget = max(1, self.gather_budget(config) // len(shards))
+        self._warm_shared(plan, table, config, span_budget)
+        group_sums = activation.reshape(n, plan.num_qgroups, -1).sum(axis=2)
+        out = np.empty((n, plan.out_features), dtype=np.float32)
 
         def run_shard(span) -> None:
             m0, m1 = span

@@ -20,6 +20,7 @@ Two storage reductions from Section 3.3 are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.core.bitserial import BitSerialTransform
 __all__ = [
     "LookupTable",
     "accumulator_dtype",
+    "fusion_width",
     "build_lut",
     "precompute_lut",
     "lookup",
@@ -41,6 +43,26 @@ _INT8_MAX = 127.0
 def accumulator_dtype(count: int) -> np.dtype:
     """Narrowest integer dtype that sums ``count`` int8 table entries exactly."""
     return np.dtype(np.int16 if count * 127 < 1 << 15 else np.int32)
+
+
+def fusion_width(g: int) -> int:
+    """How many consecutive ``g``-bit indices one byte-wide lookup fuses."""
+    return max(1, 8 // g)
+
+
+@lru_cache(maxsize=64)
+def _fusion_selectors(g: int, blocks: int) -> np.ndarray:
+    """Frozen gather vectors ``sel[t, block * 2**(g*f) + code]``: inside
+    ``f`` concatenated ``[blocks * 2**g]`` slabs, the entry of slab ``t``
+    for the ``t``-th ``g``-bit field of ``code`` (little-endian — ``g = 4``:
+    the ``pack_indices`` byte, ``byte & 15`` then ``byte >> 4``)."""
+    f = fusion_width(g)
+    t = np.arange(f)[:, None, None]
+    digit = (np.arange(1 << (g * f)) >> (g * t)) & ((1 << g) - 1)
+    sel = (((t * blocks + np.arange(blocks)[:, None]) << g) + digit).reshape(
+        f, -1)
+    sel.setflags(write=False)
+    return sel
 
 
 @dataclass
@@ -83,8 +105,7 @@ class LookupTable:
     s0: Optional[float] = None
     s1: Optional[float] = None
     act_dtype: Optional[str] = None
-    #: Memo of :meth:`row_minor` — every kernel consuming this table (the
-    #: q/k/v or gate/up projections sharing one input) reuses one expansion.
+    #: Memo of the whole-table :meth:`row_minor` expansion.
     _row_minor: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False)
 
@@ -116,29 +137,62 @@ class LookupTable:
             total += self.scales.size * 2  # fp16 scales
         return int(total)
 
-    def row_minor(self) -> np.ndarray:
-        """The quantized table re-laid for the integer LUT kernel (memoized).
+    @property
+    def fused_entries(self) -> int:
+        """Entries per activation row of the :meth:`row_minor` expansion."""
+        f = fusion_width(self.g)
+        return (-(-self.scale_block // f) * self.num_groups
+                // self.scale_block) << (self.g * f)
 
-        Returns frozen ``lut[p, block * 2**g + idx, n]``: ``p`` is the
-        position of a group inside its scale block, the middle axis
-        addresses the *full* ``2**g`` patterns of every block (the mirrored
-        half is one negation, ``concat(T, -T[::-1])``, not a sign multiply
-        per lookup), and the activation rows are the minor axis so a single
-        index fetches all ``N`` rows.  Entries are widened once to
-        :func:`accumulator_dtype`, so the reduction is same-dtype adds.
+    def row_minor(self, n0: int = 0, n1: Optional[int] = None) -> np.ndarray:
+        """Rows ``[n0, n1)`` of the table re-laid for the integer LUT kernel.
+
+        Returns frozen ``lut[s, block * 2**(g*f) + code, n]``, the sum of
+        the ``f = fusion_width(g)`` entries that ``code`` — the ``g``-bit
+        indices of step ``s`` of a scale block, concatenated — selects, in
+        :func:`accumulator_dtype`: one byte-wide index looks up ``f`` groups
+        of all rows (the minor axis).  The whole table is memoized — q/k/v
+        or gate/up kernels sharing one input reuse it; row blocks, by which
+        callers bound this 8-fold (``g = 4``) transient, are not.
         """
-        if self._row_minor is None:
-            n, groups, _ = self.values.shape
-            blocks = groups // self.scale_block
-            values = self.values.astype(accumulator_dtype(self.scale_block))
-            if self.mirrored:
-                values = np.concatenate([values, -values[:, :, ::-1]], axis=2)
-            lut = values.reshape(n, blocks, self.scale_block, self.full_length)
-            lut = np.ascontiguousarray(lut.transpose(2, 1, 3, 0)).reshape(
-                self.scale_block, blocks * self.full_length, n)
-            lut.setflags(write=False)
+        n1 = self.num_rows if n1 is None else n1
+        whole = n0 == 0 and n1 == self.num_rows
+        if whole and self._row_minor is not None:
+            return self._row_minor
+        gpq, stored, n = self.scale_block, self.stored_length, n1 - n0
+        f = fusion_width(self.g)
+        blocks = self.num_groups // gpq
+        # Unfused slabs [p, block, idx, n] over the full 2**g patterns (the
+        # mirrored half is one negation here, not a sign multiply per
+        # lookup), all-zero past gpq so a short last step fuses like any.
+        slabs = np.empty((-(-gpq // f) * f, blocks, self.full_length, n),
+                         dtype=accumulator_dtype(gpq))
+        slabs[gpq:] = 0
+        values = self.values[n0:n1].reshape(n, blocks, gpq, stored).transpose(
+            2, 1, 3, 0)
+        slabs[:gpq, :, :stored] = values
+        if self.mirrored:
+            np.negative(values[:, :, ::-1], out=slabs[:gpq, :, stored:])
+        slabs = slabs.reshape(len(slabs) // f, -1, n)
+        selectors = _fusion_selectors(self.g, blocks)
+        lut = slabs.take(selectors[0], axis=1)
+        for sel in selectors[1:]:
+            lut += slabs.take(sel, axis=1)
+        lut.setflags(write=False)
+        if whole:
             self._row_minor = lut
-        return self._row_minor
+        return lut
+
+
+@lru_cache(maxsize=64)
+def _signs_t(g: int, s0: float, s1: float) -> np.ndarray:
+    """Frozen float32 ``signs[t, p]``: ``s1`` if bit ``t`` of pattern ``p``
+    is set else ``s0``."""
+    bits = (np.arange(1 << g, dtype=np.uint32)
+            >> np.arange(g, dtype=np.uint32)[:, None]) & 1
+    signs_t = s0 + (s1 - s0) * bits.astype(np.float32)
+    signs_t.setflags(write=False)
+    return signs_t
 
 
 def build_lut(
@@ -173,16 +227,8 @@ def build_lut(
     if k % g != 0:
         raise ValueError(f"K={k} must be a multiple of g={g}")
     groups = a.reshape(n, k // g, g)
-
-    patterns = np.arange(1 << g, dtype=np.uint32)
-    # signs[p, t] = s1 if bit t of pattern p is set else s0
-    bits = ((patterns[:, None] >> np.arange(g, dtype=np.uint32)) & 1).astype(
-        np.float32
-    )
-    signs = transform.s0 + (transform.s1 - transform.s0) * bits
-
     # lut[n, j, p] = sum_t groups[n, j, t] * signs[p, t]
-    lut = np.einsum("njt,pt->njp", groups, signs, optimize=True)
+    lut = np.matmul(groups, _signs_t(g, transform.s0, transform.s1))
     if dtype == "float16":
         lut = lut.astype(np.float16).astype(np.float32)
     return lut.astype(np.float32)

@@ -7,18 +7,22 @@ that one hook.  Two kernels exist:
 
 * :class:`IntegerLutKernel` — the production path for group-granularity
   quantized tables (the default :class:`~repro.core.config.TMACConfig`),
-  the paper's LUT-centric layout (§3.2/§3.3) in numpy terms.  Offline the
-  weight indices are stored *reduce-major* as local table addresses
-  ``planes[p, m, bit, qg] = qg * 2**g + idx`` (``p`` = position inside the
-  quantization group); online the table is expanded once per activation to
-  *row-minor* ``lut[p, qg * 2**g + idx, n]``
+  the paper's LUT-centric layout (§3.2/§3.3) in numpy terms — except
+  that ``ndarray.take`` costs the same per *index* whatever the slab size
+  (TBL/PSHUFB holds 16 entries), so the packed byte is not unpacked: it
+  is the index.  Offline the weight indices are stored *reduce-major* as
+  local table addresses ``planes[s, m, bit, qg] = qg * 2**(g*f) + code``,
+  ``code`` concatenating the ``f = fusion_width(g)`` indices of step ``s``
+  of the quantization group (``g = 4``: the ``uint4[2]`` byte); online
+  the table is expanded once per activation to *row-minor* sums of ``f``
+  entries, ``lut[s, qg * 2**(g*f) + code, n]``
   (:meth:`~repro.core.lut.LookupTable.row_minor`).  The heavy phase is
-  ``acc += np.take(lut[p], planes[p, m0:m1].ravel(), axis=0)`` for ``p`` in
-  ``range(gpq)``: one index fetches all ``N`` rows contiguously and no
-  float ``[N, M, K/g]`` temporary exists.  The integer block sums are
-  exact and the float epilogue (1/gpq of the data) performs the loop
-  oracle's operations in the oracle's order, so results are bit-identical
-  to :class:`~repro.core.executor.LoopExecutor`.
+  ``acc += np.take(lut[s], planes[s, m0:m1].ravel(), axis=0)`` over the
+  ``ceil(gpq / f)`` steps: one index fetches ``f`` groups of all ``N``
+  rows contiguously and no float ``[N, M, K/g]`` temporary exists.  The
+  integer block sums are exact and the float epilogue (1/gpq of the
+  data) performs the loop oracle's operations in the oracle's order, so
+  results are bit-identical to :class:`~repro.core.executor.LoopExecutor`.
 * :class:`SpecializedKernel` — branch-resolved float closures for the
   modes whose float sums are order-sensitive (unquantized tables, fine
   scale granularity, fast aggregation).  Bit-identical to the generic
@@ -34,7 +38,7 @@ from typing import Dict, List, NamedTuple, Optional
 import numpy as np
 
 from repro.core.aggregation import fast_aggregate
-from repro.core.lut import accumulator_dtype
+from repro.core.lut import accumulator_dtype, fusion_width
 
 __all__ = [
     "SpecializationKey",
@@ -320,21 +324,28 @@ class SpecializedKernel:
 def reduce_major_planes(index_planes, g: int, gpq: int) -> np.ndarray:
     """Permute the ``[M, K/g]`` index planes to the integer kernel's layout.
 
-    Returns frozen ``planes[p, m, bit, qg] = qg * 2**g + idx`` in the
-    narrowest unsigned dtype holding ``QG * 2**g``.  ``p`` (the reduction
-    axis) is outermost, so each reduction step reads one contiguous index
-    run per output span; the entries are *local* addresses into one
-    ``lut[p]`` slab — no per-call index arithmetic, 1-2 bytes per index.
+    Returns frozen ``planes[s, m, bit, qg] = qg * 2**(g*f) + code`` in the
+    narrowest unsigned dtype holding ``QG * 2**(g*f)``; ``code`` is the
+    little-endian concatenation of the ``f`` indices of step ``s`` (pattern
+    0 past ``gpq``, where the table has an all-zero slab).  ``s`` (the
+    reduction axis) is outermost, so each step reads one contiguous index
+    run per output span, of *local* addresses into one ``lut[s]`` slab.
     """
     m, groups = index_planes[0].shape
     qgroups = groups // gpq
+    f = fusion_width(g)
+    steps = -(-gpq // f)
     dtype = next(dt for dt in (np.uint8, np.uint16, np.uint32)
-                 if (qgroups << g) - 1 <= np.iinfo(dt).max)
-    base = np.arange(qgroups, dtype=dtype) << g
-    planes = np.empty((gpq, m, len(index_planes), qgroups), dtype=dtype)
+                 if (qgroups << (g * f)) - 1 <= np.iinfo(dt).max)
+    base = np.arange(qgroups, dtype=dtype) << (g * f)
+    planes = np.empty((steps, m, len(index_planes), qgroups), dtype=dtype)
+    padded = np.zeros((m, qgroups, steps * f), dtype=dtype)
     for bit, plane in enumerate(index_planes):
-        np.add(plane.reshape(m, qgroups, gpq).transpose(2, 0, 1), base,
-               out=planes[:, :, bit, :])
+        padded[:, :, :gpq] = plane.reshape(m, qgroups, gpq)
+        code = planes[:, :, bit, :].transpose(1, 2, 0)  # [m, qg, s] view
+        np.add(padded[:, :, 0::f], base[:, None], out=code)
+        for t in range(1, f):
+            code |= padded[:, :, t::f] << (g * t)
     planes.setflags(write=False)
     return planes
 
@@ -348,18 +359,18 @@ class IntegerLutKernel:
     """
 
     def __init__(self, key: SpecializationKey, *, planes: np.ndarray,
-                 scales_t: np.ndarray, sz_t: np.ndarray, alpha: float,
-                 beta: float):
+                 gpq: int, scales_t: np.ndarray, sz_t: np.ndarray,
+                 alpha: float, beta: float):
         self.key = key
         self.planes = planes
         self.scales_t = scales_t
         self.sz_t = sz_t
         self.alpha = alpha
         self.beta = beta
-        self.gpq, _, self.bits, self.qgroups = planes.shape
+        self.steps, _, self.bits, self.qgroups = planes.shape
         #: int16 while ``gpq * 127`` fits, else int32 — the dtype
         #: :meth:`LookupTable.row_minor` widens the entries to.
-        self.acc_dtype = accumulator_dtype(self.gpq)
+        self.acc_dtype = accumulator_dtype(gpq)
         #: ``2**bit`` as ``[bits, 1, 1, 1]``.  Scaling by a power of two
         #: commutes with every float rounding, so the epilogue folds the
         #: bit weights — and alpha when it is one (0.5 by default) — into
@@ -372,13 +383,14 @@ class IntegerLutKernel:
         """``[QG, N, m1-m0]`` float64 codes-dot of one output span."""
         n = lut.shape[2]
         m = m1 - m0
-        index = self.planes[:, m0:m1].reshape(self.gpq, -1)
-        acc = np.zeros((index.shape[1], n), dtype=self.acc_dtype)
+        index = self.planes[:, m0:m1].reshape(self.steps, -1)
+        acc = np.empty((index.shape[1], n), dtype=self.acc_dtype)
         looked_up = np.empty_like(acc)
-        for p in range(self.gpq):
-            # Indices are in range by construction; "clip" (unlike "raise")
-            # lets take write straight into ``out``.
-            lut[p].take(index[p], axis=0, out=looked_up, mode="clip")
+        # Indices are in range by construction; "clip" (unlike "raise")
+        # lets take write straight into ``out``.
+        lut[0].take(index[0], axis=0, out=acc, mode="clip")
+        for s in range(1, self.steps):
+            lut[s].take(index[s], axis=0, out=looked_up, mode="clip")
             acc += looked_up
         # Exact integer block sums S[bit, qg, n, m]; from here on the
         # oracle's float operations, in the oracle's order, with the output
@@ -397,27 +409,38 @@ class IntegerLutKernel:
             chunk += partial[bit]
         return chunk
 
-    def _spans(self, table, group_sums, m0: int, m1: int, budget: int):
-        """Yield ``(s0, s1, codes_dot)`` over sub-spans of ``[m0, m1)``.
+    def block_rows(self, table, budget: int) -> int:
+        """Rows per expanded-table block under ``budget``; rows are
+        independent, so splitting them changes no bit of the result."""
+        return max(1, budget // table.fused_entries)
 
-        The transient is bounded by splitting the output columns — never
-        the quantization groups — so every sub-span is one full reduction.
+    def _spans(self, table, group_sums, m0: int, m1: int, budget: int):
+        """Yield ``(n0, n1, s0, s1, codes_dot)`` over row blocks of the
+        table and sub-spans of ``[m0, m1)``.
+
+        The transients are bounded by splitting the activation rows and
+        the output columns — never the quantization groups — so every
+        piece is one full reduction.
         """
-        lut = table.row_minor()
-        tscale = table.scales.T[:, :, None]  # [QG, N, 1]
-        sums = group_sums.T[:, :, None]  # [QG, N, 1]
-        per_column = lut.shape[2] * self.bits * self.qgroups
-        step = max(1, budget // per_column)
-        for s0 in range(m0, m1, step):
-            s1 = min(s0 + step, m1)
-            yield s0, s1, self._codes_dot(lut, tscale, sums, s0, s1)
+        rows = self.block_rows(table, budget)
+        for n0 in range(0, table.num_rows, rows):
+            n1 = min(n0 + rows, table.num_rows)
+            lut = table.row_minor(n0, n1)
+            tscale = table.scales[n0:n1].T[:, :, None]  # [QG, n, 1]
+            sums = group_sums[n0:n1].T[:, :, None]  # [QG, n, 1]
+            step = max(1, budget // ((n1 - n0) * self.bits * self.qgroups))
+            for s0 in range(m0, m1, step):
+                s1 = min(s0 + step, m1)
+                yield n0, n1, s0, s1, self._codes_dot(lut, tscale, sums,
+                                                      s0, s1)
 
     def iter_span(self, table, group_sums, m0: int, m1: int, budget: int):
         """The whole span as one ``(0, QG, [N, m1-m0, QG])`` chunk."""
         chunk = np.empty((table.num_rows, m1 - m0, self.qgroups),
                          dtype=np.float64)
-        for s0, s1, codes in self._spans(table, group_sums, m0, m1, budget):
-            chunk[:, s0 - m0:s1 - m0, :] = codes.transpose(1, 2, 0)
+        for n0, n1, s0, s1, codes in self._spans(table, group_sums, m0, m1,
+                                                 budget):
+            chunk[n0:n1, s0 - m0:s1 - m0, :] = codes.transpose(1, 2, 0)
         yield 0, self.qgroups, chunk
 
     def recombine_span(self, table, group_sums, m0: int, m1: int,
@@ -425,10 +448,11 @@ class IntegerLutKernel:
         """Scale/zero recombination over output columns ``[m0, m1)``."""
         sums = group_sums.T[:, :, None]
         out = np.zeros((table.num_rows, m1 - m0), dtype=np.float64)
-        for s0, s1, codes in self._spans(table, group_sums, m0, m1, budget):
+        for n0, n1, s0, s1, codes in self._spans(table, group_sums, m0, m1,
+                                                 budget):
             codes *= self.scales_t[:, None, s0:s1]
-            zero_terms = self.sz_t[:, None, s0:s1] * sums
-            span = out[:, s0 - m0:s1 - m0]
+            zero_terms = self.sz_t[:, None, s0:s1] * sums[:, n0:n1]
+            span = out[n0:n1, s0 - m0:s1 - m0]
             for qg in range(self.qgroups):
                 span += codes[qg]
                 span -= zero_terms[qg]
@@ -458,8 +482,10 @@ def compile_specialized(plan, key: SpecializationKey, artifacts=None):
         # Frozen before publication: shared by every executor thread.
         scales_t.setflags(write=False)
         sz_t.setflags(write=False)
-        kernel = IntegerLutKernel(key, planes=artifacts, scales_t=scales_t,
-                                  sz_t=sz_t, alpha=alpha, beta=beta)
+        kernel = IntegerLutKernel(key, planes=artifacts,
+                                  gpq=plan.groups_per_qgroup,
+                                  scales_t=scales_t, sz_t=sz_t, alpha=alpha,
+                                  beta=beta)
     else:
         if artifacts is None:
             artifacts = plan.lookup_tables(key.mirrored)

@@ -7,10 +7,13 @@ mpGEMV/mpGEMM probes with the real kernels, times the pipeline phases, and
 fits one linear coefficient per cost term —
 
 * **LUT build** — ``precompute`` seconds vs. table elements built,
-* **gather** — codes-dot seconds vs. table indices fetched
-  (``M * K/g * bits`` — *not* times ``N``: the integer LUT kernel's
-  row-minor table returns all ``N`` activation rows per index, so the
-  lookup cost is amortised over rows),
+* **gather** — codes-dot seconds vs. table indices fetched:
+  ``M * QG * steps * bits`` lookups with ``steps = ceil(gpq / f)`` (one
+  index looks up ``f = fusion_width(g)`` groups) plus the
+  ``f * QG * steps * 2**(g*f)`` fetches that expand the byte-wide table
+  once per activation — *not* times ``N``: the row-minor table returns
+  all ``N`` activation rows per index, so the lookup cost is amortised
+  over rows,
 * **aggregate** — vs. per-quantization-group block sums carried through
   the float epilogue (``N * M * QG * bits``),
 * **recombine** — vs. scale/zero recombination iterations
@@ -38,7 +41,7 @@ import argparse
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -245,10 +248,16 @@ class CalibrationProfile:
 
 def _features(shape: ProbeShape, config) -> Tuple[int, int, int, int]:
     """(lut_elems, gather_elems, aggregate_elems, recombine_iters)."""
+    from repro.core.lut import fusion_width
+
     groups = shape.k // config.g
     qgroups = shape.k // shape.group_size
+    f = fusion_width(config.g)
+    fused = qgroups * -(-(shape.group_size // config.g) // f)  # QG * steps
     lut_elems = shape.n * groups * config.table_length
-    gather_elems = shape.m * groups * shape.bits  # one fetch serves N rows
+    # One fetch serves N rows, in the lookups and in the table expansion.
+    gather_elems = (shape.m * fused * shape.bits
+                    + f * (fused << (config.g * f)))
     aggregate_elems = shape.n * shape.m * qgroups * shape.bits
     recombine_iters = shape.n * shape.m * qgroups
     return lut_elems, gather_elems, aggregate_elems, recombine_iters
@@ -303,8 +312,11 @@ def _run_probe(shape: ProbeShape, repeats: int,
     kernel, a = _probe_kernel(shape, config)
     table = kernel.precompute(a)
     lut_s = _best_seconds(lambda: kernel.precompute(a), repeats)
-    span_s = _best_seconds(lambda: kernel.matmul_with_table(a, table),
-                             repeats)
+    # A fresh memo per call: the span pays the table expansion, as the
+    # first kernel consuming an activation's table does.
+    span_s = _best_seconds(
+        lambda: kernel.matmul_with_table(a, replace(table, _row_minor=None)),
+        repeats)
     feats = _features(shape, config)
     return ProbeResult(
         shape=shape,

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
+from repro.core.lut import _fusion_selectors, fusion_width
 from repro.core.plan import build_plan
 from repro.core.weights import preprocess_weights
 from repro.quant.uniform import quantize_weights
@@ -65,9 +66,10 @@ class TestGatherTablesFrozen:
 
 class TestIntegerKernelFrozen:
     def test_default_matmul_publishes_only_frozen_integer_artifacts(self):
-        """The default config compiles the integer LUT kernel: its arrays
-        (and the table's row-minor expansion) are read-only, and the
-        gather tables of the float closures are never built."""
+        """The default config compiles the integer LUT kernel: its arrays,
+        the table's fused row-minor slabs and the cached index vectors that
+        build them are read-only, and the gather tables of the float
+        closures are never built."""
         plan, config = make_plan()
         kernel = TMACKernel.from_plan(plan, config)
         activation = np.random.default_rng(5).standard_normal(
@@ -77,10 +79,16 @@ class TestIntegerKernelFrozen:
 
         assert plan._gather_cache == {}
         (compiled,) = plan._spec_cache.values()
+        selectors = _fusion_selectors(table.g, plan.num_qgroups)
+        assert len(selectors) == fusion_width(table.g)
+        assert selectors is _fusion_selectors(table.g, plan.num_qgroups)
         for arr in (compiled.planes, compiled.scales_t, compiled.sz_t,
-                    table.row_minor()):
+                    table.row_minor(), table.row_minor(1, 3), *selectors):
             assert not arr.flags.writeable
+        assert table.row_minor() is table.row_minor()
         with pytest.raises(ValueError):
             compiled.planes[0, 0, 0, 0] = 1
         with pytest.raises(ValueError):
             table.row_minor()[0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            selectors[0][0] = 1

@@ -63,6 +63,32 @@ class TestBuildLut:
         assert lut.shape == (1, 3, 1 << g)
 
 
+    @pytest.mark.parametrize("g", [1, 2, 4, 8])
+    def test_cached_sign_matmul_equals_einsum_expression(self, g, rng):
+        """``build_lut`` multiplies by a cached sign matrix; the result is
+        ``np.array_equal`` to the per-call einsum it replaced."""
+        patterns = np.arange(1 << g, dtype=np.uint32)
+        bits = ((patterns[:, None] >> np.arange(g, dtype=np.uint32)) & 1
+                ).astype(np.float32)
+        for s1 in (1.0, 1.5):
+            transform = BitSerialTransform(s0=-s1, s1=s1)
+            signs = transform.s0 + (transform.s1 - transform.s0) * bits
+            for n in (1, 2, 3, 8, 33, 64, 100):
+                for k in (64, 256, 512, 1376):
+                    a = rng.standard_normal((n, k)).astype(np.float32)
+                    old = np.einsum("njt,pt->njp", a.reshape(n, k // g, g),
+                                    signs, optimize=True)
+                    # np.array_equal: the tables run to millions of
+                    # entries and assert_array_equal is several passes.
+                    assert np.array_equal(
+                        build_lut(a, g=g, transform=transform,
+                                  dtype="float32"), old), (s1, n, k)
+                    assert np.array_equal(
+                        build_lut(a, g=g, transform=transform,
+                                  dtype="float16"),
+                        old.astype(np.float16).astype(np.float32)), (s1, n, k)
+
+
 class TestMirrorConsolidation:
     def test_half_table_stored(self, rng):
         a = rng.standard_normal((2, 16)).astype(np.float32)

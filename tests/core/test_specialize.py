@@ -35,6 +35,7 @@ from repro.core.specialize import (
     compile_specialized,
     default_gather_variant,
     maybe_specialized,
+    reduce_major_planes,
     reset_specialize_stats,
     resolve_gather_variant,
     set_default_gather_variant,
@@ -161,6 +162,38 @@ def test_integer_kernel_is_shared_across_mirror_and_gather_settings():
             keys.add(specialization_key(kernel.plan.precompute(a, config),
                                         config))
     assert len(keys) == 1
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+@pytest.mark.parametrize("qgroups", [1, 16, 17, 300])
+@pytest.mark.parametrize("gpq", [8, 3])
+def test_fused_planes_never_outgrow_one_index_per_group(g, qgroups, gpq):
+    """The byte-wide layout stores one index per ``f`` groups in at most
+    ``f`` times the bytes, so a plan never grows over the unfused layout
+    (``planes[p, m, bit, qg] = qg * 2**g + idx``, narrowest dtype) — counting
+    a ragged last step (``gpq % f != 0``) as the whole step it is stored
+    as."""
+    m, bits = 2, 2
+    rng = np.random.default_rng(qgroups)
+    index_planes = [rng.integers(0, 1 << g, (m, qgroups * gpq)).astype(
+        np.uint8) for _ in range(bits)]
+    planes = reduce_major_planes(index_planes, g, gpq)
+    f = max(1, 8 // g)
+    steps = -(-gpq // f)
+    assert planes.shape == (steps, m, bits, qgroups)
+    unfused_itemsize = next(size for size in (1, 2, 4)
+                            if (qgroups << g) <= 1 << (8 * size))
+    assert planes.nbytes <= (steps * f * m * bits * qgroups
+                             * unfused_itemsize)
+    # Every field of every address decodes back to the index it fused.
+    code = planes.astype(np.int64) & ((1 << (g * f)) - 1)
+    assert np.array_equal(planes >> (g * f), np.broadcast_to(
+        np.arange(qgroups), planes.shape))
+    for p in range(gpq):
+        for bit, plane in enumerate(index_planes):
+            np.testing.assert_array_equal(
+                (code[p // f, :, bit, :] >> (g * (p % f))) & ((1 << g) - 1),
+                plane.reshape(m, qgroups, gpq)[:, :, p])
 
 
 def test_gather_variant_resolution():

@@ -159,11 +159,15 @@ class TestKernelProperties:
 class TestIntegerLutKernelProperties:
     @given(
         bits=st.integers(1, 4),
+        # One byte-wide lookup fuses f = max(1, 8 // g) indices: g=1 -> 8,
+        # g=2 -> 4, g=4 -> 2 (the packed uint4[2] byte), g=8 -> 1.
         g=st.sampled_from([1, 2, 4, 8]),
         # Groups per quantization group: 258 is the last block length whose
         # sums fit the int16 accumulator (258 * 127 = 32766), 259 the first
-        # that needs int32; g=1 with gpq=512 is group_size=512.  (gpq=1
-        # is per-table scales, i.e. the fine-granularity float closures.)
+        # that needs int32; g=1 with gpq=512 is group_size=512.  3 and 259
+        # (and 2, 3 at g=1) leave a short last step, padded with pattern 0.
+        # (gpq=1 is per-table scales, i.e. the fine-granularity float
+        # closures.)
         gpq=st.sampled_from([2, 3, 16, 258, 259, 512]),
         qgroups=st.integers(1, 3),
         mirrored=st.booleans(),
@@ -174,15 +178,19 @@ class TestIntegerLutKernelProperties:
         m=st.integers(1, 40),
         span=st.tuples(st.integers(0, 39), st.integers(1, 40)),
         budget=st.sampled_from([1, 1 << 10, 1 << 24]),
+        # Rows per expanded-table block: at n=33, 5 leaves a short last
+        # block, 32 a one-row one.
+        block_rows=st.sampled_from([1, 5, 32]),
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=60, deadline=None)
     def test_bit_identical_to_loop_oracle(self, bits, g, gpq, qgroups,
                                           mirrored, s1, n, m, span, budget,
-                                          seed):
+                                          block_rows, seed):
         """The integer LUT kernel ``np.array_equal``s the loop oracle on
-        full calls and on tile-unaligned output spans under any budget."""
-        assume(g * gpq <= 1040)  # keeps the 2**g-entry tables small
+        full calls and on tile-unaligned output spans under any budget,
+        whether or not the budget splits the activation rows."""
+        assume(g * gpq <= 1040)  # keeps the tables small
         group_size = g * gpq
         k = group_size * qgroups
         rng = np.random.default_rng(seed)
@@ -203,9 +211,24 @@ class TestIntegerLutKernelProperties:
         assert isinstance(compiled, IntegerLutKernel)
         assert compiled.acc_dtype == (
             np.int16 if gpq * 127 <= 32767 else np.int32)
+        f = {1: 8, 2: 4, 4: 2, 8: 1}[g]
+        assert compiled.steps == -(-gpq // f)
+        assert compiled.planes.shape == (compiled.steps, m, bits, qgroups)
+        # QG * 256 addresses per slab at every one of these widths.
+        assert compiled.planes.dtype == (
+            np.uint8 if qgroups == 1 else np.uint16)
+        assert table.fused_entries == compiled.steps * qgroups * 256
         m0 = span[0] % m
         m1 = m0 + 1 + (span[1] - 1) % (m - m0)
         group_sums = a.reshape(n, qgroups, -1).sum(axis=2)
         shard = compiled.recombine_span(table, group_sums, m0, m1, budget)
         np.testing.assert_array_equal(shard.astype(np.float32),
                                       oracle[:, m0:m1])
+        # The budget bounds the expanded table: rows are split into blocks
+        # that each fit it, and the result does not change by a bit.
+        row_budget = block_rows * table.fused_entries
+        assert compiled.block_rows(table, row_budget) == block_rows
+        assert table.row_minor(0, min(block_rows, n)).size <= row_budget
+        blocked = compiled.recombine_span(table, group_sums, m0, m1,
+                                          row_budget)
+        np.testing.assert_array_equal(blocked, shard)
