@@ -6,7 +6,8 @@ Run by hand (it is not collected by pytest and writes nothing itself)::
         > benchmarks/results/kernel_phases.txt
 
 For every linear shape of the benchmark's ``bench-medium`` and
-``bench-small`` models at 1 and 8 activation rows it prints one row per
+``bench-small`` models (fused q|k|v and gate|up operators and the single
+projections they replaced) at 1 and 8 activation rows it prints one row per
 phase of an mpGEMM call — LUT build, fused-table expansion, ``take``,
 integer add, widen/scale, bit-sum, recombine — with
 
@@ -44,15 +45,21 @@ from repro.hardware.calibrate import _best_seconds as best_seconds
 from repro.quant.uniform import quantize_weights
 
 BITS = 4
-#: ``(model, M, K)`` — the distinct linear shapes of ``bench/models.py``'s
-#: MEDIUM (hidden 512, intermediate 1376, vocab 1024) and SMALL (256, 688,
-#: 512) specs, both quantized with a requested group size of 64.
+#: ``(model, M, K)`` — the linear shapes of ``bench/models.py``'s MEDIUM
+#: (hidden 512, intermediate 1376, vocab 1024) and SMALL (256, 688, 512)
+#: specs, both quantized with a requested group size of 64: the fused
+#: q|k|v (3h x h) and gate|up (2i x h) operators the model calls, beside
+#: the single projections (h x h is also o_proj, i x h no longer a call).
 SHAPES = (
-    ("bench-medium", 512, 512), ("bench-medium", 1376, 512),
+    ("bench-medium", 512, 512), ("bench-medium", 1536, 512),
+    ("bench-medium", 1376, 512), ("bench-medium", 2752, 512),
     ("bench-medium", 512, 1376), ("bench-medium", 1024, 512),
-    ("bench-small", 256, 256), ("bench-small", 688, 256),
+    ("bench-small", 256, 256), ("bench-small", 768, 256),
+    ("bench-small", 688, 256), ("bench-small", 1376, 256),
     ("bench-small", 256, 688), ("bench-small", 512, 256),
 )
+#: ``model -> (hidden, intermediate)`` for the per-layer summary.
+MODELS = {"bench-medium": (512, 1376), "bench-small": (256, 688)}
 ROWS = (1, 8)
 GROUP_SIZE = 64
 
@@ -240,6 +247,31 @@ def format_phases(phases: List[Phase]) -> List[str]:
     return lines
 
 
+def format_layer_summary(measured) -> List[str]:
+    """One transformer layer as seven separate projections and as the four
+    operators the model binds: calls, summed phase time and the share of
+    it spent on the per-activation phases (``lut_build`` + ``fused_expand``)."""
+    lines = ["", "per layer: 7 separate projections vs 4 fused operators",
+             f"  {'model':<14}{'N':>3}{'calls':>7}{'total us':>10}"
+             f"{'per-activation us':>19}{'share':>7}"]
+    for model, (h, i) in MODELS.items():
+        layouts = {
+            7: [(h, h)] * 4 + [(i, h)] * 2 + [(h, i)],
+            4: [(3 * h, h), (h, h), (2 * i, h), (h, i)],
+        }
+        for n in ROWS:
+            for calls, shapes in layouts.items():
+                phases = [p for m, k in shapes
+                          for p in measured[model, m, k, n]]
+                total = sum(p.measured_s for p in phases)
+                shared = sum(p.measured_s for p in phases
+                             if p.name in ("lut_build", "fused_expand"))
+                lines.append(
+                    f"  {model:<14}{n:>3}{calls:>7}{total * 1e6:>10.1f}"
+                    f"{shared * 1e6:>19.1f}{shared / total:>7.2f}")
+    return lines
+
+
 def main() -> int:
     raise_malloc_thresholds()
     probes = host_probes()
@@ -250,11 +282,15 @@ def main() -> int:
         print(f"#   {name:<22}{seconds * 1e9:8.3f}")
     print(f"#   (contiguous copy: {2e-9 / probes['copy_byte']:.1f} GB/s "
           "read + written)")
+    measured = {}
     for model, m, k in SHAPES:
         for n in ROWS:
             print(f"\n{model}  M={m} K={k} N={n} "
                   f"group_size={pick_group_size(k, GROUP_SIZE)}")
-            print("\n".join(format_phases(measure_phases(m, k, n, probes))))
+            phases = measured[model, m, k, n] = measure_phases(m, k, n,
+                                                              probes)
+            print("\n".join(format_phases(phases)))
+    print("\n".join(format_layer_summary(measured)))
     return 0
 
 

@@ -4,7 +4,7 @@ Runs N concurrent generation requests through the :class:`ServingEngine`
 (one batched mpGEMM per layer per decode step) and through the sequential
 :class:`~repro.llm.inference.Generator` (one session at a time), comparing
 decode throughput (generated tokens per second) and recording the plan-cache
-hit rate and per-step LUT reuse.
+hit rate and the projections served by a fused table (`lut_reuses`).
 
 The batched path must (a) produce exactly the tokens the sequential path
 produces for every session and (b) sustain >= 8 concurrent sessions.  The
@@ -94,7 +94,7 @@ def test_batched_serving_throughput(setup, record_table, record_bench):
     # Rebinding the checkpoint for the serving model hits the plan cache for
     # every linear layer.
     assert cache["hits"] > 0, "plan cache recorded no hits"
-    assert stats["lut_reuses"] > 0, "no per-step LUT sharing occurred"
+    assert stats["lut_reuses"] > 0, "no fused q|k|v / gate|up call occurred"
 
     seq_tps = sequential_tokens / sequential_seconds
     bat_tps = batched_tokens / batched_seconds
@@ -104,7 +104,7 @@ def test_batched_serving_throughput(setup, record_table, record_bench):
         f"Continuous batching vs sequential decode "
         f"({NUM_SESSIONS} sessions, {MAX_NEW_TOKENS} tokens each)",
         ["mode", "tokens", "seconds", "tokens/s", "mean batch",
-         "plan-cache hit rate", "LUT precomputes saved"],
+         "plan-cache hit rate", "projections sharing a table"],
         [
             ["sequential", sequential_tokens, f"{sequential_seconds:.2f}",
              f"{seq_tps:.1f}", "1.0", "-", "-"],

@@ -6,10 +6,14 @@ drives the continuous-batching scheduler against a byte-budgeted KV page
 pool (``kv_cache_bytes``) until every request completes — printing the
 per-step batch composition and the paging/prefix/batching statistics at
 the end.  The same requests are then replayed one at a time to show that
-batching, paging and prefix sharing do not change a single token.
+batching, paging and prefix sharing do not change a single token.  Exits
+non-zero unless a decode step makes exactly ``4 * layers + 1`` kernel calls
+(q|k|v and gate|up are one fused operator each).
 
 Run with:  python examples/serving_demo.py
 """
+
+import sys
 
 import numpy as np
 
@@ -65,7 +69,12 @@ def main():
     stats = engine.serving_stats()
     print(f"\nbatched decode steps: {stats['decode_steps']}, "
           f"mean batch size {stats['mean_batch_size']:.1f}")
-    print(f"LUT precomputes saved by per-step sharing: {stats['lut_reuses']}")
+    calls_per_step = stats["lut_precomputes"] / stats["decode_steps"]
+    expected_calls = 4 * arch.num_layers + 1
+    print(f"kernel calls per decode step: {calls_per_step:g} "
+          f"(q|k|v, o, gate|up, down x {arch.num_layers} layers + lm_head)")
+    print("projections served by a fused operator's table beyond the "
+          f"first: {stats['lut_reuses']}")
     print(f"KV pool: {stats['kv_num_blocks']:.0f} pages of "
           f"{stats['kv_block_size']:.0f} tokens, peak "
           f"{stats['kv_peak_bytes']:.0f} bytes "
@@ -76,7 +85,10 @@ def main():
     cache = plan_cache_stats()
     print(f"plan cache: {cache['hits']} hits / {cache['misses']} misses "
           f"(sequential-replay model rebind hit the cache)")
+    if calls_per_step != expected_calls:
+        return (f"expected {expected_calls} kernel calls per decode step, "
+                f"counted {calls_per_step:g}")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -50,10 +50,9 @@ class LinearOperator:
     """A bound linear layer: ``y = forward(x)`` with bookkeeping for stats.
 
     ``kernel`` optionally exposes the underlying kernel object (e.g. a
-    :class:`~repro.core.kernel.TMACKernel`) so layers above can exploit
-    kernel-specific structure — the serving engine uses it to share one
-    lookup-table precompute among several projections consuming the same
-    input.
+    :class:`~repro.core.kernel.TMACKernel`) so layers above can inspect
+    it — the serving engine counts lookup-table builds by it, the
+    benchmark harness traces its entry points.
     """
 
     name: str

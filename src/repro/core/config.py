@@ -34,6 +34,7 @@ __all__ = [
     "ABLATION_STAGE_NAMES",
     "DEFAULT_PARALLEL_THRESHOLD",
     "usable_cpus",
+    "autotune_enabled",
 ]
 
 #: Minimum gather work (``N * M * K/g`` lookup elements) before the
@@ -82,6 +83,12 @@ def _env_float(name: str, default: Optional[float]) -> Optional[float]:
 def _default_specialize() -> bool:
     """Specialization default (on), overridable via ``REPRO_SPECIALIZE``."""
     return os.environ.get("REPRO_SPECIALIZE", "1") not in ("0", "false", "no")
+
+
+def autotune_enabled() -> bool:
+    """Whether ``REPRO_AUTOTUNE`` opts matmuls into the shape autotuner
+    (:mod:`repro.tuning.tuner`)."""
+    return os.environ.get("REPRO_AUTOTUNE", "") not in ("", "0", "false", "no")
 
 
 @dataclass(frozen=True)

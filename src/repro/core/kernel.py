@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import TMACConfig
+from repro.core.config import TMACConfig, autotune_enabled
 from repro.core.executor import KernelExecutor, get_executor
 from repro.core.lut import LookupTable
 from repro.core.plan import KernelPlan, build_plan
@@ -116,6 +116,9 @@ class TMACKernel:
                 )
         self.plan = plan
         self.executor: KernelExecutor = get_executor(self.config.executor)
+        #: ``REPRO_AUTOTUNE`` is read once per kernel, like the ``REPRO_*``
+        #: defaults of :class:`TMACConfig` — not on every dispatch.
+        self._autotune = autotune_enabled()
 
     @classmethod
     def from_plan(
@@ -175,9 +178,11 @@ class TMACKernel:
         np.ndarray
             ``[N, M]`` float32 result (``[M]`` if the input was 1-D).
         """
-        a = self._check_activation(activation)
-        squeeze = np.asarray(activation).ndim == 1
-        table = self.precompute(a)
+        a = np.asarray(activation, dtype=np.float32)
+        squeeze = a.ndim == 1
+        if squeeze:
+            a = a[None, :]
+        table = self.precompute(a)  # validates the shape, once
         config, executor = self._execution(a)
         out = executor.matmul_with_table(self.plan, table, config, a)
         return out[0] if squeeze else out
@@ -192,9 +197,9 @@ class TMACKernel:
         The table depends only on the activation (and the LUT configuration),
         *not* on the weights — so one table can be shared by several kernels
         consuming the same input (e.g. the q/k/v projections of an attention
-        block).  The serving engine uses this to precompute once per layer
-        input per decode step.  A table built for a different activation
-        shape or LUT configuration is rejected.
+        block).  The serving engine's batched step builds each operator's
+        table itself and passes it here.  A table built for a different
+        activation shape or LUT configuration is rejected.
         """
         a = self._check_activation(activation)
         squeeze = np.asarray(activation).ndim == 1
@@ -233,10 +238,11 @@ class TMACKernel:
         chunk budget per activation shape.  Autotuning never changes
         numerics — every executor is bit-identical — only dispatch.
         """
-        from repro.tuning.tuner import autotune_enabled, resolve_autotuned
-
-        if not autotune_enabled():
+        if not self._autotune:
             return self.config, self.executor
+        # Imported lazily: the tuner's calibration imports this module.
+        from repro.tuning.tuner import resolve_autotuned
+
         config = resolve_autotuned(self.plan, self.config, a.shape[0])
         if config is self.config:
             return self.config, self.executor

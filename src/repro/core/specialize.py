@@ -152,6 +152,13 @@ def resolve_gather_variant(config) -> str:
     return _DEFAULT_GATHER if raw == "auto" else raw
 
 
+#: The one key of :class:`IntegerLutKernel`, which reads the mirror flag
+#: off the table it expands and always gathers with ``np.take``: neither
+#: forks a second build, and the hot path constructs no key per call.
+_INTEGER_KEY = SpecializationKey(mirrored=False, quantized=True, fine=False,
+                                 fast_aggregation=False, gather="take")
+
+
 def specialization_key(table, config) -> SpecializationKey:
     """Normalized key selecting the compiled kernel for ``(table, config)``.
 
@@ -162,17 +169,13 @@ def specialization_key(table, config) -> SpecializationKey:
     """
     quantized = bool(table.quantized)
     fine = quantized and table.scale_block == 1
-    key = SpecializationKey(
-        mirrored=bool(table.mirrored),
-        quantized=quantized,
-        fine=fine,
-        fast_aggregation=(quantized and not fine
-                          and bool(getattr(config, "fast_aggregation", False))),
-        gather=resolve_gather_variant(config),
-    )
-    # The integer kernel reads the mirror flag off the table it expands
-    # and always gathers with np.take: neither forks a second build.
-    return key._replace(mirrored=False, gather="take") if key.integer else key
+    fast = (quantized and not fine
+            and bool(getattr(config, "fast_aggregation", False)))
+    if quantized and not fine and not fast:
+        return _INTEGER_KEY
+    return SpecializationKey(
+        mirrored=bool(table.mirrored), quantized=quantized, fine=fine,
+        fast_aggregation=fast, gather=resolve_gather_variant(config))
 
 
 class SpecializedKernel:

@@ -23,6 +23,7 @@ __all__ = [
     "rms_norm",
     "softmax",
     "silu",
+    "swiglu",
     "build_rope_cache",
     "apply_rope",
     "KVCache",
@@ -52,6 +53,12 @@ def silu(x: np.ndarray) -> np.ndarray:
     """SiLU / swish activation used by the SwiGLU MLP."""
     x = np.asarray(x, dtype=np.float32)
     return x / (1.0 + np.exp(-x))
+
+
+def swiglu(gate_up: np.ndarray) -> np.ndarray:
+    """``silu(gate) * up`` of a fused ``[seq, 2 * inter]`` gate|up projection."""
+    inter = gate_up.shape[1] // 2
+    return silu(gate_up[:, :inter]) * gate_up[:, inter:]
 
 
 def build_rope_cache(max_seq_len: int, head_dim: int, base: float = 10000.0):
@@ -165,15 +172,39 @@ class Attention:
         self.arch = arch
         self.layer_index = layer_index
         prefix = f"layers.{layer_index}.attn"
-        self.q_proj: LinearOperator = engine.make_linear(
-            weights["q_proj"], f"{prefix}.q_proj")
-        self.k_proj: LinearOperator = engine.make_linear(
-            weights["k_proj"], f"{prefix}.k_proj")
-        self.v_proj: LinearOperator = engine.make_linear(
-            weights["v_proj"], f"{prefix}.v_proj")
+        # q, k and v consume the same activation, and the lookup table is a
+        # function of the activation only: one operator over the
+        # row-concatenated weights builds it once.  Quantization and the
+        # kernel are row-independent, so its output columns are exactly
+        # those of three separately bound operators.
+        self.qkv_proj: LinearOperator = engine.make_linear(
+            np.concatenate([weights["q_proj"], weights["k_proj"],
+                            weights["v_proj"]], axis=0),
+            f"{prefix}.qkv_proj")
         self.o_proj: LinearOperator = engine.make_linear(
             weights["o_proj"], f"{prefix}.o_proj")
         self._cos, self._sin = build_rope_cache(arch.max_seq_len, arch.head_dim)
+
+    def split_qkv(self, qkv: np.ndarray, positions: np.ndarray):
+        """Rotated queries, rotated keys and values of a fused projection.
+
+        ``qkv`` is the ``[seq, hidden + 2 * kv_dim]`` output of
+        ``qkv_proj``; the three results are ``[seq, heads, head_dim]``
+        (``kv_heads`` for keys and values).
+        """
+        arch = self.arch
+        seq = qkv.shape[0]
+        k_end = arch.hidden_size + arch.kv_dim
+        q = qkv[:, :arch.hidden_size].reshape(
+            seq, arch.num_heads, arch.head_dim)
+        k = qkv[:, arch.hidden_size:k_end].reshape(
+            seq, arch.num_kv_heads, arch.head_dim)
+        # Values enter the KV cache as they are: copied, so a cached entry
+        # does not keep the whole fused result alive.
+        v = qkv[:, k_end:].reshape(
+            seq, arch.num_kv_heads, arch.head_dim).copy()
+        return (apply_rope(q, self._cos, self._sin, positions),
+                apply_rope(k, self._cos, self._sin, positions), v)
 
     def forward(self, x: np.ndarray, positions: np.ndarray,
                 cache: Optional[KVCache] = None) -> np.ndarray:
@@ -182,15 +213,7 @@ class Attention:
         When ``cache`` is provided, the new keys/values are appended and
         attention spans the whole cached history (incremental decoding).
         """
-        arch = self.arch
-        seq = x.shape[0]
-
-        q = self.q_proj(x).reshape(seq, arch.num_heads, arch.head_dim)
-        k = self.k_proj(x).reshape(seq, arch.num_kv_heads, arch.head_dim)
-        v = self.v_proj(x).reshape(seq, arch.num_kv_heads, arch.head_dim)
-
-        q = apply_rope(q, self._cos, self._sin, positions)
-        k = apply_rope(k, self._cos, self._sin, positions)
+        q, k, v = self.split_qkv(self.qkv_proj(x), positions)
 
         if cache is not None:
             cache.append(k, v)
@@ -198,26 +221,28 @@ class Attention:
         else:
             k_all, v_all = k, v
 
-        context = attend(q, k_all, v_all, positions, arch)
-        return self.o_proj(context)
+        return self.o_proj(attend(q, k_all, v_all, positions, self.arch))
 
 
 class MLP:
-    """SwiGLU feed-forward block: ``down(silu(gate(x)) * up(x))``."""
+    """SwiGLU feed-forward block: ``down(silu(gate(x)) * up(x))``.
+
+    ``gate`` and ``up`` are one fused operator (see :class:`Attention`).
+    """
 
     def __init__(self, arch: TransformerArch, engine: MatmulEngine,
                  weights: dict, layer_index: int = 0):
         prefix = f"layers.{layer_index}.mlp"
-        self.gate_proj = engine.make_linear(weights["gate_proj"],
-                                            f"{prefix}.gate_proj")
-        self.up_proj = engine.make_linear(weights["up_proj"],
-                                          f"{prefix}.up_proj")
-        self.down_proj = engine.make_linear(weights["down_proj"],
-                                            f"{prefix}.down_proj")
+        self.gate_up_proj: LinearOperator = engine.make_linear(
+            np.concatenate([weights["gate_proj"], weights["up_proj"]],
+                           axis=0),
+            f"{prefix}.gate_up_proj")
+        self.down_proj: LinearOperator = engine.make_linear(
+            weights["down_proj"], f"{prefix}.down_proj")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Apply the SwiGLU MLP to ``[seq, hidden]`` activations."""
-        return self.down_proj(silu(self.gate_proj(x)) * self.up_proj(x))
+        return self.down_proj(swiglu(self.gate_up_proj(x)))
 
 
 class TransformerBlock:
@@ -246,13 +271,10 @@ class TransformerBlock:
         return x + mlp_out
 
     def linears(self) -> List[LinearOperator]:
-        """All linear operators in this block (for stats/inspection)."""
+        """The linear operators this block calls, in call order."""
         return [
-            self.attention.q_proj,
-            self.attention.k_proj,
-            self.attention.v_proj,
+            self.attention.qkv_proj,
             self.attention.o_proj,
-            self.mlp.gate_proj,
-            self.mlp.up_proj,
+            self.mlp.gate_up_proj,
             self.mlp.down_proj,
         ]

@@ -8,9 +8,8 @@ asks for:
   state (prompt, KV caches, position, sampling rng, termination).
 * :mod:`repro.serving.batch` — one batched decode step: the current token
   of every active session is coalesced into a single ``[B, hidden]``
-  activation matrix so each linear layer executes one batched mpGEMM, with
-  per-step lookup-table sharing between projections that consume the same
-  input (q/k/v and gate/up).
+  activation matrix so each linear layer executes one batched mpGEMM
+  (q/k/v and gate/up are one fused operator each, bound at model build).
 * :mod:`repro.serving.engine` — :class:`ServingEngine`: continuous-batching
   scheduler (admit at token granularity, retire on completion) with plan-
   and LUT-cache statistics.  Given a KV byte budget it schedules against a
@@ -25,7 +24,7 @@ equality against the sequential :class:`repro.llm.inference.Generator`.
 batched and single-row matmuls — see :mod:`repro.serving.batch`.)
 """
 
-from repro.serving.batch import BatchStats, batched_decode_step, shared_input_forward
+from repro.serving.batch import BatchStats, batched_decode_step
 from repro.serving.engine import ServingEngine
 from repro.serving.session import (
     InferenceSession,
@@ -42,5 +41,4 @@ __all__ = [
     "StreamEvent",
     "BatchStats",
     "batched_decode_step",
-    "shared_input_forward",
 ]

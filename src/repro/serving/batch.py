@@ -23,10 +23,12 @@ near-ties.
 
 Two LUT-level reuses stack on top:
 
-* **Per-step LUT sharing** — the lookup table depends only on the
-  activation, not on the weights, so projections consuming the same input
-  (q/k/v after the input norm; gate/up after the post-attention norm)
-  share one table precompute per step (:func:`shared_input_forward`).
+* **One table per shared activation** — the lookup table depends only on
+  the activation, not on the weights, so the model binds the projections
+  consuming the same input (q/k/v after the input norm; gate/up after the
+  post-attention norm) as one row-concatenated operator
+  (:class:`repro.llm.layers.Attention`): one table build and one kernel
+  call serve all of them, here exactly as in the sequential path.
 * **Plan caching** — the weights behind every kernel were prepared once
   through the process-wide plan cache (:mod:`repro.core.plan`).
 
@@ -36,8 +38,8 @@ ParallelExecutor`), each batched mpGEMM shards its output columns across
 the persistent worker pool — and because batching multiplies the
 activation rows per call, the batched decode path crosses the executor's
 work threshold at batch sizes where a single-session decode would not.
-The shared lookup table built here is read-only after precompute, so one
-table safely feeds every worker of every kernel consuming it.
+The lookup table is read-only after precompute, so one table safely
+feeds every worker of the kernel consuming it.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ import numpy as np
 
 from repro.backends.base import LinearOperator
 from repro.core.kernel import TMACKernel
-from repro.llm.layers import KVCache, apply_rope, attend, rms_norm, silu
+from repro.llm.layers import KVCache, attend, rms_norm, swiglu
 from repro.llm.model import TransformerModel
 
-__all__ = ["BatchStats", "shared_input_forward", "batched_decode_step"]
+__all__ = ["BatchStats", "batched_decode_step"]
 
 
 @dataclass
@@ -66,8 +68,8 @@ class BatchStats:
     decode_steps: int = 0  #: batched forward passes executed
     batched_tokens: int = 0  #: sum of batch sizes over all steps
     max_batch_size: int = 0  #: largest batch coalesced into one step
-    lut_precomputes: int = 0  #: lookup tables actually built
-    lut_reuses: int = 0  #: table precomputes avoided by sharing
+    lut_precomputes: int = 0  #: lookup tables built (one per T-MAC call)
+    lut_reuses: int = 0  #: projections beyond the first served by one table
 
     def record_step(self, batch_size: int) -> None:
         self.decode_steps += 1
@@ -82,53 +84,23 @@ class BatchStats:
         return self.batched_tokens / self.decode_steps
 
 
-def _lut_signature(op: LinearOperator):
-    """Key under which two kernels can share one lookup-table precompute.
+def _linear(op: LinearOperator, x: np.ndarray,
+            stats: Optional[BatchStats], parts: int = 1) -> np.ndarray:
+    """Apply ``op``, building a T-MAC operator's lookup table here.
 
-    The table is a pure function of the activation and these configuration
-    fields; kernels agreeing on all of them accept each other's tables.
-    Returns ``None`` for non-T-MAC operators.
+    The step builds each table where it counts it: one per T-MAC call; for
+    an operator fusing ``parts`` projections of the same input that table
+    serves ``parts - 1`` of them beyond the first.  ``precompute`` +
+    ``matmul_with_table`` is exactly what ``kernel.matmul`` does.
     """
     kernel = op.kernel
     if not isinstance(kernel, TMACKernel):
-        return None
-    cfg = kernel.config
-    return (
-        kernel.in_features,
-        cfg.g,
-        cfg.s0,
-        cfg.s1,
-        cfg.mirror_consolidation,
-        cfg.table_quantization,
-        cfg.act_dtype,
-        kernel.plan.scale_block(cfg),
-    )
-
-
-def shared_input_forward(
-    ops: Sequence[LinearOperator],
-    x: np.ndarray,
-    stats: Optional[BatchStats] = None,
-) -> List[np.ndarray]:
-    """Apply several linear operators to the *same* input.
-
-    When every operator is backed by a T-MAC kernel with a compatible LUT
-    configuration, the activation's lookup tables are precomputed once and
-    shared — the per-step LUT reuse of the serving engine.  Otherwise each
-    operator runs independently (numerically identical either way).
-    """
-    signatures = [_lut_signature(op) for op in ops]
-    if len(ops) > 1 and signatures[0] is not None and all(
-        sig == signatures[0] for sig in signatures
-    ):
-        table = ops[0].kernel.precompute(x)
-        if stats is not None:
-            stats.lut_precomputes += 1
-            stats.lut_reuses += len(ops) - 1
-        return [op.kernel.matmul_with_table(x, table) for op in ops]
+        return op(x)
+    table = kernel.precompute(x)
     if stats is not None:
-        stats.lut_precomputes += sum(1 for sig in signatures if sig is not None)
-    return [op(x) for op in ops]
+        stats.lut_precomputes += 1
+        stats.lut_reuses += parts - 1
+    return kernel.matmul_with_table(x, table)
 
 
 def _batched_attention(
@@ -158,33 +130,18 @@ def _batched_block_forward(
     caches: Sequence[KVCache], stats: Optional[BatchStats],
 ) -> np.ndarray:
     """One transformer block over a ``[B, hidden]`` batch of decode tokens."""
-    arch = block.arch
     attention = block.attention
-    batch = x.shape[0]
+    mlp = block.mlp
 
     h = rms_norm(x, block.input_norm_weight)
-    q_flat, k_flat, v_flat = shared_input_forward(
-        [attention.q_proj, attention.k_proj, attention.v_proj], h, stats
-    )
-    q = q_flat.reshape(batch, arch.num_heads, arch.head_dim)
-    k = k_flat.reshape(batch, arch.num_kv_heads, arch.head_dim)
-    v = v_flat.reshape(batch, arch.num_kv_heads, arch.head_dim)
-    q = apply_rope(q, attention._cos, attention._sin, positions)
-    k = apply_rope(k, attention._cos, attention._sin, positions)
-
+    q, k, v = attention.split_qkv(
+        _linear(attention.qkv_proj, h, stats, parts=3), positions)
     context = _batched_attention(block, q, k, v, positions, caches)
-    # Single-operator calls still go through the helper so the LUT-build
-    # counters cover every projection, not only the shared ones.
-    x = x + shared_input_forward([attention.o_proj], context, stats)[0]
+    x = x + _linear(attention.o_proj, context, stats)
 
     h = rms_norm(x, block.post_attn_norm_weight)
-    gate_out, up_out = shared_input_forward(
-        [block.mlp.gate_proj, block.mlp.up_proj], h, stats
-    )
-    mlp_out = shared_input_forward(
-        [block.mlp.down_proj], silu(gate_out) * up_out, stats
-    )[0]
-    return x + mlp_out
+    gate_up = _linear(mlp.gate_up_proj, h, stats, parts=2)
+    return x + _linear(mlp.down_proj, swiglu(gate_up), stats)
 
 
 def batched_decode_step(
@@ -225,7 +182,7 @@ def batched_decode_step(
                         for session_caches in caches]
         x = _batched_block_forward(block, x, position_arr, layer_caches, stats)
     x = rms_norm(x, model.final_norm_weight)
-    logits = shared_input_forward([model.lm_head], x, stats)[0]
+    logits = _linear(model.lm_head, x, stats)
     if stats is not None:
         stats.record_step(int(token_arr.size))
     return logits

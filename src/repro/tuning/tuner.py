@@ -18,12 +18,11 @@ it transparently on every matmul (:func:`resolve_autotuned`).
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import TMACConfig
+from repro.core.config import TMACConfig, autotune_enabled
 from repro.core.tiling import TileConfig
 from repro.hardware.cost_model import (
     THREAD_POOL_GIL_FRACTION,
@@ -149,11 +148,6 @@ class ExecutionChoice:
     chunk_elements: Optional[int]
     gather_variant: str
     predicted_seconds: float
-
-
-def autotune_enabled() -> bool:
-    """Whether ``REPRO_AUTOTUNE`` opts matmuls into the shape autotuner."""
-    return os.environ.get("REPRO_AUTOTUNE", "") not in ("", "0", "false", "no")
 
 
 class ShapeTuner:

@@ -44,6 +44,19 @@ class TestGrouping:
                                       plane)
 
 
+    @pytest.mark.parametrize("g", [1, 2, 4, 8])
+    def test_matches_widened_multiply_sum(self, g, rng):
+        """The shift-or of strided slices equals the expression it
+        replaced (widen to uint32, multiply by shifts, sum), dtype too."""
+        plane = rng.integers(0, 2, size=(24, g * 16)).astype(np.uint8)
+        grouped = plane.reshape(24, 16, g).astype(np.uint32)
+        expected = (grouped * (1 << np.arange(g, dtype=np.uint32))).sum(
+            axis=2).astype(np.uint8)
+        indices = group_bits(plane, g)
+        assert indices.dtype == expected.dtype
+        np.testing.assert_array_equal(indices, expected)
+
+
 class TestPacking:
     def test_pack_unpack_round_trip(self, rng):
         indices = rng.integers(0, 16, size=(4, 17)).astype(np.uint8)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
+from repro.core.config import TMACConfig
 from repro.llm.architecture import tiny_arch
 from repro.llm.engine import ReferenceEngine
 from repro.llm.layers import (
@@ -14,6 +16,7 @@ from repro.llm.layers import (
     rms_norm,
     silu,
     softmax,
+    swiglu,
 )
 from repro.llm.model import generate_random_weights
 
@@ -125,3 +128,92 @@ class TestAttentionAndMLP:
         mlp = MLP(arch, ReferenceEngine(), weights["mlp"])
         out = mlp.forward(rng.standard_normal((3, 32)).astype(np.float32))
         assert out.shape == (3, 32)
+
+
+def _layer(num_kv_heads):
+    arch = tiny_arch(hidden_size=64, intermediate_size=160, num_layers=1,
+                     num_heads=4, num_kv_heads=num_kv_heads, vocab_size=50)
+    return arch, generate_random_weights(arch, seed=6)["layers"][0]
+
+
+def _separate(engine, weights, names, x):
+    """Column-concatenated outputs of one operator per projection."""
+    return np.concatenate(
+        [engine.make_linear(weights[name])(x) for name in names], axis=1)
+
+
+class TestFusedProjections:
+    """q|k|v and gate|up are bound as one row-concatenated operator."""
+
+    @pytest.mark.parametrize("executor", ["vectorized", "parallel"])
+    @pytest.mark.parametrize("n", [1, 8, 33])
+    @pytest.mark.parametrize("num_kv_heads", [4, 2], ids=["mha", "gqa"])
+    @pytest.mark.parametrize(
+        "quant", [{"bits": 4}, {"bits": 2}, {"bitnet": True}],
+        ids=["4bit", "2bit", "bitnet"])
+    def test_tmac_bit_identical_to_separate_operators(
+            self, quant, num_kv_heads, n, executor, rng):
+        """Quantizers and kernel are row-independent: the fused columns
+        ``np.array_equal`` the separately bound projections."""
+        arch, weights = _layer(num_kv_heads)
+        engine = get_backend(
+            "tmac", group_size=32, **quant,
+            config=TMACConfig(executor=executor, num_threads=2,
+                              parallel_threshold=0))
+        x = rng.standard_normal((n, 64)).astype(np.float32)
+
+        attention = Attention(arch, engine, weights["attention"])
+        assert attention.qkv_proj.out_features == 64 + 2 * arch.kv_dim
+        np.testing.assert_array_equal(
+            attention.qkv_proj(x),
+            _separate(engine, weights["attention"],
+                      ("q_proj", "k_proj", "v_proj"), x))
+
+        mlp = MLP(arch, engine, weights["mlp"])
+        np.testing.assert_array_equal(
+            mlp.gate_up_proj(x),
+            _separate(engine, weights["mlp"], ("gate_proj", "up_proj"), x))
+
+    @pytest.mark.parametrize("kind", ["reference", "dequant"])
+    def test_blas_backends_match_within_tolerance(self, kind, rng):
+        """One fused GEMM may differ from three in final ulps."""
+        arch, weights = _layer(num_kv_heads=2)
+        engine = get_backend(kind, bits=4, group_size=32)
+        x = rng.standard_normal((8, 64)).astype(np.float32)
+        np.testing.assert_allclose(
+            Attention(arch, engine, weights["attention"]).qkv_proj(x),
+            _separate(engine, weights["attention"],
+                      ("q_proj", "k_proj", "v_proj"), x),
+            rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(
+            MLP(arch, engine, weights["mlp"]).gate_up_proj(x),
+            _separate(engine, weights["mlp"], ("gate_proj", "up_proj"), x),
+            rtol=1e-5, atol=1e-5)
+
+    def test_split_matches_separate_projections(self, rng):
+        """``split_qkv`` / ``swiglu`` slice the fused result where the
+        separate projections would have been (GQA: kv_dim < hidden)."""
+        arch, weights = _layer(num_kv_heads=2)
+        engine = get_backend("tmac", bits=4, group_size=32)
+        attention = Attention(arch, engine, weights["attention"])
+        x = rng.standard_normal((3, 64)).astype(np.float32)
+        positions = np.arange(3)
+
+        def project(name, heads):
+            return engine.make_linear(weights["attention"][name])(x).reshape(
+                3, heads, arch.head_dim)
+
+        q, k, v = attention.split_qkv(attention.qkv_proj(x), positions)
+        cos, sin = build_rope_cache(arch.max_seq_len, arch.head_dim)
+        np.testing.assert_array_equal(
+            q, apply_rope(project("q_proj", 4), cos, sin, positions))
+        np.testing.assert_array_equal(
+            k, apply_rope(project("k_proj", 2), cos, sin, positions))
+        np.testing.assert_array_equal(v, project("v_proj", 2))
+        assert v.flags.owndata  # a cached v does not pin the fused result
+
+        gate = engine.make_linear(weights["mlp"]["gate_proj"])(x)
+        up = engine.make_linear(weights["mlp"]["up_proj"])(x)
+        np.testing.assert_array_equal(
+            swiglu(MLP(arch, engine, weights["mlp"]).gate_up_proj(x)),
+            silu(gate) * up)

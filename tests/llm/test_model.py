@@ -82,8 +82,8 @@ class TestEngines:
 
     def test_linears_enumeration(self, arch, shared_weights):
         model = TransformerModel(arch, weights=shared_weights)
-        # 7 linears per layer * 2 layers + lm_head
-        assert len(model.linears()) == 15
+        # 4 operators per layer (q|k|v, o, gate|up, down) * 2 layers + lm_head
+        assert len(model.linears()) == 9
         assert model.engine_name() == "reference"
 
     def test_quantized_weight_bytes_smaller_at_low_bits(self, arch,

@@ -21,7 +21,7 @@ from repro.core.weights import (
     unpack_indices,
     unpermute_tiles,
 )
-from repro.quant.uniform import quantize_weights
+from repro.quant.uniform import QuantizedWeight, quantize_weights
 
 
 class TestBitserialProperties:
@@ -154,6 +154,39 @@ class TestKernelProperties:
         from repro.baselines.reference import quantized_reference_gemm
         ref = quantized_reference_gemm(a, qw)
         assert np.allclose(out, ref, atol=1e-3, rtol=1e-4)
+
+
+class TestRowConcatenationProperties:
+    @given(
+        bits=st.sampled_from([2, 4]),
+        rows=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+        n=st.sampled_from([1, 8, 33]),
+        executor=st.sampled_from(["vectorized", "parallel"]),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fused_rows_equal_concatenated_parts(self, bits, rows, n,
+                                                 executor, seed):
+        """Every kernel operation is elementwise along the output axis: the
+        kernel on row-concatenated weights ``np.array_equal``s the
+        column-concatenated outputs of the parts, for any row split —
+        what lets the model bind q|k|v and gate|up as one operator."""
+        rng = np.random.default_rng(seed)
+        parts = [quantize_weights(
+            rng.standard_normal((m, 64)).astype(np.float32), bits=bits,
+            group_size=32) for m in rows]
+        fused = QuantizedWeight(
+            codes=np.concatenate([qw.codes for qw in parts]),
+            scales=np.concatenate([qw.scales for qw in parts]),
+            zeros=np.concatenate([qw.zeros for qw in parts]),
+            bits=bits, group_size=32)
+        a = rng.standard_normal((n, 64)).astype(np.float32)
+        config = TMACConfig(bits=bits, executor=executor, num_threads=2,
+                            parallel_threshold=0)
+        np.testing.assert_array_equal(
+            TMACKernel(fused, config).matmul(a),
+            np.concatenate([TMACKernel(qw, config).matmul(a)
+                            for qw in parts], axis=1))
 
 
 class TestIntegerLutKernelProperties:

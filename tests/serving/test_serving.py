@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
+from repro.core.config import TMACConfig
 from repro.core.plan import clear_plan_cache, plan_cache_stats
+from repro.core.specialize import specialize_stats
 from repro.llm import Generator, TransformerModel, tiny_arch
 from repro.llm.model import generate_random_weights
 from repro.serving import (
@@ -14,7 +16,6 @@ from repro.serving import (
     ServingEngine,
     SessionState,
     batched_decode_step,
-    shared_input_forward,
 )
 
 
@@ -217,29 +218,37 @@ class TestContinuousBatching:
 
 
 class TestLUTReuse:
-    def test_shared_input_forward_reuses_tables(self, arch, shared_weights):
-        model = build_model(arch, shared_weights)
-        block = model.blocks[0]
-        ops = [block.attention.q_proj, block.attention.k_proj,
-               block.attention.v_proj]
-        x = np.random.default_rng(0).standard_normal(
-            (2, arch.hidden_size)).astype(np.float32)
+    @pytest.mark.parametrize("kind, tables, reuses",
+                             [("tmac", 9, 6), ("reference", 0, 0)])
+    def test_step_counts_one_table_per_tmac_call(self, arch, shared_weights,
+                                                 kind, tables, reuses):
+        """4 operators per layer + lm_head; q|k|v and gate|up tables serve
+        2 + 1 projections beyond the first.  Non-T-MAC calls build none."""
+        model = build_model(arch, shared_weights, kind)
         stats = BatchStats()
-        shared = shared_input_forward(ops, x, stats)
-        assert stats.lut_precomputes == 1
-        assert stats.lut_reuses == 2
-        for op, out in zip(ops, shared):
-            np.testing.assert_array_equal(out, op(x))
+        batched_decode_step(model, [1, 2], [0, 0],
+                            [model.new_cache(), model.new_cache()], stats)
+        assert len(model.linears()) == 9
+        assert (stats.lut_precomputes, stats.lut_reuses) == (tables, reuses)
 
-    def test_reference_ops_fall_back(self, arch, shared_weights):
-        model = build_model(arch, shared_weights, "reference")
-        block = model.blocks[0]
-        ops = [block.attention.q_proj, block.attention.k_proj]
-        x = np.zeros((1, arch.hidden_size), dtype=np.float32)
-        stats = BatchStats()
-        shared_input_forward(ops, x, stats)
-        assert stats.lut_precomputes == 0
-        assert stats.lut_reuses == 0
+    def test_kernel_calls_per_forward(self, arch, shared_weights):
+        """Sequential forward and batched step both make 4 * L + 1 kernel
+        calls: no projection sharing an activation is a call of its own."""
+        model = TransformerModel(
+            arch, weights=shared_weights,
+            engine=get_backend("tmac", group_size=32, config=TMACConfig(
+                executor="vectorized", specialize=True)))
+        expected = 4 * arch.num_layers + 1
+
+        def calls(run):
+            before = specialize_stats()["specialize_calls"]
+            run()
+            return specialize_stats()["specialize_calls"] - before
+
+        assert calls(lambda: model.forward(np.array([1, 2, 3]))) == expected
+        assert calls(lambda: batched_decode_step(
+            model, [1, 2], [0, 0],
+            [model.new_cache(), model.new_cache()])) == expected
 
     def test_serving_reports_lut_and_plan_cache_stats(self, arch):
         clear_plan_cache()
@@ -254,7 +263,7 @@ class TestLUTReuse:
         # Rebinding the same checkpoint (e.g. for the sequential comparison
         # path) hits the plan cache instead of re-preprocessing.
         build_model(arch, weights)
-        assert plan_cache_stats()["hits"] >= 15
+        assert plan_cache_stats()["hits"] >= 9
 
     def test_finished_sessions_release_memory(self, arch, shared_weights):
         """KV caches are dropped at finish; release() evicts the session."""
