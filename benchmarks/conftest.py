@@ -3,12 +3,15 @@
 Every benchmark module regenerates one table or figure of the paper's
 evaluation section.  Results are written twice:
 
-* plain-text tables to ``benchmarks/results/<name>.txt`` (human-readable,
-  survive pytest's output capturing), and
-* machine-readable ``benchmarks/results/BENCH_<name>.json`` documents
-  (bench name, series, params, metrics, host info, git sha) so the
-  performance trajectory is trackable across PRs — CI uploads them as a
-  workflow artifact.
+* plain-text tables to ``<name>.txt`` (human-readable, survive pytest's
+  output capturing), and
+* machine-readable ``BENCH_<name>.json`` documents (bench name, series,
+  params, metrics, host info, git sha) so the performance trajectory is
+  trackable across commits — CI uploads them as a workflow artifact.
+
+Both go to the git-ignored ``benchmarks/out/``, so a test run leaves the
+checkout clean; ``pytest --bench-commit`` writes them to the committed
+``benchmarks/results/`` instead, to refresh the published numbers.
 
 The ``benchmark`` fixture wraps a representative piece of the computation
 so the suite integrates with ``pytest-benchmark`` (``--benchmark-only``).
@@ -27,10 +30,26 @@ import pytest
 from repro.core.config import usable_cpus
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
+#: Where the writers go: ``OUT_DIR`` unless pytest runs with --bench-commit.
+_output_dir = OUT_DIR
 
 #: Version of the BENCH_*.json document layout; bump on breaking changes so
 #: trajectory tooling can dispatch on it.
 BENCH_SCHEMA_VERSION = 1
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--bench-commit", action="store_true", default=False,
+        help="write benchmark tables and BENCH_*.json to the committed "
+             "benchmarks/results/ instead of the git-ignored benchmarks/out/")
+
+
+def pytest_configure(config):
+    global _output_dir
+    _output_dir = (RESULTS_DIR if config.getoption("--bench-commit")
+                   else OUT_DIR)
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -50,9 +69,9 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def write_result(name: str, title: str, content: str) -> str:
-    """Write a reproduction artifact to ``benchmarks/results/<name>.txt``."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
+    """Write a reproduction artifact ``<name>.txt`` (module docstring)."""
+    os.makedirs(_output_dir, exist_ok=True)
+    path = os.path.join(_output_dir, f"{name}.txt")
     with open(path, "w") as handle:
         handle.write(f"{title}\n{'=' * len(title)}\n\n{content}\n")
     return path
@@ -89,7 +108,7 @@ def git_sha() -> str:
 
 def write_bench_json(name: str, series, params: Optional[dict] = None,
                      metrics: Optional[dict] = None) -> str:
-    """Write ``benchmarks/results/BENCH_<name>.json``.
+    """Write ``BENCH_<name>.json`` (module docstring).
 
     Parameters
     ----------
@@ -105,7 +124,7 @@ def write_bench_json(name: str, series, params: Optional[dict] = None,
         Headline scalar metrics (speedups, tok/s, hit rates) for quick
         cross-PR comparison without parsing the series.
     """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
+    os.makedirs(_output_dir, exist_ok=True)
     payload = {
         "bench": name,
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -115,7 +134,7 @@ def write_bench_json(name: str, series, params: Optional[dict] = None,
         "series": series,
         "metrics": metrics or {},
     }
-    path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
+    path = os.path.join(_output_dir, f"BENCH_{name}.json")
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, default=str)
         handle.write("\n")

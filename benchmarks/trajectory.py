@@ -1,10 +1,11 @@
 """Cross-PR benchmark trajectory: aggregate BENCH_*.json into one history.
 
-Every benchmark run writes a ``benchmarks/results/BENCH_<name>.json``
-document (see ``benchmarks/conftest.py``) with headline scalar ``metrics``
-stamped with the git sha.  This tool folds those per-run documents into a
-single committed ``BENCH_trajectory.json`` — one metric history per bench
-— and checks fresh runs against the committed baseline so a PR that
+Every benchmark run writes a ``BENCH_<name>.json`` document to the
+git-ignored ``benchmarks/out/`` (see ``benchmarks/conftest.py``) with
+headline scalar ``metrics`` stamped with the git sha.  This tool folds
+those per-run documents into the single committed
+``benchmarks/results/BENCH_trajectory.json`` — one metric history per
+bench — and checks fresh runs against that baseline so a change that
 quietly loses 10% of decode throughput gets flagged in CI.
 
 Commands::
@@ -32,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "results")
+OUT_DIR = os.path.join(os.path.dirname(RESULTS_DIR), "out")
 TRAJECTORY_BASENAME = "BENCH_trajectory.json"
 TRAJECTORY_SCHEMA_VERSION = 1
 
@@ -167,11 +169,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Aggregate and regression-check BENCH_*.json metrics")
     parser.add_argument("command", choices=("update", "check"))
-    parser.add_argument("--results", default=RESULTS_DIR,
-                        help="results directory (default: %(default)s)")
+    parser.add_argument("--results", default=OUT_DIR,
+                        help="directory of the run's BENCH_*.json "
+                             "(default: %(default)s)")
     parser.add_argument("--trajectory", default=None,
                         help="trajectory file (default: <results>/"
-                             f"{TRAJECTORY_BASENAME})")
+                             f"{TRAJECTORY_BASENAME}, the committed one "
+                             "when --results is not given)")
     parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                         help="relative regression threshold "
                              "(default: %(default)s)")
@@ -180,6 +184,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--strict", action="store_true",
                         help="exit 1 when check finds regressions")
     args = parser.parse_args(argv)
+    if args.trajectory is None and args.results == OUT_DIR:
+        args.trajectory = os.path.join(RESULTS_DIR, TRAJECTORY_BASENAME)
 
     if args.command == "update":
         trajectory = update(args.results, args.trajectory, args.max_points)

@@ -316,9 +316,8 @@ def _plan_checksums(plan) -> Dict[str, int]:
             arr = getattr(weights, name, None)
             if arr is not None:
                 sums[f"weights.{name}"] = _array_checksum(arr)
-        for group in ("index_planes", "packed_planes"):
-            for i, arr in enumerate(getattr(weights, group, ()) or ()):
-                sums[f"weights.{group}[{i}]"] = _array_checksum(arr)
+        for i, arr in enumerate(getattr(weights, "index_planes", ()) or ()):
+            sums[f"weights.index_planes[{i}]"] = _array_checksum(arr)
     cache = getattr(plan, "_gather_cache", None)
     if cache is not None:
         for mirrored, tables in list(cache.items()):
@@ -332,11 +331,12 @@ def _plan_checksums(plan) -> Dict[str, int]:
         # Compiled kernels mostly hold references to arrays already
         # checksummed above; these are the artifacts they own (the float
         # closures' scale*zero product, the integer kernel's index planes
-        # and transposed scales), and a mutation there would corrupt
-        # every call.
+        # or nibble blocks and transposed scales), and a mutation there
+        # would corrupt every call.  Read from the instance dict: a lazy
+        # artifact not built yet is not built here.
         for key, kernel in list(spec_cache.items()):
-            for name in ("sz", "planes", "scales_t", "sz_t"):
-                arr = getattr(kernel, name, None)
+            for name in ("sz", "planes", "nibbles", "scales_t", "sz_t"):
+                arr = vars(kernel).get(name)
                 if arr is not None:
                     sums[f"spec[{key}].{name}"] = _array_checksum(arr)
     return sums

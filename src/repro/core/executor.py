@@ -556,15 +556,14 @@ class ParallelExecutor(VectorizedExecutor):
     def _warm_shared(self, plan: KernelPlan, table: LookupTable,
                      config: TMACConfig, span_budget: int) -> None:
         """Build a sharded call's lazily shared state (compiled kernel or
-        gather tables, row-minor table when one block covers it) in the
-        calling thread, so pool workers only ever read it."""
+        gather tables, and what the integer kernel warms) in the calling
+        thread, so pool workers only ever read it."""
         if not config.specialize:
             plan.lookup_tables(table.mirrored)
             return
         kernel = plan.specialized(specialization_key(table, config))
-        if (kernel.key.integer
-                and kernel.block_rows(table, span_budget) >= table.num_rows):
-            table.row_minor()
+        if kernel.key.integer:
+            kernel.warm(table, span_budget)
 
     def matmul_with_table(
         self,

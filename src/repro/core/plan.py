@@ -141,7 +141,7 @@ class KernelPlan:
         fields (``bits``, ``g``, ``s0``/``s1``, permutation, interleaving,
         tiling) agree — see :meth:`compatible_with`.
     weights:
-        The preprocessed weight operand (index planes + packed layout).
+        The preprocessed weight operand (index planes, scales, zeros).
     transform:
         Bit-serial transform mapping weight bits to table signs.
     fingerprint:

@@ -3,7 +3,7 @@
 At first use one kernel is compiled per ``(KernelPlan, table mode,
 execution flags)`` and cached on the plan (:meth:`KernelPlan.specialized`);
 serial, thread-sharded and process-worker execution all reach it through
-that one hook.  Two kernels exist:
+that one hook.  Three kernels exist:
 
 * :class:`IntegerLutKernel` — the production path for group-granularity
   quantized tables (the default :class:`~repro.core.config.TMACConfig`),
@@ -23,6 +23,15 @@ that one hook.  Two kernels exist:
   integer block sums are exact and the float epilogue (1/gpq of the
   data) performs the loop oracle's operations in the oracle's order, so
   results are bit-identical to :class:`~repro.core.executor.LoopExecutor`.
+* :class:`NativeLutKernel` — the same kernel with the integer phase in C
+  (``tlut.c``, :mod:`repro.core.native`) for ``g = 4``: the paper's
+  mechanism itself, one ``pshufb`` of a 16-entry int8 table per 32 weight
+  rows of a packed-nibble layout, with the GIL released.  Its block sums
+  are the same integers, so the unchanged epilogue keeps the output
+  bit-identical.  Compiled whenever the library loads and the plan's own
+  index planes are at hand; without a compiler, after a failed build or
+  load, at ``g != 4`` and in process workers (which receive ``planes``)
+  the numpy integer phase runs.
 * :class:`SpecializedKernel` — branch-resolved float closures for the
   modes whose float sums are order-sensitive (unquantized tables, fine
   scale granularity, fast aggregation).  Bit-identical to the generic
@@ -33,17 +42,20 @@ from __future__ import annotations
 
 import math
 import threading
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.core.aggregation import fast_aggregate
 from repro.core.lut import accumulator_dtype, fusion_width
+from repro.core.weights import nibble_blocks
 
 __all__ = [
     "SpecializationKey",
     "SpecializedKernel",
     "IntegerLutKernel",
+    "NativeLutKernel",
     "reduce_major_planes",
     "specialization_key",
     "compile_specialized",
@@ -361,31 +373,44 @@ class IntegerLutKernel:
     never the plan.  Same span API as :class:`SpecializedKernel`.
     """
 
-    def __init__(self, key: SpecializationKey, *, planes: np.ndarray,
+    #: The integer phase that runs: numpy here, an instruction set in
+    #: :class:`NativeLutKernel`.
+    path = "numpy"
+
+    def __init__(self, key: SpecializationKey, *, bits: int, steps: int,
                  gpq: int, scales_t: np.ndarray, sz_t: np.ndarray,
-                 alpha: float, beta: float):
+                 alpha: float, beta: float,
+                 planes: Optional[np.ndarray] = None):
         self.key = key
-        self.planes = planes
+        if planes is not None:
+            self.planes = planes
         self.scales_t = scales_t
         self.sz_t = sz_t
         self.alpha = alpha
         self.beta = beta
-        self.steps, _, self.bits, self.qgroups = planes.shape
-        #: int16 while ``gpq * 127`` fits, else int32 — the dtype
-        #: :meth:`LookupTable.row_minor` widens the entries to.
+        self.bits = bits
+        self.steps = steps
+        self.gpq = gpq
+        self.qgroups = scales_t.shape[0]
+        #: int16 while ``gpq * 127`` fits, else int32 — the dtype the
+        #: integer phase sums the int8 table entries in.
         self.acc_dtype = accumulator_dtype(gpq)
         #: ``2**bit`` as ``[bits, 1, 1, 1]``.  Scaling by a power of two
         #: commutes with every float rounding, so the epilogue folds the
         #: bit weights — and alpha when it is one (0.5 by default) — into
         #: its small per-(qg, n) factors instead of passes over the data.
-        self.bit_weights = np.ldexp(1.0, np.arange(self.bits)).reshape(
+        self.bit_weights = np.ldexp(1.0, np.arange(bits)).reshape(
             -1, 1, 1, 1)
         self.fold_alpha = math.frexp(alpha)[0] == 0.5
 
-    def _codes_dot(self, lut, tscale, sums, m0: int, m1: int) -> np.ndarray:
-        """``[QG, N, m1-m0]`` float64 codes-dot of one output span."""
+    def _lookup_source(self, table, n0: int, n1: int):
+        """What :meth:`_block_sums` looks rows ``[n0, n1)`` up in."""
+        return table.row_minor(n0, n1)
+
+    def _block_sums(self, lut, m0: int, m1: int) -> np.ndarray:
+        """Exact integer block sums ``S[bit, qg, n, m]`` of one output span,
+        as float64."""
         n = lut.shape[2]
-        m = m1 - m0
         index = self.planes[:, m0:m1].reshape(self.steps, -1)
         acc = np.empty((index.shape[1], n), dtype=self.acc_dtype)
         looked_up = np.empty_like(acc)
@@ -395,12 +420,16 @@ class IntegerLutKernel:
         for s in range(1, self.steps):
             lut[s].take(index[s], axis=0, out=looked_up, mode="clip")
             acc += looked_up
-        # Exact integer block sums S[bit, qg, n, m]; from here on the
-        # oracle's float operations, in the oracle's order, with the output
-        # columns as the long contiguous axis:
-        # chunk = sum_bit 2**bit * (alpha * (S * tscale) + beta * sums).
-        partial = acc.reshape(m, self.bits, self.qgroups, n).transpose(
+        return acc.reshape(m1 - m0, self.bits, self.qgroups, n).transpose(
             1, 2, 3, 0).astype(np.float64, order="C")
+
+    def _codes_dot(self, source, tscale, sums, m0: int, m1: int) -> np.ndarray:
+        """``[QG, N, m1-m0]`` float64 codes-dot of one output span."""
+        # From the exact integer block sums on, the oracle's float
+        # operations in the oracle's order, with the output columns as the
+        # long contiguous axis:
+        # chunk = sum_bit 2**bit * (alpha * (S * tscale) + beta * sums).
+        partial = self._block_sums(source, m0, m1)
         if self.fold_alpha:
             partial *= tscale * (self.bit_weights * self.alpha)
         else:
@@ -417,6 +446,13 @@ class IntegerLutKernel:
         independent, so splitting them changes no bit of the result."""
         return max(1, budget // table.fused_entries)
 
+    def warm(self, table, budget: int) -> None:
+        """Build a sharded call's shared expanded table in the calling
+        thread when one row block covers it, so pool workers only read
+        it."""
+        if self.block_rows(table, budget) >= table.num_rows:
+            table.row_minor()
+
     def _spans(self, table, group_sums, m0: int, m1: int, budget: int):
         """Yield ``(n0, n1, s0, s1, codes_dot)`` over row blocks of the
         table and sub-spans of ``[m0, m1)``.
@@ -428,13 +464,13 @@ class IntegerLutKernel:
         rows = self.block_rows(table, budget)
         for n0 in range(0, table.num_rows, rows):
             n1 = min(n0 + rows, table.num_rows)
-            lut = table.row_minor(n0, n1)
+            source = self._lookup_source(table, n0, n1)
             tscale = table.scales[n0:n1].T[:, :, None]  # [QG, n, 1]
             sums = group_sums[n0:n1].T[:, :, None]  # [QG, n, 1]
             step = max(1, budget // ((n1 - n0) * self.bits * self.qgroups))
             for s0 in range(m0, m1, step):
                 s1 = min(s0 + step, m1)
-                yield n0, n1, s0, s1, self._codes_dot(lut, tscale, sums,
+                yield n0, n1, s0, s1, self._codes_dot(source, tscale, sums,
                                                       s0, s1)
 
     def iter_span(self, table, group_sums, m0: int, m1: int, budget: int):
@@ -462,6 +498,47 @@ class IntegerLutKernel:
         return out
 
 
+class NativeLutKernel(IntegerLutKernel):
+    """:class:`IntegerLutKernel` with the integer phase in ``tlut.c``.
+
+    For ``g = 4``: per bit, index column and 32-row block, one
+    ``vpshufb`` of the 16-entry int8 table answers 32 weight rows of the
+    frozen :func:`~repro.core.weights.nibble_blocks` layout, with the GIL
+    released (:mod:`repro.core.native`).  The block sums arrive m-minor,
+    so the float epilogue starts with a contiguous convert; no expanded
+    table is built.
+    """
+
+    def __init__(self, key: SpecializationKey, *, index_planes, native,
+                 gpq: int, **epilogue):
+        super().__init__(key, bits=len(index_planes),
+                         steps=-(-gpq // fusion_width(4)), gpq=gpq,
+                         **epilogue)
+        self.native = native
+        self.path = native.path
+        self._index_planes = index_planes
+        self.nibbles = nibble_blocks(index_planes)
+
+    @cached_property
+    def planes(self) -> np.ndarray:
+        """The numpy path's planes, built only when asked for: the process
+        pool publishes them to its workers."""
+        return reduce_major_planes(self._index_planes, 4, self.gpq)
+
+    def _lookup_source(self, table, n0: int, n1: int):
+        return np.ascontiguousarray(table.values[n0:n1])
+
+    def _block_sums(self, values, m0: int, m1: int) -> np.ndarray:
+        return self.native.block_sums(self.nibbles, values, self.gpq, m0, m1,
+                                      self.acc_dtype).astype(np.float64)
+
+    def block_rows(self, table, budget: int) -> int:
+        return table.num_rows  # the tables are read as they are
+
+    def warm(self, table, budget: int) -> None:
+        pass  # nothing shared to build
+
+
 def compile_specialized(plan, key: SpecializationKey, artifacts=None):
     """Compile the kernel for ``plan`` under ``key``.
 
@@ -469,7 +546,9 @@ def compile_specialized(plan, key: SpecializationKey, artifacts=None):
     reduce-major ``planes`` for integer keys, the plan's ``_LookupTables``
     otherwise; ``None`` builds them from the plan.  The plan passes the
     tables it built under its (non-reentrant) lock, the process worker's
-    plan-shaped ``_WorkerPlan`` its shared-memory views.
+    plan-shaped ``_WorkerPlan`` its shared-memory views.  An integer key
+    built from the plan's own index planes at ``g = 4`` compiles
+    :class:`NativeLutKernel` when the native library loads.
     """
     scales = plan.weights.scales
     # The recombination's scale*zero product, once per plan (float32 in,
@@ -477,18 +556,29 @@ def compile_specialized(plan, key: SpecializationKey, artifacts=None):
     sz = np.multiply(scales, plan.weights.zeros)
     alpha, beta = plan.transform.alpha, plan.transform.beta
     if key.integer:
-        if artifacts is None:
-            artifacts = reduce_major_planes(
-                plan.weights.index_planes, plan.g, plan.groups_per_qgroup)
         scales_t = np.ascontiguousarray(scales.T)
         sz_t = np.ascontiguousarray(sz.T)
         # Frozen before publication: shared by every executor thread.
         scales_t.setflags(write=False)
         sz_t.setflags(write=False)
-        kernel = IntegerLutKernel(key, planes=artifacts,
-                                  gpq=plan.groups_per_qgroup,
-                                  scales_t=scales_t, sz_t=sz_t, alpha=alpha,
-                                  beta=beta)
+        epilogue = dict(gpq=plan.groups_per_qgroup, scales_t=scales_t,
+                        sz_t=sz_t, alpha=alpha, beta=beta)
+        backend = None
+        if artifacts is None and plan.g == 4:
+            from repro.core import native
+
+            backend = native.backend()
+        if backend is not None:
+            kernel = NativeLutKernel(
+                key, index_planes=plan.weights.index_planes, native=backend,
+                **epilogue)
+        else:
+            if artifacts is None:
+                artifacts = reduce_major_planes(
+                    plan.weights.index_planes, plan.g, plan.groups_per_qgroup)
+            steps, _, bits, _ = artifacts.shape
+            kernel = IntegerLutKernel(key, bits=bits, steps=steps,
+                                      planes=artifacts, **epilogue)
     else:
         if artifacts is None:
             artifacts = plan.lookup_tables(key.mirrored)

@@ -7,21 +7,15 @@ during inference) and produces, per weight bit:
    matrices (:mod:`repro.core.bitserial`).
 2. **Grouping** — every ``g`` consecutive one-bit weights along K become a
    single ``g``-bit *index* into the lookup table.
-3. **Packing** — two 4-bit indices are packed per byte (the ``uint4[32]``
-   layout of Figure 3).
-4. **Tile permutation** — indices are reordered so that each
-   ``[M_tm, K_tk]`` tile is contiguous in memory, turning the tile walk into
-   sequential DRAM accesses (Section 3.2, "Weight permutation for sequential
-   memory access").
-5. **Interleaving** — within the packed bytes, indices are interleaved so a
-   little-endian SIMD unpack (AND / SHR+AND) directly yields indices in the
-   order the lookup consumes them (Section 3.2, Figure 4, "Weight
-   interleaving for fast unpacking").
 
-All five steps are invertible; the unit tests round-trip each of them.  The
-permutation and interleaving steps do not change the kernel's numerical
-output — they only change the memory-access pattern, which the cost model
-rewards.
+The plan keeps these ``[M, K/g]`` index planes.  Each compiled kernel
+derives the one packed layout it reads from them
+(:mod:`repro.core.specialize`): the numpy path reduce-major table
+addresses, the native path :func:`nibble_blocks` — two 4-bit indices per
+byte (Figure 3's ``uint4``), contiguous 32-row blocks per index column
+(Section 3.2, "Weight permutation for sequential memory access") with the
+nibbles interleaved so one AND and one shift yield the block's indices in
+row order (Figure 4, "Weight interleaving for fast unpacking").
 """
 
 from __future__ import annotations
@@ -42,10 +36,7 @@ __all__ = [
     "ungroup_bits",
     "pack_indices",
     "unpack_indices",
-    "interleave_packed",
-    "deinterleave_packed",
-    "permute_tiles",
-    "unpermute_tiles",
+    "nibble_blocks",
     "PreprocessedWeights",
     "preprocess_weights",
 ]
@@ -136,95 +127,26 @@ def unpack_indices(packed: np.ndarray, num_indices: int, g: int = 4) -> np.ndarr
     return interlaced[:, :num_indices]
 
 
-def interleave_packed(packed: np.ndarray, span: int = 16) -> np.ndarray:
-    """Interleave packed index bytes for fast little-endian unpacking.
+def nibble_blocks(index_planes: List[np.ndarray]) -> np.ndarray:
+    """The native kernel's packed layout of ``g = 4`` index planes.
 
-    Following Figure 4, the nibbles of each ``span``-byte block (holding
-    ``2*span`` indices) are reordered so that byte ``i`` of the block holds
-    index ``i`` in its low nibble and index ``i + span`` in its high nibble.
-    A vector ``AND 0x0F`` then yields the block's first ``span`` indices in
-    order, and ``SHR 4`` the next ``span``, without any further shuffling —
-    the reordering that un-interleaved little-endian packing would require
-    is eliminated.
-
-    The transformation is a pure nibble permutation (lossless); a partial
-    block at the tail of each row is left untouched.
+    Returns frozen ``uint8 [bits, K/g, ceil(M/32) * 16]``: per bit and
+    index column ``j``, the ``M`` indices (zero-padded to whole 32-row
+    blocks) two per byte, byte ``i`` of a block holding row ``i`` in its
+    low nibble and row ``16 + i`` in its high one — Figure 4's interleave,
+    so an AND and a shift unpack a block's 32 indices in row order.
     """
-    arr = np.asarray(packed, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise ValueError(f"packed must be 2-D, got shape {arr.shape}")
-    m, nbytes = arr.shape
-    out = arr.copy()
-    full = (nbytes // span) * span
-    if full == 0:
-        return out
-    body = arr[:, :full].reshape(m, -1, span)
-    low_src = body & 0x0F      # indices 0, 2, 4, ... of the block
-    high_src = body >> 4       # indices 1, 3, 5, ...
-    # Natural index order within the block: [idx0, idx1, ..., idx_{2*span-1}].
-    indices = np.empty((m, body.shape[1], 2 * span), dtype=np.uint8)
-    indices[:, :, 0::2] = low_src
-    indices[:, :, 1::2] = high_src
-    interleaved = indices[:, :, :span] | (indices[:, :, span:] << 4)
-    out[:, :full] = interleaved.reshape(m, full)
-    return out
-
-
-def deinterleave_packed(interleaved: np.ndarray, span: int = 16) -> np.ndarray:
-    """Inverse of :func:`interleave_packed`."""
-    arr = np.asarray(interleaved, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise ValueError(f"interleaved must be 2-D, got shape {arr.shape}")
-    m, nbytes = arr.shape
-    out = arr.copy()
-    full = (nbytes // span) * span
-    if full == 0:
-        return out
-    body = arr[:, :full].reshape(m, -1, span)
-    indices = np.concatenate([body & 0x0F, body >> 4], axis=2)
-    packed = indices[:, :, 0::2] | (indices[:, :, 1::2] << 4)
-    out[:, :full] = packed.reshape(m, full)
-    return out
-
-
-def permute_tiles(matrix: np.ndarray, tile_m: int, tile_k: int) -> np.ndarray:
-    """Flatten a matrix tile-by-tile so each tile is contiguous in memory.
-
-    The output is a 1-D array: tiles are visited in row-major tile order and
-    each tile's elements are flattened row-major.  Ragged edge tiles (when
-    the dimensions are not multiples of the tile sizes) are handled by
-    emitting the partial tile's elements.
-    """
-    mat = np.asarray(matrix)
-    if mat.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {mat.shape}")
-    m, k = mat.shape
-    chunks = []
-    for m0 in range(0, m, tile_m):
-        for k0 in range(0, k, tile_k):
-            chunks.append(mat[m0:m0 + tile_m, k0:k0 + tile_k].reshape(-1))
-    return np.concatenate(chunks) if chunks else mat.reshape(-1)
-
-
-def unpermute_tiles(
-    flat: np.ndarray, shape: tuple, tile_m: int, tile_k: int
-) -> np.ndarray:
-    """Inverse of :func:`permute_tiles`."""
-    m, k = shape
-    out = np.empty((m, k), dtype=np.asarray(flat).dtype)
-    pos = 0
-    flat = np.asarray(flat)
-    for m0 in range(0, m, tile_m):
-        for k0 in range(0, k, tile_k):
-            h = min(tile_m, m - m0)
-            w = min(tile_k, k - k0)
-            out[m0:m0 + h, k0:k0 + w] = flat[pos:pos + h * w].reshape(h, w)
-            pos += h * w
-    if pos != flat.size:
-        raise ValueError(
-            f"flat array has {flat.size} elements but the tiling consumes {pos}"
-        )
-    return out
+    bits = len(index_planes)
+    m, groups = index_planes[0].shape
+    blocks = -(-m // 32)
+    padded = np.zeros((bits, groups, blocks * 32), dtype=np.uint8)
+    for bit, plane in enumerate(index_planes):
+        padded[bit, :, :m] = plane.T
+    pairs = padded.reshape(bits * groups, blocks, 2, 16).swapaxes(2, 3)
+    nibbles = pack_indices(pairs.reshape(bits * groups, -1)).reshape(
+        bits, groups, blocks * 16)
+    nibbles.setflags(write=False)
+    return nibbles
 
 
 @dataclass
@@ -235,17 +157,15 @@ class PreprocessedWeights:
     ----------
     index_planes:
         One ``[M, K/g]`` index matrix per weight bit (LSB first), in the
-        natural (un-permuted) layout used for numerical computation.
-    packed_planes:
-        The storage layout actually "shipped" to the kernel: packed,
-        optionally tile-permuted and interleaved bytes per bit plane.
+        natural (un-permuted) layout.  The kernels derive the layout they
+        read from these once, at kernel compile: the numpy path its
+        reduce-major planes, the native path :func:`nibble_blocks`.
     scales / zeros:
         Per-quantization-group dequantization parameters, copied from the
         :class:`~repro.quant.uniform.QuantizedWeight`.
     """
 
     index_planes: List[np.ndarray]
-    packed_planes: List[np.ndarray]
     scales: np.ndarray
     zeros: np.ndarray
     bits: int
@@ -268,8 +188,10 @@ class PreprocessedWeights:
         return self.shape[1]
 
     def packed_bytes(self) -> int:
-        """Total bytes of the packed weight operand (all bit planes)."""
-        return int(sum(plane.size for plane in self.packed_planes))
+        """Bytes of the packed weight operand, all bit planes: two indices
+        per byte when ``g <= 4``, one otherwise."""
+        indices = self.out_features * (self.in_features // self.g)
+        return self.bits * (-(-indices // 2) if self.g <= 4 else indices)
 
 
 def preprocess_weights(
@@ -286,8 +208,9 @@ def preprocess_weights(
     config:
         Kernel configuration; ``config.bits`` must match ``qweight.bits``.
     tile_config:
-        Tile sizes used for the permutation step; defaults to
-        ``config.tile_config`` or a ``[32, 32]`` tile.
+        Layout tile recorded on the weights (sharded executors align
+        output spans to its ``m_tm``); defaults to ``config.tile_config``
+        or a ``[32, 32]`` tile.
     """
     if qweight.bits != config.bits:
         raise ValueError(
@@ -303,31 +226,16 @@ def preprocess_weights(
     planes = decompose_bits(qweight.codes, qweight.bits)
     index_planes = [group_bits(plane, config.g) for plane in planes]
 
-    packed_planes = []
-    for indices in index_planes:
-        layout = indices
-        if config.permute_weights:
-            # Permute at index granularity: K/g columns, tile_k expressed in
-            # index units.
-            tile_k_indices = max(1, tile.k_tk // config.g)
-            flat = permute_tiles(layout, tile.m_tm, tile_k_indices)
-            layout = flat.reshape(1, -1)
-        packed = pack_indices(layout, config.g)
-        if config.interleave_weights:
-            packed = interleave_packed(packed)
-        packed_planes.append(packed)
-
     # Freeze every array before publication: preprocessed weights are
     # shared across executor threads and checksummed into plan keys — a
     # writable buffer would let silent mutation invalidate both.
     scales = qweight.scales.astype(np.float32)
     zeros = qweight.zeros.astype(np.float32)
-    for arr in (*index_planes, *packed_planes, scales, zeros):
+    for arr in (*index_planes, scales, zeros):
         arr.setflags(write=False)
 
     return PreprocessedWeights(
         index_planes=index_planes,
-        packed_planes=packed_planes,
         scales=scales,
         zeros=zeros,
         bits=qweight.bits,

@@ -13,7 +13,9 @@ fits one linear coefficient per cost term —
   ``f * QG * steps * 2**(g*f)`` fetches that expand the byte-wide table
   once per activation — *not* times ``N``: the row-minor table returns
   all ``N`` activation rows per index, so the lookup cost is amortised
-  over rows,
+  over rows.  On the native path (``g = 4``, :mod:`repro.core.native`)
+  the term counts shuffles instead, ``N * ceil(M / 32) * K/g * bits``:
+  one per 32 lookups of one row, with no table expansion,
 * **aggregate** — vs. per-quantization-group block sums carried through
   the float epilogue (``N * M * QG * bits``),
 * **recombine** — vs. scale/zero recombination iterations
@@ -248,6 +250,7 @@ class CalibrationProfile:
 
 def _features(shape: ProbeShape, config) -> Tuple[int, int, int, int]:
     """(lut_elems, gather_elems, aggregate_elems, recombine_iters)."""
+    from repro.core import native
     from repro.core.lut import fusion_width
 
     groups = shape.k // config.g
@@ -255,9 +258,14 @@ def _features(shape: ProbeShape, config) -> Tuple[int, int, int, int]:
     f = fusion_width(config.g)
     fused = qgroups * -(-(shape.group_size // config.g) // f)  # QG * steps
     lut_elems = shape.n * groups * config.table_length
-    # One fetch serves N rows, in the lookups and in the table expansion.
-    gather_elems = (shape.m * fused * shape.bits
-                    + f * (fused << (config.g * f)))
+    if config.g == 4 and native.status().path != "numpy":
+        # The native phase: one shuffle per row answers 32 lookups, and
+        # no table is expanded.
+        gather_elems = shape.n * -(-shape.m // 32) * groups * shape.bits
+    else:
+        # One fetch serves N rows, in the lookups and in the expansion.
+        gather_elems = (shape.m * fused * shape.bits
+                        + f * (fused << (config.g * f)))
     aggregate_elems = shape.n * shape.m * qgroups * shape.bits
     recombine_iters = shape.n * shape.m * qgroups
     return lut_elems, gather_elems, aggregate_elems, recombine_iters
@@ -305,29 +313,53 @@ def _probe_config(bits: int, gather_variant: str = "auto",
                       chunk_elements=chunk_elements)
 
 
-def _run_probe(shape: ProbeShape, repeats: int,
-               gather_variant: str) -> ProbeResult:
-    """Time the LUT-build and matmul phases of one probe shape."""
-    config = _probe_config(shape.bits, gather_variant)
-    kernel, a = _probe_kernel(shape, config)
-    table = kernel.precompute(a)
-    lut_s = _best_seconds(lambda: kernel.precompute(a), repeats)
-    # A fresh memo per call: the span pays the table expansion, as the
-    # first kernel consuming an activation's table does.
-    span_s = _best_seconds(
-        lambda: kernel.matmul_with_table(a, replace(table, _row_minor=None)),
-        repeats)
-    feats = _features(shape, config)
-    return ProbeResult(
-        shape=shape,
-        lut_elems=feats[0],
-        gather_elems=feats[1],
-        aggregate_elems=feats[2],
-        recombine_iters=feats[3],
-        lut_build_s=lut_s,
-        span_s=span_s,
-        total_s=lut_s + span_s,
-    )
+#: Timing rounds of the probe set per requested repeat.
+_ROUNDS_PER_REPEAT = 4
+
+
+def _run_probes(shapes: Sequence[ProbeShape], repeats: int,
+                gather_variant: str) -> List[ProbeResult]:
+    """Time the LUT-build and matmul phases of every probe shape.
+
+    A round times each phase of each probe once, and a phase keeps its
+    minimum over ``repeats * _ROUNDS_PER_REPEAT`` rounds (the first one,
+    which pays one-time costs such as the kernel compile, included).
+    Interleaving the probes spreads a slow spell of a shared host over
+    all of them instead of skewing the one being timed, which the fit
+    would otherwise read as a cost term.
+    """
+    phases = []
+    for shape in shapes:
+        kernel, a = _probe_kernel(shape,
+                                  _probe_config(shape.bits, gather_variant))
+        table = kernel.precompute(a)
+        phases.append((
+            lambda kernel=kernel, a=a: kernel.precompute(a),
+            # A fresh memo per call: the span pays the table expansion,
+            # as the first kernel consuming an activation's table does.
+            lambda kernel=kernel, a=a, table=table: kernel.matmul_with_table(
+                a, replace(table, _row_minor=None))))
+    best = [[float("inf")] * 2 for _ in shapes]
+    for _ in range(repeats * _ROUNDS_PER_REPEAT):
+        for timings, probe in zip(best, phases):
+            for i, fn in enumerate(probe):
+                t0 = time.perf_counter()
+                fn()
+                timings[i] = min(timings[i], time.perf_counter() - t0)
+    results = []
+    for shape, (lut_s, span_s) in zip(shapes, best):
+        feats = _features(shape, _probe_config(shape.bits))
+        results.append(ProbeResult(
+            shape=shape,
+            lut_elems=feats[0],
+            gather_elems=feats[1],
+            aggregate_elems=feats[2],
+            recombine_iters=feats[3],
+            lut_build_s=lut_s,
+            span_s=span_s,
+            total_s=lut_s + span_s,
+        ))
+    return results
 
 
 def _race_gather_variants(repeats: int) -> Tuple[str, Dict[str, float]]:
@@ -472,8 +504,8 @@ def calibrate(
     else:
         chunk_best, chunk_timings = None, {}
 
-    probes = [_run_probe(ProbeShape(*spec), repeats, gather_variant)
-              for spec in shapes]
+    probes = _run_probes([ProbeShape(*spec) for spec in shapes], repeats,
+                         gather_variant)
     coefficients = _fit(probes)
 
     profile = CalibrationProfile(

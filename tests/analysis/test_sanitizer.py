@@ -182,7 +182,6 @@ class _FakeWeights:
         self.scales = rng.normal(size=(8, 4)).astype(np.float32)
         self.zeros = rng.normal(size=(8, 4)).astype(np.float32)
         self.index_planes = [rng.integers(0, 16, size=(8, 16)).astype("u1")]
-        self.packed_planes = [rng.integers(0, 255, size=(8, 8)).astype("u1")]
 
 
 class _FakePlan:

@@ -32,7 +32,7 @@ def make_plan(bits=4, mirrored=True):
 class TestPreprocessedWeightsFrozen:
     def test_every_array_is_read_only(self, small_qweight):
         pw = preprocess_weights(small_qweight, TMACConfig(bits=4))
-        arrays = [pw.scales, pw.zeros, *pw.index_planes, *pw.packed_planes]
+        arrays = [pw.scales, pw.zeros, *pw.index_planes]
         assert arrays
         for arr in arrays:
             assert not arr.flags.writeable
@@ -66,10 +66,11 @@ class TestGatherTablesFrozen:
 
 class TestIntegerKernelFrozen:
     def test_default_matmul_publishes_only_frozen_integer_artifacts(self):
-        """The default config compiles the integer LUT kernel: its arrays,
-        the table's fused row-minor slabs and the cached index vectors that
-        build them are read-only, and the gather tables of the float
-        closures are never built."""
+        """The default config compiles the integer LUT kernel: its arrays
+        (nibble blocks on the native path, planes on numpy's), the table's
+        fused row-minor slabs and the cached index vectors that build them
+        are read-only, and the gather tables of the float closures are
+        never built."""
         plan, config = make_plan()
         kernel = TMACKernel.from_plan(plan, config)
         activation = np.random.default_rng(5).standard_normal(
@@ -82,12 +83,14 @@ class TestIntegerKernelFrozen:
         selectors = _fusion_selectors(table.g, plan.num_qgroups)
         assert len(selectors) == fusion_width(table.g)
         assert selectors is _fusion_selectors(table.g, plan.num_qgroups)
-        for arr in (compiled.planes, compiled.scales_t, compiled.sz_t,
+        index = compiled.planes if compiled.path == "numpy" else (
+            compiled.nibbles)
+        for arr in (index, compiled.scales_t, compiled.sz_t,
                     table.row_minor(), table.row_minor(1, 3), *selectors):
             assert not arr.flags.writeable
         assert table.row_minor() is table.row_minor()
         with pytest.raises(ValueError):
-            compiled.planes[0, 0, 0, 0] = 1
+            index[0, 0, 0] = 1
         with pytest.raises(ValueError):
             table.row_minor()[0, 0, 0] = 1
         with pytest.raises(ValueError):

@@ -5,15 +5,12 @@ import pytest
 
 from repro.core.config import TMACConfig
 from repro.core.weights import (
-    deinterleave_packed,
     group_bits,
-    interleave_packed,
+    nibble_blocks,
     pack_indices,
-    permute_tiles,
     preprocess_weights,
     ungroup_bits,
     unpack_indices,
-    unpermute_tiles,
 )
 from repro.quant.uniform import quantize_weights
 
@@ -78,56 +75,45 @@ class TestPacking:
         np.testing.assert_array_equal(unpack_indices(packed, 8, g=6), indices)
 
 
-class TestInterleaving:
+def unpack_blocks(nibbles: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of :func:`nibble_blocks`: ``[bits, M, K/g]`` indices."""
+    bits, groups, _ = nibbles.shape
+    body = nibbles.reshape(bits, groups, -1, 16)
+    rows = np.concatenate([body & 0x0F, body >> 4], axis=3)
+    return rows.reshape(bits, groups, -1)[:, :, :m].transpose(0, 2, 1)
+
+
+class TestNibbleBlocks:
     def test_round_trip(self, rng):
-        packed = rng.integers(0, 256, size=(3, 64)).astype(np.uint8)
-        interleaved = interleave_packed(packed)
-        restored = deinterleave_packed(interleaved)
-        np.testing.assert_array_equal(restored, packed)
+        planes = [rng.integers(0, 16, size=(70, 9)).astype(np.uint8)
+                  for _ in range(3)]
+        nibbles = nibble_blocks(planes)
+        assert nibbles.shape == (3, 9, 3 * 16)  # ceil(70 / 32) blocks
+        assert not nibbles.flags.writeable
+        np.testing.assert_array_equal(unpack_blocks(nibbles, 70),
+                                      np.stack(planes))
 
-    def test_is_a_permutation_of_nibbles(self, rng):
-        packed = rng.integers(0, 256, size=(1, 32)).astype(np.uint8)
-        interleaved = interleave_packed(packed)
-        original_nibbles = sorted(
-            list(packed[0] & 0x0F) + list(packed[0] >> 4))
-        new_nibbles = sorted(
-            list(interleaved[0] & 0x0F) + list(interleaved[0] >> 4))
-        assert original_nibbles == new_nibbles
+    def test_is_a_permutation_of_indices(self, rng):
+        plane = rng.integers(0, 16, size=(64, 1)).astype(np.uint8)
+        nibbles = nibble_blocks([plane])[0, 0]
+        assert sorted(list(nibbles & 0x0F) + list(nibbles >> 4)) == sorted(
+            plane[:, 0])
 
-    def test_low_nibbles_come_from_first_half(self, rng):
-        """After interleaving, AND 0x0F yields the first block's indices in
-        order (the Figure 4 fast-unpack property)."""
-        indices = np.arange(64, dtype=np.uint8) % 16
-        packed = pack_indices(indices[None, :], g=4)  # 32 bytes = 1 block
-        interleaved = interleave_packed(packed, span=16)
-        low = interleaved[0, :16] & 0x0F
-        np.testing.assert_array_equal(low, indices[:16])
-        high = interleaved[0, :16] >> 4
-        np.testing.assert_array_equal(high, indices[16:32])
+    def test_low_nibbles_come_from_first_half(self):
+        """AND 0x0F yields rows 0-15 of a 32-row block in order and
+        SHR 4 rows 16-31 (the Figure 4 fast-unpack property)."""
+        indices = np.arange(32, dtype=np.uint8)
+        indices[16:] = 15 - indices[:16]
+        nibbles = nibble_blocks([indices[:, None]])[0, 0]
+        np.testing.assert_array_equal(nibbles & 0x0F, indices[:16])
+        np.testing.assert_array_equal(nibbles >> 4, indices[16:])
 
-    def test_short_rows_unchanged(self, rng):
-        packed = rng.integers(0, 256, size=(2, 8)).astype(np.uint8)
-        np.testing.assert_array_equal(interleave_packed(packed), packed)
-
-
-class TestPermutation:
-    def test_round_trip(self, rng):
-        mat = rng.integers(0, 256, size=(12, 20)).astype(np.uint8)
-        flat = permute_tiles(mat, tile_m=4, tile_k=8)
-        assert flat.shape == (12 * 20,)
-        np.testing.assert_array_equal(
-            unpermute_tiles(flat, (12, 20), 4, 8), mat)
-
-    def test_tiles_are_contiguous(self):
-        mat = np.arange(16).reshape(4, 4)
-        flat = permute_tiles(mat, tile_m=2, tile_k=2)
-        np.testing.assert_array_equal(flat[:4], [0, 1, 4, 5])
-        np.testing.assert_array_equal(flat[4:8], [2, 3, 6, 7])
-
-    def test_ragged_edges(self, rng):
-        mat = rng.integers(0, 100, size=(5, 7))
-        flat = permute_tiles(mat, tile_m=2, tile_k=3)
-        np.testing.assert_array_equal(unpermute_tiles(flat, (5, 7), 2, 3), mat)
+    def test_partial_block_padded_with_zero(self, rng):
+        plane = rng.integers(1, 16, size=(20, 2)).astype(np.uint8)
+        nibbles = nibble_blocks([plane])
+        assert nibbles.shape == (1, 2, 16)
+        assert not (nibbles[0, :, 4:] >> 4).any()  # rows 20-31
+        np.testing.assert_array_equal(unpack_blocks(nibbles, 20)[0], plane)
 
 
 class TestPreprocessWeights:
@@ -135,7 +121,7 @@ class TestPreprocessWeights:
         config = TMACConfig(bits=4)
         pre = preprocess_weights(small_qweight, config)
         assert len(pre.index_planes) == 4
-        assert len(pre.packed_planes) == 4
+        assert pre.packed_bytes() == 4 * 48 * (256 // 4) // 2
         assert pre.shape == (48, 256)
         assert pre.permuted and pre.interleaved
 

@@ -1,7 +1,7 @@
 """Property-based tests for the T-MAC core invariants."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -10,16 +10,15 @@ from repro.core.bitserial import compose_bits, decompose_bits
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
 from repro.core.lut import build_lut, lookup, precompute_lut
+from repro.core import native
+from repro.core.plan import build_plan
 from repro.core.specialize import IntegerLutKernel, specialization_key
 from repro.core.weights import (
-    deinterleave_packed,
     group_bits,
-    interleave_packed,
+    nibble_blocks,
     pack_indices,
-    permute_tiles,
     ungroup_bits,
     unpack_indices,
-    unpermute_tiles,
 )
 from repro.quant.uniform import QuantizedWeight, quantize_weights
 
@@ -56,25 +55,25 @@ class TestLayoutProperties:
             unpack_indices(packed, indices.shape[1], g=4), indices)
 
     @given(
-        packed=hnp.arrays(dtype=np.uint8, shape=(2, 48),
-                          elements=st.integers(0, 255)),
+        planes=hnp.arrays(dtype=np.uint8,
+                          shape=st.tuples(st.integers(1, 4),
+                                          st.integers(1, 70),
+                                          st.integers(1, 6)),
+                          elements=st.integers(0, 15)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_interleave_round_trip(self, packed):
-        np.testing.assert_array_equal(
-            deinterleave_packed(interleave_packed(packed)), packed)
-
-    @given(
-        matrix=hnp.arrays(dtype=np.int32, shape=(7, 11),
-                          elements=st.integers(-100, 100)),
-        tile_m=st.integers(1, 8),
-        tile_k=st.integers(1, 12),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_permute_round_trip(self, matrix, tile_m, tile_k):
-        flat = permute_tiles(matrix, tile_m, tile_k)
-        np.testing.assert_array_equal(
-            unpermute_tiles(flat, matrix.shape, tile_m, tile_k), matrix)
+    def test_nibble_blocks_round_trip(self, planes):
+        """Byte i of a 32-row block holds rows i and 16 + i; the padding
+        rows of the last block are zero."""
+        bits, m, groups = planes.shape
+        nibbles = nibble_blocks(list(planes))
+        assert nibbles.shape == (bits, groups, -(-m // 32) * 16)
+        body = nibbles.reshape(bits, groups, -1, 16)
+        rows = np.concatenate([body & 15, body >> 4], axis=3).reshape(
+            bits, groups, -1)
+        np.testing.assert_array_equal(rows[:, :, :m],
+                                      planes.transpose(0, 2, 1))
+        assert not rows[:, :, m:].any()
 
 
 class TestLutProperties:
@@ -189,12 +188,21 @@ class TestRowConcatenationProperties:
                             for qw in parts], axis=1))
 
 
+def integer_phases():
+    """The integer phases a ``g = 4`` kernel can run here: the native
+    ones this host builds, and the numpy fallback."""
+    host = native.status().path
+    return {"avx2": ("avx2", "scalar"), "scalar": ("scalar",)}.get(
+        host, ()) + ("numpy",)
+
+
 class TestIntegerLutKernelProperties:
     @given(
         bits=st.integers(1, 4),
         # One byte-wide lookup fuses f = max(1, 8 // g) indices: g=1 -> 8,
-        # g=2 -> 4, g=4 -> 2 (the packed uint4[2] byte), g=8 -> 1.
-        g=st.sampled_from([1, 2, 4, 8]),
+        # g=2 -> 4, g=4 -> 2 (the packed uint4[2] byte), g=8 -> 1.  g=4,
+        # the native kernel's, is drawn twice as often.
+        g=st.sampled_from([1, 2, 4, 4, 8]),
         # Groups per quantization group: 258 is the last block length whose
         # sums fit the int16 accumulator (258 * 127 = 32766), 259 the first
         # that needs int32; g=1 with gpq=512 is group_size=512.  3 and 259
@@ -208,22 +216,34 @@ class TestIntegerLutKernelProperties:
         # factors (a power of two), 1/3 takes the unfolded pass.
         s1=st.sampled_from([1.0, 1.5]),
         n=st.sampled_from([1, 2, 3, 8, 33]),
-        m=st.integers(1, 40),
-        span=st.tuples(st.integers(0, 39), st.integers(1, 40)),
+        # 97 and 688 end in a partial 32-row nibble block.
+        m=st.one_of(st.integers(1, 40), st.sampled_from([97, 688])),
+        span=st.tuples(st.integers(0, 687), st.integers(1, 688)),
         budget=st.sampled_from([1, 1 << 10, 1 << 24]),
         # Rows per expanded-table block: at n=33, 5 leaves a short last
         # block, 32 a one-row one.
         block_rows=st.sampled_from([1, 5, 32]),
         seed=st.integers(0, 1000),
     )
+    # Native corners: int32 sums over a partial last block, int16 sums of
+    # 33 rows on 97 rows, 8 rows at the int16 bound.
+    @example(bits=4, g=4, gpq=259, qgroups=1, mirrored=True, s1=1.0, n=1,
+             m=688, span=(45, 600), budget=1 << 24, block_rows=5, seed=1)
+    @example(bits=3, g=4, gpq=16, qgroups=2, mirrored=False, s1=1.5, n=33,
+             m=97, span=(5, 70), budget=1 << 10, block_rows=32, seed=2)
+    @example(bits=1, g=4, gpq=258, qgroups=2, mirrored=False, s1=1.0, n=8,
+             m=97, span=(33, 64), budget=1, block_rows=1, seed=3)
     @settings(max_examples=60, deadline=None)
     def test_bit_identical_to_loop_oracle(self, bits, g, gpq, qgroups,
                                           mirrored, s1, n, m, span, budget,
                                           block_rows, seed):
-        """The integer LUT kernel ``np.array_equal``s the loop oracle on
-        full calls and on tile-unaligned output spans under any budget,
-        whether or not the budget splits the activation rows."""
+        """Every integer phase — at ``g = 4`` the AVX2 and the scalar
+        native ones and the numpy one, at other ``g`` numpy — makes the
+        kernel ``np.array_equal`` the loop oracle on full calls and on
+        output spans not aligned to 32 rows under any budget, whether or
+        not the budget splits the activation rows."""
         assume(g * gpq <= 1040)  # keeps the tables small
+        assume(n * m * gpq <= 1 << 20)  # and the oracle's temporaries
         group_size = g * gpq
         k = group_size * qgroups
         rng = np.random.default_rng(seed)
@@ -234,34 +254,44 @@ class TestIntegerLutKernelProperties:
         config = TMACConfig(bits=bits, g=g, mirror_consolidation=mirrored,
                             s0=-s1, s1=s1, executor="vectorized",
                             specialize=True)
-        kernel = TMACKernel(qw, config)
-        oracle = TMACKernel.from_plan(
-            kernel.plan, config.with_options(executor="loop")).matmul(a)
-        np.testing.assert_array_equal(kernel.matmul(a), oracle)
-
-        table = kernel.precompute(a)
-        compiled = kernel.plan.specialized(specialization_key(table, config))
-        assert isinstance(compiled, IntegerLutKernel)
-        assert compiled.acc_dtype == (
-            np.int16 if gpq * 127 <= 32767 else np.int32)
-        f = {1: 8, 2: 4, 4: 2, 8: 1}[g]
-        assert compiled.steps == -(-gpq // f)
-        assert compiled.planes.shape == (compiled.steps, m, bits, qgroups)
-        # QG * 256 addresses per slab at every one of these widths.
-        assert compiled.planes.dtype == (
-            np.uint8 if qgroups == 1 else np.uint16)
-        assert table.fused_entries == compiled.steps * qgroups * 256
+        oracle = TMACKernel(qw, config.with_options(executor="loop")).matmul(
+            a)
         m0 = span[0] % m
         m1 = m0 + 1 + (span[1] - 1) % (m - m0)
         group_sums = a.reshape(n, qgroups, -1).sum(axis=2)
-        shard = compiled.recombine_span(table, group_sums, m0, m1, budget)
-        np.testing.assert_array_equal(shard.astype(np.float32),
-                                      oracle[:, m0:m1])
-        # The budget bounds the expanded table: rows are split into blocks
-        # that each fit it, and the result does not change by a bit.
-        row_budget = block_rows * table.fused_entries
-        assert compiled.block_rows(table, row_budget) == block_rows
-        assert table.row_minor(0, min(block_rows, n)).size <= row_budget
-        blocked = compiled.recombine_span(table, group_sums, m0, m1,
-                                          row_budget)
-        np.testing.assert_array_equal(blocked, shard)
+        for path in integer_phases() if g == 4 else ("numpy",):
+            # A fresh plan per path: the compiled kernel is cached on it.
+            kernel = TMACKernel.from_plan(build_plan(qw, config), config)
+            with native.force(path):
+                np.testing.assert_array_equal(kernel.matmul(a), oracle)
+            table = kernel.precompute(a)
+            compiled = kernel.plan.specialized(
+                specialization_key(table, config))
+            assert isinstance(compiled, IntegerLutKernel)
+            assert compiled.path == path
+            assert compiled.acc_dtype == (
+                np.int16 if gpq * 127 <= 32767 else np.int32)
+            shard = compiled.recombine_span(table, group_sums, m0, m1,
+                                            budget)
+            np.testing.assert_array_equal(shard.astype(np.float32),
+                                          oracle[:, m0:m1])
+            if path != "numpy":
+                assert not compiled.nibbles.flags.writeable
+                continue
+            f = {1: 8, 2: 4, 4: 2, 8: 1}[g]
+            assert compiled.steps == -(-gpq // f)
+            assert compiled.planes.shape == (compiled.steps, m, bits,
+                                             qgroups)
+            # QG * 256 addresses per slab at every one of these widths.
+            assert compiled.planes.dtype == (
+                np.uint8 if qgroups == 1 else np.uint16)
+            assert table.fused_entries == compiled.steps * qgroups * 256
+            # The budget bounds the expanded table: rows are split into
+            # blocks that each fit it, and the result does not change by
+            # a bit.
+            row_budget = block_rows * table.fused_entries
+            assert compiled.block_rows(table, row_budget) == block_rows
+            assert table.row_minor(0, min(block_rows, n)).size <= row_budget
+            blocked = compiled.recombine_span(table, group_sums, m0, m1,
+                                              row_budget)
+            np.testing.assert_array_equal(blocked, shard)
