@@ -112,7 +112,7 @@ class TMACKernel:
             if not plan.compatible_with(self.config):
                 raise ValueError(
                     "plan layout is incompatible with the given config "
-                    "(bits/g/s0/s1/permutation/interleaving/tiling must match)"
+                    "(bits/g/s0/s1/tiling must match)"
                 )
         self.plan = plan
         self.executor: KernelExecutor = get_executor(self.config.executor)

@@ -2,21 +2,24 @@
 
 The first process that needs it compiles ``tlut.c`` with the host ``cc``
 (``-O2 -fPIC -shared -ffp-contract=off``) into a per-host cache,
-``~/.cache/repro``, falling back to the temp directory.  The file name is
-a hash of the source, the flags and the compiler version, and the file
-is published atomically (a private temp file, then ``os.replace``), so
-concurrent builds leave one complete file.  A cached file that does not
-load is rebuilt.  The library is loaded with :mod:`ctypes`, which
-releases the GIL for the whole call.
+``~/.cache/repro``, falling back to ``repro-cache-<uid>`` in the temp
+directory.  Loading a shared object runs its constructors, so a cache
+directory or file is used only when this user owns it and no one else
+can write it.  The file name is a hash of the source, the flags and the
+compiler version, and the file is published atomically (a private temp
+file, then ``os.replace``), so concurrent builds leave one complete
+file.  A cached file that does not load is rebuilt.  The library is
+loaded with :mod:`ctypes`, which releases the GIL for the whole call.
 
-When there is no compiler, or the build or the load fails,
-:func:`status` records why and :func:`backend` returns ``None``: the
-kernel keeps its numpy integer phase.  Command line::
+The lookup is AVX2 only.  When there is no compiler, the build or the
+load fails, or the CPU lacks AVX2, :func:`status` records why and
+:func:`backend` returns ``None``: the kernel keeps its numpy integer
+phase.  Command line::
 
     python -m repro.core.native [--require-native]
 
-prints the path a kernel would take (``avx2`` / ``scalar`` / ``numpy``),
-the reason and the cache file; ``--require-native`` exits 1 on ``numpy``.
+prints the path a kernel would take (``avx2`` / ``numpy``), the reason
+and the cache file; ``--require-native`` exits 1 on ``numpy``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 import threading
@@ -39,8 +43,6 @@ __all__ = ["Status", "Backend", "backend", "status", "build", "force",
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "tlut.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-#: The ``TLUT_*`` instruction-set codes of ``tlut.c`` (0 is "best").
-ISAS = {"scalar": 1, "avx2": 2}
 
 
 class BuildError(RuntimeError):
@@ -50,19 +52,18 @@ class BuildError(RuntimeError):
 class Status(NamedTuple):
     """The path kernels take, why, and the shared object behind it."""
 
-    path: str  # "avx2" | "scalar" | "numpy"
+    path: str  # "avx2" | "numpy"
     reason: str
     library: Optional[str]
 
 
 class Backend:
-    """The loaded library, bound to one instruction set."""
+    """The loaded library on a CPU that runs it."""
 
-    def __init__(self, lib: ctypes.CDLL, isa: int):
+    path = "avx2"
+
+    def __init__(self, lib: ctypes.CDLL):
         self._block_sums = lib.tlut_block_sums
-        self.isa = isa or lib.tlut_best_isa()
-        self.path = next(name for name, code in ISAS.items()
-                         if code == self.isa)
 
     def block_sums(self, nibbles: np.ndarray, values: np.ndarray, gpq: int,
                    m0: int, m1: int, dtype) -> np.ndarray:
@@ -86,8 +87,8 @@ class Backend:
         ran = self._block_sums(
             nibbles.ctypes.data, bits, groups, row_bytes, values.ctypes.data,
             rows, stored, gpq, m0, m1, out.ctypes.data,
-            int(out.itemsize == 4), self.isa)
-        if ran < 0:  # -1 out of memory, -2 isa not supported by this CPU
+            int(out.itemsize == 4))
+        if ran < 0:  # -1 out of memory, -2 no AVX2 on this CPU
             raise RuntimeError(f"tlut_block_sums failed ({ran})")
         return out
 
@@ -95,7 +96,17 @@ class Backend:
 def cache_dirs() -> List[str]:
     """Where the shared object is cached, in order of preference."""
     return [os.path.join(os.path.expanduser("~"), ".cache", "repro"),
-            os.path.join(tempfile.gettempdir(), "repro-cache")]
+            os.path.join(tempfile.gettempdir(), f"repro-cache-{os.getuid()}")]
+
+
+def _check_private(path: str) -> None:
+    """Raise ``OSError`` unless this user owns ``path`` (not a symlink)
+    and neither group nor others can write it."""
+    info = os.lstat(path)
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise OSError(f"{path}: owned by uid {info.st_uid} with mode "
+                      f"{stat.filemode(info.st_mode)}, not private to uid "
+                      f"{os.getuid()}")
 
 
 def _compiler() -> Tuple[str, str]:
@@ -116,29 +127,32 @@ def _bind(path: str) -> ctypes.CDLL:
     fn = lib.tlut_block_sums
     ptr, i64, c_int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
     fn.argtypes = [ptr, i64, i64, i64, ptr, i64, i64, i64, i64, i64, ptr,
-                   c_int, c_int]
+                   c_int]
     fn.restype = c_int
-    lib.tlut_best_isa.argtypes = []
-    lib.tlut_best_isa.restype = c_int
+    lib.tlut_supported.argtypes = []
+    lib.tlut_supported.restype = c_int
     return lib
 
 
 def build(cache_dir: str) -> str:
     """The loadable shared object in ``cache_dir``, compiled if missing or
-    corrupt; returns its path."""
+    corrupt; returns its path.  Raises ``OSError`` when ``cache_dir`` is
+    not private to this user."""
     cc, version = _compiler()
     digest = hashlib.sha256()
     with open(SOURCE, "rb") as fh:
         digest.update(fh.read())
     digest.update("\0".join((*FLAGS, version)).encode())
     path = os.path.join(cache_dir, f"tlut-{digest.hexdigest()[:16]}.so")
+    os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+    _check_private(cache_dir)
     if os.path.exists(path):
         try:
+            _check_private(path)
             _bind(path)
             return path
         except (OSError, AttributeError):
-            pass  # corrupt or truncated: rebuild it
-    os.makedirs(cache_dir, exist_ok=True)
+            pass  # corrupt, truncated or not private: rebuild it
     fd, tmp = tempfile.mkstemp(prefix=".tlut-", suffix=".so", dir=cache_dir)
     os.close(fd)
     try:
@@ -146,6 +160,7 @@ def build(cache_dir: str) -> str:
                               capture_output=True, text=True, timeout=300)
         if proc.returncode:
             raise BuildError(f"{version} failed: {proc.stderr.strip()[-400:]}")
+        os.chmod(tmp, 0o700)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -153,7 +168,7 @@ def build(cache_dir: str) -> str:
     return path
 
 
-def _load() -> Tuple[Optional[ctypes.CDLL], Status]:
+def _load() -> Tuple[Optional[Backend], Status]:
     errors = []
     for directory in cache_dirs():
         try:
@@ -164,20 +179,20 @@ def _load() -> Tuple[Optional[ctypes.CDLL], Status]:
         except (OSError, AttributeError, subprocess.SubprocessError) as exc:
             errors.append(f"{directory}: {exc}")
             continue
-        best = Backend(lib, 0).path
-        return lib, Status(best, f"loaded; {best} is the best path this "
-                                 "CPU supports", path)
+        if not lib.tlut_supported():
+            return None, Status("numpy", "this CPU lacks AVX2", path)
+        return Backend(lib), Status(Backend.path, "loaded", path)
     return None, Status("numpy", "; ".join(errors), None)
 
 
 _LOCK = threading.Lock()
-#: ``(library or None, Status)`` once the first caller has loaded it.
-_STATE: Optional[Tuple[Optional[ctypes.CDLL], Status]] = None
+#: ``(Backend or None, Status)`` once the first caller has loaded it.
+_STATE: Optional[Tuple[Optional[Backend], Status]] = None
 #: Test hook (:func:`force`): the path kernels compiled now take.
 _FORCED: Optional[str] = None
 
 
-def _state() -> Tuple[Optional[ctypes.CDLL], Status]:
+def _state() -> Tuple[Optional[Backend], Status]:
     global _STATE
     with _LOCK:
         if _STATE is None:
@@ -193,18 +208,17 @@ def status() -> Status:
 
 def backend() -> Optional[Backend]:
     """The native integer phase, or ``None`` for the numpy fallback."""
-    lib = _state()[0]
-    if lib is None or _FORCED == "numpy":
+    if _FORCED == "numpy":
         return None
-    return Backend(lib, ISAS.get(_FORCED, 0))
+    return _state()[0]
 
 
 @contextmanager
 def force(path: str):
-    """Test hook: kernels compiled inside take ``path`` (``"avx2"``,
-    ``"scalar"`` or ``"numpy"``)."""
+    """Test hook: kernels compiled inside take ``path`` (``"avx2"``, the
+    host's path when it builds the library, or ``"numpy"``)."""
     global _FORCED
-    if path not in (*ISAS, "numpy"):
+    if path not in (Backend.path, "numpy"):
         raise ValueError(f"unknown path {path!r}")
     previous, _FORCED = _FORCED, path
     try:

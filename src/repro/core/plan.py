@@ -1,8 +1,8 @@
 """Offline kernel plans and the process-wide plan cache.
 
 Algorithm 1 splits the T-MAC kernel into an *offline* stage (weights are
-bit-plane decomposed, grouped, packed, permuted and interleaved once — they
-never change during inference) and an *online* stage (per-activation table
+bit-plane decomposed and grouped once — they never change during
+inference) and an *online* stage (per-activation table
 precompute, lookup, aggregation).  :class:`KernelPlan` is the materialized
 offline stage: everything derivable from ``(quantized weights, config)``
 alone, built once and shared by every executor and every request that uses
@@ -14,7 +14,10 @@ codes/scales/zeros, and :class:`PlanCache` memoizes plans process-wide under
 fields that change the offline artifacts enter the key — execution-time
 knobs (table quantization, fast aggregation, LUT scale granularity,
 executor choice) deliberately do not, so e.g. ``T-MAC`` and ``T-MAC (+FA)``
-share one plan for the same weights.
+share one plan for the same weights.  Neither do the permutation and
+interleaving flags: the packed layout a kernel reads is built at kernel
+compile, the same for every setting of them (the flags drive only the
+SIMD cost profile, :mod:`repro.simd.profile`).
 
 The cache is what lets :func:`repro.core.gemm.tmac_gemm` /
 :func:`~repro.core.gemm.tmac_gemv` be called repeatedly against the same
@@ -138,8 +141,7 @@ class KernelPlan:
     config:
         The configuration the plan was built with.  Executors may run the
         plan under a *different* config as long as the layout-relevant
-        fields (``bits``, ``g``, ``s0``/``s1``, permutation, interleaving,
-        tiling) agree — see :meth:`compatible_with`.
+        fields (``bits``, ``g``, ``s0``/``s1``, tiling) agree — see :meth:`compatible_with`.
     weights:
         The preprocessed weight operand (index planes, scales, zeros).
     transform:
@@ -344,8 +346,7 @@ class KernelPlan:
 
         Shard boundaries are aligned to the layout tile ``m_tm`` the
         weights were packed with, so a shard always covers whole weight
-        tiles (the unit the offline permutation/interleaving laid out
-        contiguously), and the spans are balanced to within one tile.
+        tiles (the layout unit recorded on the weights), and the spans are balanced to within one tile.
         Returns ``[(m0, m1), ...]`` covering ``[0, M)`` exactly, in order;
         fewer than ``num_tiles`` spans when M holds fewer layout tiles.
 
@@ -407,8 +408,6 @@ def _layout_key(
         config.g,
         config.s0,
         config.s1,
-        config.permute_weights,
-        config.interleave_weights,
         tile_key,
     )
 

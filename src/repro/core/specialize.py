@@ -30,8 +30,8 @@ that one hook.  Three kernels exist:
   are the same integers, so the unchanged epilogue keeps the output
   bit-identical.  Compiled whenever the library loads and the plan's own
   index planes are at hand; without a compiler, after a failed build or
-  load, at ``g != 4`` and in process workers (which receive ``planes``)
-  the numpy integer phase runs.
+  load, without AVX2, at ``g != 4`` and in process workers (which receive
+  ``planes``) the numpy integer phase runs (:func:`runs_native`).
 * :class:`SpecializedKernel` — branch-resolved float closures for the
   modes whose float sums are order-sensitive (unquantized tables, fine
   scale granularity, fast aggregation).  Bit-identical to the generic
@@ -60,6 +60,8 @@ __all__ = [
     "specialization_key",
     "compile_specialized",
     "maybe_specialized",
+    "native_phase",
+    "runs_native",
     "resolve_gather_variant",
     "set_default_gather_variant",
     "default_gather_variant",
@@ -533,10 +535,34 @@ class NativeLutKernel(IntegerLutKernel):
                                       self.acc_dtype).astype(np.float64)
 
     def block_rows(self, table, budget: int) -> int:
-        return table.num_rows  # the tables are read as they are
+        return max(1, table.num_rows)  # the tables are read as they are
 
     def warm(self, table, budget: int) -> None:
         pass  # nothing shared to build
+
+
+def native_phase(g: int):
+    """The native integer phase an integer kernel at ``g`` compiles with,
+    or ``None`` for numpy's (building the library on first use)."""
+    if g != 4:
+        return None
+    from repro.core import native
+
+    return native.backend()
+
+
+def runs_native(config, group_size: int) -> bool:
+    """Whether a kernel under ``config`` on quantization groups of
+    ``group_size`` runs the native integer phase: a specialized integer
+    key (:func:`specialization_key`), in this process, on a host
+    :func:`native_phase` serves — the condition
+    :func:`compile_specialized` acts on, for the cost model."""
+    integer = (config.table_quantization and not config.fast_aggregation
+               and config.lut_scale_granularity == "group"
+               and group_size // config.g > 1)
+    return (integer and config.specialize
+            and config.executor in ("vectorized", "parallel")
+            and native_phase(config.g) is not None)
 
 
 def compile_specialized(plan, key: SpecializationKey, artifacts=None):
@@ -563,11 +589,7 @@ def compile_specialized(plan, key: SpecializationKey, artifacts=None):
         sz_t.setflags(write=False)
         epilogue = dict(gpq=plan.groups_per_qgroup, scales_t=scales_t,
                         sz_t=sz_t, alpha=alpha, beta=beta)
-        backend = None
-        if artifacts is None and plan.g == 4:
-            from repro.core import native
-
-            backend = native.backend()
+        backend = native_phase(plan.g) if artifacts is None else None
         if backend is not None:
             kernel = NativeLutKernel(
                 key, index_planes=plan.weights.index_planes, native=backend,

@@ -16,9 +16,9 @@
  * (entry p >= 8 is -T[15 - p]); the full 16-entry table is rebuilt once
  * per call and one PSHUFB against it answers 32 weight rows.
  *
- * An AVX2 path and a portable scalar path are built into the same object;
- * isa selects one (TLUT_AUTO picks the best the CPU supports).  Integer
- * sums do not depend on order, so both produce identical bytes.
+ * The lookup is AVX2 only.  tlut_supported() reports whether this CPU has
+ * it; without it the caller keeps its numpy integer phase, which a scalar
+ * C loop did not beat on any bench shape.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off tlut.c -o tlut.so
  */
@@ -32,8 +32,6 @@
 #define TLUT_X86 1
 #endif
 
-enum { TLUT_AUTO = 0, TLUT_SCALAR = 1, TLUT_AVX2 = 2 };
-
 typedef struct {
     const uint8_t *nibbles; /* [bits, groups, row_bytes] */
     int64_t groups;         /* J = K / 4 */
@@ -46,16 +44,17 @@ typedef struct {
     int wide;
 } job_t;
 
-int tlut_best_isa(void)
+int tlut_supported(void)
 {
 #ifdef TLUT_X86
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2"))
-        return TLUT_AVX2;
+    return __builtin_cpu_supports("avx2") != 0;
+#else
+    return 0;
 #endif
-    return TLUT_SCALAR;
 }
 
+#ifdef TLUT_X86
 /* Row n's block sums of one 32-row block: the rows of [lo, lo + 32) that
  * fall in [m0, m1) go to S[bit, qg, n, row - m0]. */
 static void store_block(const job_t *jb, const int32_t *acc, int64_t bit,
@@ -73,33 +72,6 @@ static void store_block(const job_t *jb, const int32_t *acc, int64_t bit,
     }
 }
 
-static void run_scalar(const job_t *jb)
-{
-    int32_t acc[32];
-    for (int64_t bit = 0; bit < jb->bits; bit++)
-        for (int64_t qg = 0; qg < jb->qgroups; qg++) {
-            int64_t j0 = qg * jb->gpq;
-            const uint8_t *plane =
-                jb->nibbles + (bit * jb->groups + j0) * jb->row_bytes;
-            for (int64_t lo = jb->m0 & ~(int64_t)31; lo < jb->m1; lo += 32)
-                for (int64_t n = 0; n < jb->rows; n++) {
-                    const int8_t *tab = jb->tab + (n * jb->groups + j0) * 16;
-                    memset(acc, 0, sizeof acc);
-                    for (int64_t j = 0; j < jb->gpq; j++) {
-                        const uint8_t *byte =
-                            plane + j * jb->row_bytes + lo / 2;
-                        const int8_t *t = tab + j * 16;
-                        for (int i = 0; i < 16; i++) {
-                            acc[i] += t[byte[i] & 15];
-                            acc[i + 16] += t[byte[i] >> 4];
-                        }
-                    }
-                    store_block(jb, acc, bit, qg, n, lo);
-                }
-        }
-}
-
-#ifdef TLUT_X86
 __attribute__((target("avx2")))
 static void run_avx2(const job_t *jb, uint8_t *idx)
 {
@@ -193,21 +165,22 @@ static void run_avx2(const job_t *jb, uint8_t *idx)
 }
 #endif
 
-/* Returns the isa that ran, -1 when out of memory, -2 when the requested
- * isa is not available on this CPU. */
+/* Returns 0, -1 when out of memory, -2 when this CPU lacks AVX2. */
 int tlut_block_sums(const uint8_t *nibbles, int64_t bits, int64_t groups,
                     int64_t row_bytes, const int8_t *table, int64_t rows,
                     int64_t stored, int64_t gpq, int64_t m0, int64_t m1,
-                    void *out, int wide, int isa)
+                    void *out, int wide)
 {
-    int best = tlut_best_isa();
-    if (isa == TLUT_AUTO)
-        isa = best;
-    if (isa > best)
+    if (!tlut_supported())
         return -2;
+#ifdef TLUT_X86
     int8_t *tab = malloc((size_t)(rows * groups * 16));
-    if (tab == NULL)
+    uint8_t *idx = aligned_alloc(32, (size_t)(gpq * 32));
+    if (tab == NULL || idx == NULL) {
+        free(tab);
+        free(idx);
         return -1;
+    }
     /* The full 16-entry tables; a mirrored table's upper half is the
      * negated, reversed lower half. */
     for (int64_t r = 0; r < rows * groups; r++) {
@@ -224,20 +197,9 @@ int tlut_block_sums(const uint8_t *nibbles, int64_t bits, int64_t groups,
     }
     job_t jb = {nibbles, groups, row_bytes, tab, rows, bits,
                 groups / gpq, gpq, m0, m1, out, wide};
-#ifdef TLUT_X86
-    if (isa == TLUT_AVX2) {
-        uint8_t *idx = aligned_alloc(32, (size_t)(gpq * 32));
-        if (idx == NULL) {
-            free(tab);
-            return -1;
-        }
-        run_avx2(&jb, idx);
-        free(idx);
-        free(tab);
-        return isa;
-    }
-#endif
-    run_scalar(&jb);
+    run_avx2(&jb, idx);
+    free(idx);
     free(tab);
-    return TLUT_SCALAR;
+#endif
+    return 0;
 }

@@ -173,8 +173,6 @@ class PreprocessedWeights:
     group_size: int
     shape: tuple
     tile_config: Optional[TileConfig] = None
-    permuted: bool = False
-    interleaved: bool = False
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -243,7 +241,5 @@ def preprocess_weights(
         group_size=qweight.group_size,
         shape=qweight.shape,
         tile_config=tile,
-        permuted=config.permute_weights,
-        interleaved=config.interleave_weights,
         metadata=dict(qweight.metadata),
     )

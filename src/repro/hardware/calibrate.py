@@ -250,15 +250,15 @@ class CalibrationProfile:
 
 def _features(shape: ProbeShape, config) -> Tuple[int, int, int, int]:
     """(lut_elems, gather_elems, aggregate_elems, recombine_iters)."""
-    from repro.core import native
     from repro.core.lut import fusion_width
+    from repro.core.specialize import runs_native
 
     groups = shape.k // config.g
     qgroups = shape.k // shape.group_size
     f = fusion_width(config.g)
     fused = qgroups * -(-(shape.group_size // config.g) // f)  # QG * steps
     lut_elems = shape.n * groups * config.table_length
-    if config.g == 4 and native.status().path != "numpy":
+    if runs_native(config, shape.group_size):
         # The native phase: one shuffle per row answers 32 lookups, and
         # no table is expanded.
         gather_elems = shape.n * -(-shape.m // 32) * groups * shape.bits

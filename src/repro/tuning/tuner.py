@@ -191,10 +191,14 @@ class ShapeTuner:
     def _choose(self, n: int, m: int, k: int, config: TMACConfig,
                 group_size: int) -> ExecutionChoice:
         profile = self.profile
-        serial_s = profile.predict_gemm_seconds(n, m, k, config, group_size)
+        serial_s = profile.predict_gemm_seconds(
+            n, m, k, config.with_options(executor="vectorized"), group_size)
         best = ("vectorized", 1, serial_s)
         gather_work = n * m * (k // config.g)
         if profile.cores > 1 and gather_work >= config.parallel_threshold:
+            # Process workers run the numpy integer phase.
+            worker_s = profile.predict_gemm_seconds(
+                n, m, k, config.with_options(executor="process"), group_size)
             for workers in range(2, profile.cores + 1):
                 # Same pool economics as CostModel.pool_dispatch_choice,
                 # anchored to the measured serial fit: threads overlap
@@ -202,7 +206,7 @@ class ShapeTuner:
                 # but pay the per-call arena traffic.
                 gil_speedup = 1.0 + (workers - 1) * THREAD_POOL_GIL_FRACTION
                 thread_s = serial_s / gil_speedup
-                process_s = serial_s / workers + process_ipc_overhead_seconds(
+                process_s = worker_s / workers + process_ipc_overhead_seconds(
                     n, m, k, config, workers, group_size)
                 if thread_s < best[2]:
                     best = ("parallel", workers, thread_s)

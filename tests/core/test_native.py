@@ -1,9 +1,9 @@
 """The native integer phase's loader: build, cache, fallback, frozen layout.
 
-Oracle parity of the native phases (AVX2 and scalar) beside the numpy one
-lives in the kernel property of ``tests/properties/test_property_core.py``;
-these tests cover how the shared object is found, built and published, and
-what a kernel does without it.
+Oracle parity of the native AVX2 phase beside the numpy one lives in the
+kernel property of ``tests/properties/test_property_core.py``; these tests
+cover how the shared object is found, built and published, which cache a
+process trusts, and what a kernel does without it.
 """
 
 from __future__ import annotations
@@ -109,6 +109,58 @@ def test_concurrent_builds_publish_one_file(native_cache):
     assert len(paths) == 2 and paths[0] == paths[1]
     assert os.listdir(native_cache) == [os.path.basename(paths[0])]
     assert native.status().library == paths[0]
+
+
+def test_cache_dir_writable_by_others_is_not_used(native_cache, tmp_path,
+                                                  monkeypatch):
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    shared.chmod(0o777)
+    with pytest.raises(OSError, match="not private"):
+        native.build(str(shared))
+    assert not os.listdir(shared)
+    monkeypatch.setattr(native, "cache_dirs",
+                        lambda: [str(shared), str(native_cache)])
+    status = native.status()
+    assert status.path != "numpy"
+    assert os.path.dirname(status.library) == str(native_cache)
+
+
+def test_cache_dir_owned_by_another_user_is_not_used(native_cache,
+                                                     monkeypatch):
+    native_cache.mkdir(mode=0o700)
+    monkeypatch.setattr(native.os, "getuid", lambda: os.geteuid() + 1)
+    with pytest.raises(OSError, match="not private"):
+        native.build(str(native_cache))
+    status = native.status()
+    assert status.path == "numpy" and "not private" in status.reason
+    assert not os.listdir(native_cache)
+
+
+def test_cached_library_writable_by_others_is_rebuilt(native_cache):
+    path = native.build(str(native_cache))
+    os.chmod(path, 0o666)
+    replaced = os.stat(path).st_ino
+    assert native.build(str(native_cache)) == path
+    info = os.stat(path)
+    assert info.st_ino != replaced
+    assert not info.st_mode & 0o022
+
+
+def test_zero_row_table_gives_an_empty_span():
+    qw = quantize_weights(gaussian_weights(70, 128, seed=3), bits=4,
+                          group_size=32)
+    config = TMACConfig(bits=4)
+    a = np.zeros((0, 128), dtype=np.float32)
+    for path in {native.status().path, "numpy"}:
+        kernel = TMACKernel.from_plan(build_plan(qw, config), config)
+        with native.force(path):
+            table = kernel.precompute(a)
+            compiled = kernel.plan.specialized(
+                specialization_key(table, config))
+        assert compiled.path == path
+        assert compiled.recombine_span(
+            table, np.zeros((0, 4)), 5, 70, 1 << 24).shape == (0, 65)
 
 
 def test_nibbles_are_frozen_and_canaried():

@@ -209,12 +209,25 @@ class TestKernelPlan:
                              TileConfig(m_tm=32, k_tk=32))
         assert implicit is explicit
 
+    def test_plan_shared_across_permute_and_interleave_flags(self):
+        """The flags change no offline artifact: one plan serves them."""
+        cache = PlanCache()
+        w = gaussian_weights(16, 64, seed=20)
+        qw = quantize_weights(w, bits=4, group_size=32)
+        base = cache.get(qw, TMACConfig(bits=4))
+        for options in ({"permute_weights": False},
+                        {"interleave_weights": False},
+                        {"permute_weights": False,
+                         "interleave_weights": False}):
+            assert cache.get(qw, TMACConfig(bits=4, **options)) is base
+        assert cache.stats()["misses"] == 1
+
     def test_plan_not_shared_across_layout_changes(self):
         cache = PlanCache()
         w = gaussian_weights(16, 64, seed=20)
         qw = quantize_weights(w, bits=4, group_size=32)
         base = cache.get(qw, TMACConfig(bits=4))
-        other = cache.get(qw, TMACConfig(bits=4, permute_weights=False))
+        other = cache.get(qw, TMACConfig(bits=4, g=2))
         assert base is not other
 
     def test_incompatible_plan_rejected(self):

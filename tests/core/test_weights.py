@@ -123,7 +123,6 @@ class TestPreprocessWeights:
         assert len(pre.index_planes) == 4
         assert pre.packed_bytes() == 4 * 48 * (256 // 4) // 2
         assert pre.shape == (48, 256)
-        assert pre.permuted and pre.interleaved
 
     def test_index_planes_recombine_to_codes(self, small_qweight):
         config = TMACConfig(bits=4)
@@ -151,9 +150,3 @@ class TestPreprocessWeights:
         qw = quantize_weights(small_weights, bits=4, group_size=64)
         with pytest.raises(ValueError):
             preprocess_weights(qw, TMACConfig(bits=4, g=7))
-
-    def test_layout_flags_follow_config(self, small_qweight):
-        config = TMACConfig(bits=4, permute_weights=False,
-                            interleave_weights=False)
-        pre = preprocess_weights(small_qweight, config)
-        assert not pre.permuted and not pre.interleaved
