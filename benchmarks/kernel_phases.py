@@ -40,7 +40,7 @@ from repro.backends.base import pick_group_size
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
 from repro.core.lut import fusion_width
-from repro.core.specialize import specialization_key
+from repro.core.specialize import reduce_major_planes
 from repro.hardware.calibrate import _best_seconds as best_seconds
 from repro.quant.uniform import quantize_weights
 
@@ -121,7 +121,7 @@ def measure_phases(m: int, k: int, n: int, probes: Dict[str, float],
     a = rng.standard_normal((n, k)).astype(np.float32)
     expected = kernel.matmul(a)
     table = kernel.precompute(a)
-    spec = kernel.plan.specialized(specialization_key(table, config))
+    spec = kernel.plan.specialized()
     g, f = config.g, fusion_width(config.g)
     steps, qgroups = spec.steps, spec.qgroups
     entries = table.fused_entries  # per activation row
@@ -135,9 +135,11 @@ def measure_phases(m: int, k: int, n: int, probes: Dict[str, float],
         return table.row_minor()
 
     # A replica of IntegerLutKernel._codes_dot / recombine_span, statement
-    # by statement, over the whole output span.
+    # by statement, over the whole output span, on the numpy path's planes.
     lut = expand()
-    index = spec.planes.reshape(steps, -1)
+    planes = reduce_major_planes(kernel.plan.weights.index_planes, g,
+                                 kernel.plan.groups_per_qgroup)
+    index = planes.reshape(steps, -1)
     acc = np.empty((index.shape[1], n), dtype=spec.acc_dtype)
     looked_up = np.empty_like(acc)
     tscale = table.scales.T[:, :, None]
@@ -215,7 +217,7 @@ def measure_phases(m: int, k: int, n: int, probes: Dict[str, float],
               + (f - 1) * fused * acc_size * 3,
               expand, f * entries * take_s + (f - 1) * fused * add_s),
         phase("take", lookups,
-              lookups * (spec.planes.itemsize + 2 * n * acc_size),
+              lookups * (planes.itemsize + 2 * n * acc_size),
               take, lookups * take_s),
         phase("integer_add", (steps - 1) * block,
               (steps - 1) * block * acc_size * 3,

@@ -8,10 +8,8 @@ Figure 7 mpGEMM regime (N=256) on the paper's weight shapes:
   operations in the same order, only batched).
 * **Speed** — on the fig6 mpGEMV shapes the vectorized executor must beat
   the loop path wall-clock (min over repetitions).
-* **Process-pool parity** — the shared-memory process executor must be
-  bit-identical to the serial vectorized executor on every shape at 1/2/4
-  workers, and must leave no shared-memory segments behind once the plans
-  are released (asserted in module teardown).
+* **Thread-pool parity** — the parallel executor must be bit-identical to
+  the serial vectorized executor on every shape at 1/2/4 threads.
 
 Weights use synthetic random codes (uniform over the bit range, Gaussian
 scales): kernel parity is a property of the code path, not of how codes
@@ -25,20 +23,18 @@ suite's runtime sane.
 from __future__ import annotations
 
 import functools
-import gc
 import time
 
 import numpy as np
 import pytest
 
-from repro.core import shm
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
 from repro.core.plan import build_plan
 from repro.quant.uniform import QuantizedWeight
 from repro.workloads.shapes import KERNEL_SHAPES
 
-PROCESS_WORKER_COUNTS = (1, 2, 4)
+THREAD_COUNTS = (1, 2, 4)
 
 #: Bit width exercised per shape — covers every width the paper evaluates
 #: while keeping one (shape, bits) build per shape.
@@ -85,31 +81,6 @@ def _best_seconds(fn, reps: int = 3) -> float:
     return best
 
 
-@pytest.fixture(scope="module", autouse=True)
-def no_shm_segment_growth():
-    """Plans built by this module must not leak shared-memory segments.
-
-    The process-parity tests publish each plan's artifacts into
-    ``multiprocessing.shared_memory`` once; releasing the plans (the
-    ``_plan`` LRU holds the only strong references) must unlink every
-    segment they own.  Other modules' cached plans (the process-wide
-    :data:`~repro.core.plan.PLAN_CACHE`) may legitimately hold segments on
-    the ``REPRO_EXECUTOR=process`` CI leg, so the assertion is on the
-    *delta*, not on zero.
-    """
-    baseline = shm.PLAN_SEGMENTS.stats()["segments"] if shm.shm_available() \
-        else 0
-    yield
-    if shm.shm_available():
-        _plan.cache_clear()
-        gc.collect()
-        after = shm.PLAN_SEGMENTS.stats()["segments"]
-        assert after <= baseline, (
-            f"executor-parity plans leaked {after - baseline} shared-memory "
-            f"segment(s)"
-        )
-
-
 @pytest.fixture(scope="module")
 def record_table_rows(record_table, record_bench):
     """Accumulate per-shape timing rows; persist them when the module ends."""
@@ -134,9 +105,7 @@ def record_table_rows(record_table, record_bench):
                 }
                 for row in rows
             ],
-            params={"shape_bits": SHAPE_BITS,
-                    "process_worker_counts": list(PROCESS_WORKER_COUNTS),
-                    "shm_available": shm.shm_available()},
+            params={"shape_bits": SHAPE_BITS},
             metrics={
                 "min_vectorized_speedup":
                     min(float(row[5].rstrip("x")) for row in rows),
@@ -190,53 +159,40 @@ def test_fig7_gemm_parity(shape):
                                   loop.matmul(activation))
 
 
-needs_shm = pytest.mark.skipif(
-    not shm.shm_available(),
-    reason="multiprocessing.shared_memory unavailable or disabled",
-)
-
-
-@needs_shm
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: s.label)
-def test_fig6_process_pool_parity(shape):
-    """N=1 (decode): the process pool is bit-identical at 1/2/4 workers.
+def test_fig6_thread_pool_parity(shape):
+    """N=1 (decode): the thread pool is bit-identical at 1/2/4 threads.
 
-    ``parallel_threshold=0`` forces dispatch even for shard sizes the
-    amortization heuristic would normally run serially, and the explicit
-    ``num_workers`` pins the process pool (no thread delegation) — this is
-    a correctness sweep, not a performance one.
+    ``parallel_threshold=0`` forces sharding even for calls the
+    amortization heuristic would normally run serially — this is a
+    correctness sweep, not a performance one.
     """
     bits = SHAPE_BITS[shape.label]
-    plan = _plan(shape.label, shape.m, shape.k, bits)
-    vec = TMACKernel.from_plan(plan, TMACConfig(bits=bits,
-                                                executor="vectorized"))
+    vec, _ = _kernels(shape, bits)
     rng = np.random.default_rng(3)
     activation = rng.standard_normal((1, shape.k)).astype(np.float32)
     expected = vec.matmul(activation)
-    for workers in PROCESS_WORKER_COUNTS:
-        proc = TMACKernel.from_plan(
-            plan, TMACConfig(bits=bits, executor="process",
-                             num_workers=workers, parallel_threshold=0))
-        np.testing.assert_array_equal(expected, proc.matmul(activation))
+    for threads in THREAD_COUNTS:
+        pooled = TMACKernel.from_plan(
+            vec.plan, TMACConfig(bits=bits, executor="parallel",
+                                 num_threads=threads, parallel_threshold=0))
+        np.testing.assert_array_equal(expected, pooled.matmul(activation))
 
 
-@needs_shm
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: s.label)
-def test_fig7_process_pool_parity(shape):
-    """Batched activations (prefill regime): process pool bit-identity.
+def test_fig7_thread_pool_parity(shape):
+    """Batched activations (prefill regime): thread-pool bit-identity.
 
     Same row-count policy as the loop-vs-vectorized fig7 sweep: S0 at the
     full Figure 7 N=256, the remaining shapes at N=8.
     """
     n = 256 if shape.label == "S0" else 8
-    plan = _plan(shape.label, shape.m, shape.k, 1)
-    vec = TMACKernel.from_plan(plan, TMACConfig(bits=1,
-                                                executor="vectorized"))
+    vec, _ = _kernels(shape, 1)
     rng = np.random.default_rng(4)
     activation = rng.standard_normal((n, shape.k)).astype(np.float32)
     expected = vec.matmul(activation)
-    for workers in PROCESS_WORKER_COUNTS[1:]:
-        proc = TMACKernel.from_plan(
-            plan, TMACConfig(bits=1, executor="process",
-                             num_workers=workers, parallel_threshold=0))
-        np.testing.assert_array_equal(expected, proc.matmul(activation))
+    for threads in THREAD_COUNTS[1:]:
+        pooled = TMACKernel.from_plan(
+            vec.plan, TMACConfig(bits=1, executor="parallel",
+                                 num_threads=threads, parallel_threshold=0))
+        np.testing.assert_array_equal(expected, pooled.matmul(activation))

@@ -20,10 +20,7 @@ import time
 import pytest
 
 from repro.backends import get_backend
-from repro.core.executor import (
-    reset_parallel_executor_stats,
-    reset_process_executor_stats,
-)
+from repro.core.executor import reset_parallel_executor_stats
 from repro.core.plan import clear_plan_cache, plan_cache_stats
 from repro.llm import Generator, TransformerModel, tiny_arch
 from repro.llm.model import generate_random_weights
@@ -40,7 +37,6 @@ def setup():
     # (e.g. thread_scaling) would otherwise bleed into the stats this
     # module records through serving_stats().
     reset_parallel_executor_stats()
-    reset_process_executor_stats()
     arch = tiny_arch(hidden_size=96, intermediate_size=192, num_layers=2,
                      num_heads=4, vocab_size=211, max_seq_len=96)
     weights = generate_random_weights(arch, seed=7)

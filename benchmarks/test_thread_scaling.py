@@ -1,34 +1,28 @@
-"""Thread/process scaling of the parallel executors: tok/s and mpGEMM GB/s.
+"""Thread scaling of the parallel executor: tok/s and mpGEMM GB/s.
 
 The paper's headline claim is LUT-based mpGEMM throughput that scales
 near-linearly with CPU threads (Figures 6b/8b).  This benchmark exercises
-the reproduction's :class:`~repro.core.executor.ParallelExecutor` (GIL-bound
-threads) and :class:`~repro.core.executor.ProcessExecutor` (shared-memory
-worker processes) at 1/2/4 workers and records, into
-``benchmarks/results/thread_scaling.txt`` and ``BENCH_thread_scaling.json``:
+the reproduction's :class:`~repro.core.executor.ParallelExecutor` at
+1/2/4 threads and records, into ``benchmarks/results/thread_scaling.txt``
+and ``BENCH_thread_scaling.json``:
 
 * measured end-to-end serving throughput (tok/s) on the benchmark model,
 * measured mpGEMM weight-traversal bandwidth (GB/s) on the Llama-2-7B
-  attention shape (S0, 4096x4096, 4-bit) for both the thread pool and the
-  process pool,
+  attention shape (S0, 4096x4096, 4-bit),
 * the roofline cost model's projected scaling on the Table 2 devices
-  (:meth:`~repro.hardware.cost_model.CostModel.thread_scaling` and
-  :meth:`~repro.hardware.cost_model.CostModel.process_scaling`).
+  (:meth:`~repro.hardware.cost_model.CostModel.thread_scaling`).
 
 Every *measured* series row is annotated with the host core count — a
 "4 threads" number measured on a 1-core container is not a scaling
 datapoint, and the annotation keeps that visible in the recorded artifact.
 
-Correctness is asserted unconditionally: both pooled executors must be
+Correctness is asserted unconditionally: the thread pool must be
 *bit-identical* to the serial vectorized executor on every Figure 6/7
-weight shape, and generated tokens must not change with the worker count.
+weight shape, and generated tokens must not change with the thread count.
 The cost-model >= 1.5x thread projection at 4 threads is always asserted;
-the *measured* >= 1.5x assertions (threads and processes) additionally
-require an explicit opt-in (``REPRO_ASSERT_THREAD_SCALING=1``) on a host
-with >= 4 usable cores — wall-clock scaling depends on hardware a shared CI
-runner cannot promise.  On a single-core host the process-pool measurement
-is skipped with an explicit note row rather than recorded as a meaningless
-slowdown.
+the *measured* >= 1.5x assertions additionally require an explicit opt-in
+(``REPRO_ASSERT_THREAD_SCALING=1``) on a host with >= 4 usable cores —
+wall-clock scaling depends on hardware a shared CI runner cannot promise.
 """
 
 from __future__ import annotations
@@ -40,13 +34,8 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.core import shm
 from repro.core.config import TMACConfig, usable_cpus
-from repro.core.executor import (
-    process_executor_stats,
-    reset_parallel_executor_stats,
-    reset_process_executor_stats,
-)
+from repro.core.executor import reset_parallel_executor_stats
 from repro.core.kernel import TMACKernel
 from repro.core.plan import clear_plan_cache
 from repro.hardware import CostModel, EVALUATION_DEVICES
@@ -78,12 +67,6 @@ def parallel_config(threads: int, threshold: int = 0) -> TMACConfig:
                       parallel_threshold=threshold)
 
 
-def process_config(workers: int, threshold: int = 0) -> TMACConfig:
-    # Explicit num_workers pins the process pool (no cost-model delegation).
-    return TMACConfig(bits=4, executor="process", num_workers=workers,
-                      parallel_threshold=threshold)
-
-
 def test_parallel_parity_on_fig6_fig7_shapes(record_table):
     """Bit-identity on every Figure 6/7 weight shape (acceptance gate).
 
@@ -91,38 +74,28 @@ def test_parallel_parity_on_fig6_fig7_shapes(record_table):
     additionally checked at N=8 as a CI-sized stand-in for the Figure 7
     mpGEMM regime (the kernel is row-independent, so the row count does
     not interact with the sharding math — asserted at N=2..3 across every
-    table mode in the unit tests).  Both pooled executors — threads and
-    shared-memory processes — are held to the same standard.
+    table mode in the unit tests).
     """
-    check_process = shm.shm_available()
     rows = []
     for shape in KERNEL_SHAPES:
         qw = quantize_weights(gaussian_weights(shape.m, shape.k, seed=1),
                               bits=4, group_size=128)
         # executor pinned: the baseline must stay serial even when
-        # REPRO_EXECUTOR flips the process default (CI legs 2/3).
+        # REPRO_EXECUTOR flips the process default (CI leg 2).
         serial_kernel = TMACKernel(qw, TMACConfig(bits=4,
                                                   executor="vectorized"))
         parallel_kernel = TMACKernel.from_plan(serial_kernel.plan,
                                                parallel_config(4))
-        process_kernel = (TMACKernel.from_plan(serial_kernel.plan,
-                                               process_config(4))
-                          if check_process else None)
         n_values = (1, 8) if shape.label == "S0" else (1,)
         for n in n_values:
             a = gaussian_activation(n, shape.k, seed=2)
             serial = serial_kernel.matmul(a)
             np.testing.assert_array_equal(serial, parallel_kernel.matmul(a))
-            if process_kernel is not None:
-                np.testing.assert_array_equal(serial,
-                                              process_kernel.matmul(a))
             rows.append([shape.label, f"{shape.m}x{shape.k}x{n}",
-                         "bit-identical",
-                         "bit-identical" if check_process else "skipped"])
+                         "bit-identical"])
     record_table("thread_scaling_parity",
-                 "Pooled executors vs serial vectorized — fig6/fig7 shapes",
-                 ["shape", "MxKxN", "threads vs serial",
-                  "processes vs serial"], rows)
+                 "Thread pool vs serial vectorized — fig6/fig7 shapes",
+                 ["shape", "MxKxN", "threads vs serial"], rows)
 
 
 @pytest.fixture(scope="module")
@@ -205,57 +178,6 @@ def test_mpgemm_bandwidth_thread_scaling(s0_plan, scaling_rows,
     benchmark(lambda: kernel.matmul(a))
 
 
-def test_mpgemm_bandwidth_process_scaling(s0_plan, scaling_rows,
-                                          scaling_points):
-    """Measured mpGEMM GB/s at 1/2/4 shared-memory workers on S0.
-
-    The tentpole claim: sharding output tiles across processes sidesteps
-    the GIL, so on a multi-core host the 4-worker run must clear 1.5x
-    (asserted under ``REPRO_ASSERT_THREAD_SCALING=1``).  On a single-core
-    host the measurement is meaningless — IPC overhead with no parallelism
-    — so it is skipped with an explicit note row instead of recorded.
-    """
-    if not shm.shm_available():
-        scaling_rows.append([measured_label("mpGEMM S0 processes"), "-",
-                             "skipped (shared memory unavailable)", "-",
-                             "-"])
-        return
-    reset_process_executor_stats()
-    plan, weight_bytes = s0_plan
-    cores = usable_cpus()
-    if cores < 2:
-        # Still exercise the pool end-to-end (parity at 2 workers) so the
-        # code path is covered; just don't record wall-clock "scaling".
-        shape = KERNEL_SHAPES[0]
-        a = gaussian_activation(1, shape.k, seed=4)
-        serial = TMACKernel.from_plan(
-            plan, TMACConfig(bits=4, executor="vectorized")).matmul(a)
-        pooled = TMACKernel.from_plan(plan, process_config(2)).matmul(a)
-        np.testing.assert_array_equal(serial, pooled)
-        scaling_rows.append([measured_label("mpGEMM S0 processes"), "-",
-                             "skipped (1 core: no parallel speedup "
-                             "measurable)", "parity checked", "-"])
-        scaling_points.append({
-            "series": "mpGEMM S0 processes", "kind": "measured",
-            "host_cores": cores, "skipped": "1 core",
-        })
-        return
-
-    seconds = _measure_kernel_series(plan, weight_bytes, process_config,
-                                     THREAD_COUNTS)
-    _append_measured(scaling_rows, scaling_points, "mpGEMM S0 processes",
-                     seconds, weight_bytes)
-    stats = process_executor_stats()
-    assert stats["process_dispatches"] > 0, (
-        "process-pool series did not dispatch to worker processes"
-    )
-    if assert_measured_scaling():
-        assert seconds[1] / seconds[4] >= 1.5, (
-            f"4-worker process-pool speedup "
-            f"{seconds[1] / seconds[4]:.2f}x < 1.5x"
-        )
-
-
 def test_serving_throughput_thread_scaling(scaling_rows, scaling_points):
     """Measured serving tok/s at 1/2/4 threads (continuous batching)."""
     clear_plan_cache()
@@ -313,11 +235,6 @@ def test_cost_model_thread_scaling(scaling_rows, scaling_points,
     """Projected scaling on the Table 2 devices (thread model asserted).
 
     The thread projection must clear 1.5x at 4 threads on every device.
-    The process projection is recorded but *not* asserted: it charges the
-    IPC/shared-memory overhead term, and on devices where the modeled
-    serial mpGEMV latency is tens of microseconds that overhead rightly
-    swamps the parallel win — which is exactly why the dispatch heuristic
-    (:func:`repro.hardware.cost_model.pool_dispatch_choice`) exists.
     """
     shape = KERNEL_SHAPES[0]
     config = TMACConfig(bits=4)
@@ -325,8 +242,6 @@ def test_cost_model_thread_scaling(scaling_rows, scaling_points,
         model = CostModel(device)
         counts = [t for t in THREAD_COUNTS if t <= device.cpu.cores]
         latencies = model.thread_scaling(1, shape.m, shape.k, config, counts)
-        process_latencies = model.process_scaling(1, shape.m, shape.k,
-                                                  config, counts)
         base = latencies[1].seconds
         for threads in counts:
             latency = latencies[threads]
@@ -342,20 +257,6 @@ def test_cost_model_thread_scaling(scaling_rows, scaling_points,
                 "bound": latency.bound,
                 "speedup": base / latency.seconds,
             })
-            process_latency = process_latencies[threads]
-            scaling_rows.append([
-                f"mpGEMM S0 process model ({device.name})", threads,
-                f"{process_latency.milliseconds:.3f} ms",
-                process_latency.bound,
-                f"{base / process_latency.seconds:.2f}x",
-            ])
-            scaling_points.append({
-                "series": f"process model {device.name}", "kind": "modeled",
-                "workers": threads,
-                "latency_ms": process_latency.milliseconds,
-                "bound": process_latency.bound,
-                "speedup": base / process_latency.seconds,
-            })
         if 4 in counts:
             assert base / latencies[4].seconds >= 1.5, (
                 f"{device.name}: modeled 4-thread speedup below 1.5x"
@@ -363,7 +264,7 @@ def test_cost_model_thread_scaling(scaling_rows, scaling_points,
 
     record_table(
         "thread_scaling",
-        "Pooled executor scaling — measured and modeled "
+        "Thread-pool scaling — measured and modeled "
         f"(host cores: {usable_cpus()})",
         ["series", "workers", "latency", "throughput / bound", "speedup"],
         scaling_rows,
@@ -377,7 +278,6 @@ def test_cost_model_thread_scaling(scaling_rows, scaling_points,
             "bits": 4,
             "num_sessions": NUM_SESSIONS,
             "max_new_tokens": MAX_NEW_TOKENS,
-            "shm_available": shm.shm_available(),
             "measured_assertions": assert_measured_scaling(),
         },
         metrics=_headline_metrics(scaling_points),

@@ -1,13 +1,11 @@
 """Invariant-aware static analysis and runtime sanitizers.
 
-The concurrent subsystems of this reproduction (the thread/process executor
-pools, the shared-memory plan registry, the single-flight plan cache, the
-serving gateway's runner thread) rely on a small set of invariants that the
-type system cannot express:
+The concurrent subsystems of this reproduction (the executor thread pool,
+the single-flight plan cache, the serving gateway's runner thread) rely on
+a small set of invariants that the type system cannot express:
 
 * plans are frozen and content-addressed — no mutation after publication;
 * lock-guarded state is only touched under its lock, in its owning class;
-* every shared-memory segment is paired with a finalizer or exit sweep;
 * hot paths are deterministic — clocks and rngs are injected, never global;
 * no ``concurrent.futures`` result is silently dropped.
 

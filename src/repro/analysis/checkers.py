@@ -1,4 +1,4 @@
-"""AST checkers for the five ``repro_lint`` rules.
+"""AST checkers for the four ``repro_lint`` rules.
 
 Each checker is a function ``(path, tree) -> list[Finding]``.  The rules
 are intentionally *lexical*: they check what can be decided from one
@@ -13,17 +13,13 @@ Rules
 ``frozen-plan``
     Plan artifacts are immutable after publication: constructors named in
     :data:`~repro.analysis.guarded.PLAN_ARTIFACT_CONSTRUCTORS` may only be
-    called in functions that show freeze evidence (``setflags(write=False)``,
-    a ``*freeze*`` call, or a read-only ``_view``), and attribute/subscript
+    called in functions that show freeze evidence (``setflags(write=False)``
+    or a ``*freeze*`` call), and attribute/subscript
     writes to plan objects are confined to the offline build phase.
 ``lock-guard``
     Attributes registered in :data:`~repro.analysis.guarded.GUARDED_ATTRS`
     are only touched inside ``with self.<lock>:`` in their owning class
     (or in ``__init__`` / ``*_locked`` methods).
-``shm-lifecycle``
-    Every ``SharedMemory(create=True)`` is paired with ``weakref.finalize``
-    or an ``atexit`` registration in the same function, or the module has a
-    module-level atexit sweep.
 ``determinism``
     No wall-clock time or global/unseeded rngs in ``core/``, ``serving/``,
     ``kvcache/`` — clocks and generators must be injected.
@@ -96,9 +92,7 @@ def _is_freeze_call(node: ast.Call) -> bool:
                     and kw.value.value is False:
                 return True
         return False
-    if guarded.FREEZING_NAME_FRAGMENT in tail.lower():
-        return True
-    return tail in guarded.FREEZING_CALL_NAMES
+    return guarded.FREEZING_NAME_FRAGMENT in tail.lower()
 
 
 def _has_freeze_evidence(scope: ast.AST) -> bool:
@@ -289,75 +283,6 @@ def check_lock_guard(path: str, tree: ast.Module) -> List[Finding]:
 
 
 # --------------------------------------------------------------------- #
-# shm-lifecycle
-# --------------------------------------------------------------------- #
-
-def _is_shm_create(node: ast.Call) -> bool:
-    if _call_tail(node.func) != "SharedMemory":
-        return False
-    for kw in node.keywords:
-        if kw.arg == "create" and isinstance(kw.value, ast.Constant) \
-                and kw.value.value is True:
-            return True
-    return False
-
-
-def _is_lifecycle_call(node: ast.Call) -> bool:
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        if func.attr == "finalize":
-            return True
-        if func.attr == "register" and isinstance(func.value, ast.Name) \
-                and func.value.id == "atexit":
-            return True
-    elif isinstance(func, ast.Name) and func.id == "finalize":
-        return True
-    return False
-
-
-def _module_has_atexit_sweep(tree: ast.Module) -> bool:
-    for stmt in tree.body:
-        if isinstance(stmt, _FUNC_NODES):
-            for deco in stmt.decorator_list:
-                if isinstance(deco, ast.Attribute) and deco.attr == "register" \
-                        and isinstance(deco.value, ast.Name) \
-                        and deco.value.id == "atexit":
-                    return True
-        elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-            if _is_lifecycle_call(stmt.value):
-                return True
-    return False
-
-
-def check_shm_lifecycle(path: str, tree: ast.Module) -> List[Finding]:
-    findings: List[Finding] = []
-    module_sweep = _module_has_atexit_sweep(tree)
-    for scope in _scopes(tree):
-        creates = [n for n in _walk_scope(scope)
-                   if isinstance(n, ast.Call) and _is_shm_create(n)]
-        if not creates:
-            continue
-        paired = any(isinstance(n, ast.Call) and _is_lifecycle_call(n)
-                     for n in _walk_scope(scope))
-        if paired or module_sweep:
-            continue
-        for call in creates:
-            findings.append(Finding(
-                rule="shm-lifecycle",
-                path=path,
-                line=call.lineno,
-                col=call.col_offset,
-                message=(
-                    "SharedMemory(create=True) without a weakref.finalize/"
-                    "atexit registration in the same scope — leaked "
-                    "segments survive the process"
-                ),
-                symbol="SharedMemory",
-            ))
-    return findings
-
-
-# --------------------------------------------------------------------- #
 # determinism
 # --------------------------------------------------------------------- #
 
@@ -487,7 +412,6 @@ def check_no_swallowed_futures(path: str, tree: ast.Module) -> List[Finding]:
 RULE_CHECKERS = {
     "frozen-plan": check_frozen_plan,
     "lock-guard": check_lock_guard,
-    "shm-lifecycle": check_shm_lifecycle,
     "determinism": check_determinism,
     "no-swallowed-futures": check_no_swallowed_futures,
 }
@@ -500,10 +424,6 @@ RULE_DOCS = {
     "lock-guard": (
         "registered guarded attributes only accessed under their lock "
         "in the owning class"
-    ),
-    "shm-lifecycle": (
-        "SharedMemory(create=True) paired with weakref.finalize/atexit "
-        "in the same scope"
     ),
     "determinism": (
         "no wall-clock time or global/unseeded rngs in core/, serving/, "

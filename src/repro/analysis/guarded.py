@@ -21,7 +21,7 @@ __all__ = [
     "PLAN_OBJECT_NAMES",
     "PLAN_BUILD_FUNCTIONS",
     "PLAN_BUILD_METHODS",
-    "FREEZING_CALL_NAMES",
+    "FREEZING_NAME_FRAGMENT",
     "DETERMINISM_SCOPES",
     "FUTURE_SCOPED_FILES",
 ]
@@ -41,13 +41,7 @@ GUARDED_ATTRS: Dict[str, Tuple[str, FrozenSet[str]]] = {
         "_plans", "_order", "_building", "hits", "misses",
     })),
     "KernelPlan": ("_gather_lock", frozenset({
-        "_gather_cache", "_spec_cache",
-    })),
-    # core/shm.py — shared-memory publication and the process pool
-    "PlanSegmentRegistry": ("_lock", frozenset({"_segments"})),
-    "ProcessWorkerPool": ("_lock", frozenset({
-        "_workers", "_arena", "_arena_bytes", "_call_seq", "_results",
-        "restarts",
+        "_gather_cache", "_integer_kernel",
     })),
     # core/specialize.py — the atomic stats block behind executor and
     # specialization counters (re-exported by core/executor.py)
@@ -82,7 +76,6 @@ CONSTRUCTOR_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 PLAN_ARTIFACT_CONSTRUCTORS = frozenset({
     "PreprocessedWeights",  # core/weights.py — offline weight operand
     "_LookupTables",        # core/plan.py — precomputed gather metadata
-    "SpecializedKernel",    # core/specialize.py — compiled float closures
     "IntegerLutKernel",     # core/specialize.py — compiled integer LUT kernel
 })
 
@@ -100,11 +93,8 @@ PLAN_BUILD_METHODS = frozenset({
     "_build_specialized_locked",
 })
 
-#: A call to any of these counts as freeze evidence inside a function:
-#: ``setflags`` (with ``write=False``), anything containing "freeze",
-#: and ``_view`` (``repro.core.shm._view`` returns read-only views by
-#: default — the worker-side reconstruction path).
-FREEZING_CALL_NAMES = frozenset({"_view"})
+#: A call whose name contains this counts as freeze evidence inside a
+#: function, besides ``setflags`` (with ``write=False``).
 FREEZING_NAME_FRAGMENT = "freeze"
 
 # --------------------------------------------------------------------- #

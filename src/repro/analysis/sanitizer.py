@@ -326,19 +326,16 @@ def _plan_checksums(plan) -> Dict[str, int]:
                 seq = getattr(tables, group, None)
                 for i, arr in enumerate(seq or ()):
                     sums[f"{prefix}.{group}[{i}]"] = _array_checksum(arr)
-    spec_cache = getattr(plan, "_spec_cache", None)
-    if spec_cache is not None:
-        # Compiled kernels mostly hold references to arrays already
-        # checksummed above; these are the artifacts they own (the float
-        # closures' scale*zero product, the integer kernel's index planes
-        # or nibble blocks and transposed scales), and a mutation there
-        # would corrupt every call.  Read from the instance dict: a lazy
-        # artifact not built yet is not built here.
-        for key, kernel in list(spec_cache.items()):
-            for name in ("sz", "planes", "nibbles", "scales_t", "sz_t"):
-                arr = vars(kernel).get(name)
-                if arr is not None:
-                    sums[f"spec[{key}].{name}"] = _array_checksum(arr)
+    kernel = getattr(plan, "_integer_kernel", None)
+    if kernel is not None:
+        # The compiled kernel mostly holds references to arrays already
+        # checksummed above; these are the artifacts it owns (the index
+        # planes or nibble blocks and the transposed scales), and a
+        # mutation there would corrupt every call.
+        for name in ("planes", "nibbles", "scales_t", "sz_t"):
+            arr = vars(kernel).get(name)
+            if arr is not None:
+                sums[f"kernel.{name}"] = _array_checksum(arr)
     return sums
 
 

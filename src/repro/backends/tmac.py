@@ -32,8 +32,7 @@ class TMACBackend(Backend):
                  config: Optional[TMACConfig] = None, bitnet: bool = False,
                  fast_aggregation: bool = False,
                  executor: Optional[str] = None,
-                 num_threads: Optional[int] = None,
-                 num_workers: Optional[int] = None, **_ignored):
+                 num_threads: Optional[int] = None, **_ignored):
         self.bits = bits
         self.group_size = group_size
         explicit_config = config is not None
@@ -43,31 +42,25 @@ class TMACBackend(Backend):
             # aggregation.
             config = (config or TMACConfig(bits=bits)).with_options(
                 fast_aggregation=True)
-        if executor is not None or num_threads is not None \
-                or num_workers is not None:
+        if executor is not None or num_threads is not None:
             # Execution-layer knobs: get_backend("tmac", executor="parallel",
             # num_threads=4) switches every kernel this backend builds to the
             # multi-core executor, which the serving engine's batched decode
             # path then picks up transparently.  A num_threads override
-            # implies the parallel executor — and a num_workers override the
-            # process executor — only when the caller did not choose an
-            # executor through any channel: the kwarg, an explicitly
-            # supplied config, or the REPRO_EXECUTOR environment override.
+            # implies the parallel executor only when the caller did not
+            # choose an executor through any channel: the kwarg, an
+            # explicitly supplied config, or the REPRO_EXECUTOR environment
+            # override.
             config = config or TMACConfig(bits=bits)
             executor_chosen = explicit_config or "REPRO_EXECUTOR" in os.environ
             overrides = {}
             if executor is not None:
                 overrides["executor"] = executor
-            elif not executor_chosen:
-                if num_workers is not None and config.executor != "process":
-                    overrides["executor"] = "process"
-                elif num_threads is not None and \
-                        config.executor != "parallel":
-                    overrides["executor"] = "parallel"
+            elif (not executor_chosen and num_threads is not None
+                  and config.executor != "parallel"):
+                overrides["executor"] = "parallel"
             if num_threads is not None:
                 overrides["num_threads"] = num_threads
-            if num_workers is not None:
-                overrides["num_workers"] = num_workers
             config = config.with_options(**overrides)
         self.config = config
         self.bitnet = bitnet

@@ -80,11 +80,6 @@ def _env_float(name: str, default: Optional[float]) -> Optional[float]:
         raise ValueError(f"{name} must be a number, got {raw!r}") from None
 
 
-def _default_specialize() -> bool:
-    """Specialization default (on), overridable via ``REPRO_SPECIALIZE``."""
-    return os.environ.get("REPRO_SPECIALIZE", "1") not in ("0", "false", "no")
-
-
 def autotune_enabled() -> bool:
     """Whether ``REPRO_AUTOTUNE`` opts matmuls into the shape autotuner
     (:mod:`repro.tuning.tuner`)."""
@@ -130,13 +125,12 @@ class TMACConfig:
         pick a default for the target device.
     executor:
         Online executor used by :class:`~repro.core.kernel.TMACKernel`:
-        ``"vectorized"`` (default — batched numpy across quantization groups
-        and bit planes), ``"parallel"`` (the vectorized pipeline sharded
-        over output-column tiles on a persistent worker thread pool),
-        ``"process"`` (the same sharding on a persistent worker *process*
-        pool with plans published through shared memory — breaks the GIL)
-        or ``"loop"`` (the reference per-group/per-bit Python loops, kept
-        as the numerical oracle).  All compute bit-identical results; see
+        ``"vectorized"`` (default — the compiled integer LUT kernel for
+        integer-key tables, a batched numpy walk for the other table
+        modes), ``"parallel"`` (the vectorized pipeline sharded over
+        output-column tiles on a persistent worker thread pool) or
+        ``"loop"`` (the reference per-group/per-bit Python loops, kept as
+        the numerical oracle).  All compute bit-identical results; see
         :mod:`repro.core.executor`.  The default can be overridden with the
         ``REPRO_EXECUTOR`` environment variable (the CI matrix uses this to
         run the whole suite under the parallel executor).
@@ -145,27 +139,9 @@ class TMACConfig:
         cores this process may run on (:func:`usable_cpus` — the scheduler
         affinity mask, not ``os.cpu_count()``).  Ignored by the serial
         executors.  Default overridable via ``REPRO_NUM_THREADS``.
-    num_workers:
-        Worker-*process* count for the process executor; ``None`` (default)
-        uses :func:`usable_cpus` and lets the cost model delegate
-        GIL-tolerant shapes to the thread pool, while an explicit count
-        pins the call to the process pool.  Ignored by the other
-        executors.  Default overridable via ``REPRO_NUM_WORKERS``.
     parallel_threshold:
         Minimum gather work (``N * M * K/g`` elements) before the parallel
-        or process executor shards a call; below it the serial vectorized
-        path runs.
-    specialize:
-        Use plan-specialized span kernels (:mod:`repro.core.specialize`),
-        cached on the plan: the integer LUT kernel for group-granularity
-        quantized tables (this default config), float closures for the
-        other modes.  Bit-identical to the generic path; on by default.
-        ``REPRO_SPECIALIZE=0`` disables.
-    gather_variant:
-        Gather driver of the float closures: ``"fancy"`` (advanced
-        indexing), ``"take"`` (:func:`np.take`) or ``"auto"`` (default —
-        the host preference, set by :mod:`repro.hardware.calibrate`).  The
-        integer LUT kernel always uses ``np.take``.  Env: ``REPRO_GATHER``.
+        executor shards a call; below it the serial vectorized path runs.
     chunk_elements:
         Override of the executor's raw-gather element budget per chunk
         (``None`` uses the executor default).  Chunk boundaries never
@@ -191,12 +167,7 @@ class TMACConfig:
         default_factory=lambda: _env_str("REPRO_EXECUTOR", "vectorized"))
     num_threads: Optional[int] = field(
         default_factory=lambda: _env_int("REPRO_NUM_THREADS", None))
-    num_workers: Optional[int] = field(
-        default_factory=lambda: _env_int("REPRO_NUM_WORKERS", None))
     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
-    specialize: bool = field(default_factory=_default_specialize)
-    gather_variant: str = field(
-        default_factory=lambda: _env_str("REPRO_GATHER", "") or "auto")
     chunk_elements: Optional[int] = field(
         default_factory=lambda: _env_int("REPRO_CHUNK_ELEMENTS", None))
     name: str = "T-MAC"
@@ -223,19 +194,12 @@ class TMACConfig:
             )
         if self.s0 == self.s1:
             raise ValueError("s0 and s1 must differ")
-        for name in ("num_threads", "num_workers"):
-            count = getattr(self, name)
-            if count is not None and count < 1:
-                raise ValueError(f"{name} must be >= 1 (or None for the "
-                                 f"usable cores), got {count}")
+        if self.num_threads is not None and self.num_threads < 1:
+            raise ValueError(f"num_threads must be >= 1 (or None for the "
+                             f"usable cores), got {self.num_threads}")
         if self.parallel_threshold < 0:
             raise ValueError(
                 f"parallel_threshold must be >= 0, got {self.parallel_threshold}"
-            )
-        if self.gather_variant not in ("auto", "fancy", "take"):
-            raise ValueError(
-                "gather_variant must be 'auto', 'fancy' or 'take', "
-                f"got {self.gather_variant!r}"
             )
         if self.chunk_elements is not None and self.chunk_elements < 1:
             raise ValueError(

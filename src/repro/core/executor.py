@@ -8,14 +8,15 @@ the mpGEMM result.  Two executors implement the same mathematics:
   loops over weight-quantization groups and bit planes, mirroring the tile
   walk of Algorithm 1 line by line.  Slow, obviously correct, kept as the
   numerical oracle.
-* :class:`VectorizedExecutor` — the production implementation.  Spans run
-  through the plan's compiled kernel (:mod:`repro.core.specialize`): for
-  the default group-granularity quantized tables the reduce-major,
-  row-minor integer LUT kernel — the numpy analogue of the paper's
-  ``TBL``-bound inner loop.  With ``specialize=False`` it falls back to a
-  generic walk: one batched gather per bit plane over the plan's
-  precomputed offsets and mirror signs, aggregation reshaped to
-  ``[N, M, QG, gpq]`` and reduced in a single operation.
+* :class:`VectorizedExecutor` — the production implementation, with two
+  span paths.  Integer-key tables (group-granularity quantized tables with
+  exact aggregation — the default config) run the plan's compiled integer
+  LUT kernel (:mod:`repro.core.specialize`), the native ``pshufb`` phase
+  or its numpy fallback.  Every other table mode (unquantized, fine scale
+  granularity, fast aggregation) runs the generic walk: one batched gather
+  per bit plane over the plan's precomputed offsets and mirror signs,
+  aggregation reshaped to ``[N, M, QG, gpq]`` and reduced in a single
+  operation.
 * :class:`ParallelExecutor` — the multi-core implementation: the vectorized
   executor's output columns are sharded into contiguous spans aligned to
   the plan's ``m_tm`` layout tile (:meth:`KernelPlan.output_tiles`) and
@@ -26,21 +27,11 @@ the mpGEMM result.  Two executors implement the same mathematics:
   results are bit-identical at any thread count.  Calls whose gather work
   falls below ``TMACConfig.parallel_threshold`` fall back to the serial
   path, so tiny decode-regime kernels never pay fork/join overhead.
-* :class:`ProcessExecutor` — the GIL-free implementation: the same
-  tile-aligned output shards, executed by a persistent pool of worker
-  *processes* (:mod:`repro.core.shm`).  Plan artifacts are published once
-  into shared-memory segments keyed by the plan's content address; per
-  call only the activation lookup table crosses the process boundary,
-  through a reusable scratch arena.  Workers run the identical span
-  pipeline over identical bytes with the same chunk budget, so results
-  stay bit-identical at any worker count.  Small shapes fall back to the
-  serial path, and auto-sized calls may delegate to the thread pool when
-  the cost model's IPC-overhead term says threads win.
 
 All executors run the same elementwise float operations in the same order,
 so their results are *bit-identical* (asserted in the unit tests across
-bits, group sizes, aggregation modes and thread/worker counts).  The
-executor is selected per kernel via ``TMACConfig.executor``.
+bits, group sizes, aggregation modes and thread counts).  The executor is
+selected per kernel via ``TMACConfig.executor``.
 """
 
 from __future__ import annotations
@@ -56,12 +47,11 @@ from repro.core.aggregation import exact_aggregate, fast_aggregate
 from repro.core.config import TMACConfig, usable_cpus
 from repro.core.lut import LookupTable, lookup
 from repro.core.plan import KernelPlan
-from repro.core.shm import ExecutorWorkerError
 from repro.core.specialize import (
     _StatsBlock,
+    integer_key,
     maybe_specialized,
     reset_specialize_stats,
-    specialization_key,
     specialize_stats,
 )
 
@@ -70,16 +60,12 @@ __all__ = [
     "LoopExecutor",
     "VectorizedExecutor",
     "ParallelExecutor",
-    "ProcessExecutor",
-    "ExecutorWorkerError",
     "get_executor",
     "list_executors",
     "get_worker_pool",
     "shutdown_worker_pools",
     "parallel_executor_stats",
     "reset_parallel_executor_stats",
-    "process_executor_stats",
-    "reset_process_executor_stats",
     "specialize_stats",
     "reset_specialize_stats",
 ]
@@ -272,9 +258,11 @@ class LoopExecutor(KernelExecutor):
 
 
 class VectorizedExecutor(KernelExecutor):
-    """Batched executor: compiled span kernels, or the generic walk.
+    """Batched executor: the compiled integer kernel, or the generic walk.
 
-    The generic walk (``specialize=False``) performs each bit plane's
+    Integer-key tables run the plan's compiled integer LUT kernel
+    (:func:`~repro.core.specialize.maybe_specialized`).  The generic walk
+    serves every other table mode: it performs each bit plane's
     ``[N, M, K/g]`` lookup as large fancy-index gathers over the plan's
     precomputed offsets, reshaped to ``[N, M, QG, gpq]`` and aggregated
     for every covered quantization group at once.
@@ -312,15 +300,17 @@ class VectorizedExecutor(KernelExecutor):
         output columns ``[m0, m1)``: ``[N, m1-m0, j1-j0]``.
 
         ``tables`` is the plan's gather metadata for ``table.mirrored``.
+        The 2-D offset view indexes the flat table directly (the gather
+        yields the 3-D result with no index copy), and the mirror signs
+        fold into the widening multiply; both are exact, so the result is
+        bitwise the gather -> widen -> sign-multiply sequence.
         """
-        n = table.num_rows
-        flat = table.values.reshape(n, -1)
-        offsets = tables.offsets[bit][m0:m1, j0:j1]
-        raw = flat[:, offsets.reshape(-1)].astype(np.float64)
-        raw = raw.reshape(n, m1 - m0, j1 - j0)
-        if tables.signs is not None:
-            raw *= tables.signs[bit][None, m0:m1, j0:j1]
-        return raw
+        flat = table.values.reshape(table.num_rows, -1)
+        looked_up = flat[:, tables.offsets[bit][m0:m1, j0:j1]]
+        if tables.signs is None:
+            return looked_up.astype(np.float64)
+        return np.multiply(looked_up, tables.signs[bit][m0:m1, j0:j1],
+                           dtype=np.float64)
 
     def iter_codes_dot(
         self,
@@ -350,12 +340,10 @@ class VectorizedExecutor(KernelExecutor):
         columns a full-width run would — regardless of how the chunk walk
         divides the quantization groups.
 
-        When the config enables specialization (the default), the span is
-        delegated to the plan's compiled kernel (:mod:`repro.core.specialize`
-        — the integer LUT kernel for group-granularity quantized tables) —
-        bit-identical to the generic walk below, which remains both the
-        fallback (``specialize=False``) and a reference the compiled
-        kernels are tested against.
+        Integer-key tables are delegated to the plan's compiled integer
+        LUT kernel (:mod:`repro.core.specialize`); every other table mode
+        runs the generic walk below.  Both are bit-identical to the loop
+        oracle.
         """
         spec = maybe_specialized(plan, table, config)
         if spec is not None:
@@ -477,15 +465,6 @@ _PARALLEL_STATS = _StatsBlock((
     "parallel_shards_executed",  # total output-span shards run on workers
 ))
 
-_PROCESS_STATS = _StatsBlock((
-    "process_calls",  # matmuls routed through the process executor
-    "process_dispatches",  # calls dispatched to the worker-process pool
-    "process_serial_fallbacks",  # calls below the threshold / no shm
-    "process_thread_delegations",  # calls the cost model sent to threads
-    "process_shards_executed",  # total output-span shards run in workers
-    "process_worker_errors",  # calls that raised ExecutorWorkerError
-))
-
 
 def parallel_executor_stats() -> Dict[str, int]:
     """Counters of the process-wide parallel executor (serving stats)."""
@@ -495,33 +474,6 @@ def parallel_executor_stats() -> Dict[str, int]:
 def reset_parallel_executor_stats() -> None:
     """Zero the parallel-executor counters (tests and benchmarks)."""
     _PARALLEL_STATS.reset()
-
-
-def process_executor_stats() -> Dict[str, int]:
-    """Counters and live gauges of the process-wide process executor.
-
-    The counter block is snapshot under a single lock; the shared-memory
-    segment/byte gauges and the worker-restart count are read live from
-    the registry and the pools (they are owned there, not here).
-    """
-    from repro.core import shm
-
-    stats = _PROCESS_STATS.snapshot()
-    registry = shm.shm_registry_stats()
-    stats["process_shm_segments"] = registry["segments"]
-    stats["process_shm_bytes"] = registry["bytes"]
-    stats["process_worker_restarts"] = sum(
-        pool.restart_count() for pool in shm.iter_process_pools())
-    return stats
-
-
-def reset_process_executor_stats() -> None:
-    """Zero the process-executor counters (tests and benchmarks)."""
-    from repro.core import shm
-
-    _PROCESS_STATS.reset()
-    for pool in shm.iter_process_pools():
-        pool.reset_stats()
 
 
 class ParallelExecutor(VectorizedExecutor):
@@ -555,15 +507,13 @@ class ParallelExecutor(VectorizedExecutor):
 
     def _warm_shared(self, plan: KernelPlan, table: LookupTable,
                      config: TMACConfig, span_budget: int) -> None:
-        """Build a sharded call's lazily shared state (compiled kernel or
-        gather tables, and what the integer kernel warms) in the calling
-        thread, so pool workers only ever read it."""
-        if not config.specialize:
+        """Build a sharded call's lazily shared state (the compiled integer
+        kernel and what it warms, or the generic walk's gather tables) in
+        the calling thread, so pool workers only ever read it."""
+        if integer_key(table, config):
+            plan.specialized().warm(table, span_budget)
+        else:
             plan.lookup_tables(table.mirrored)
-            return
-        kernel = plan.specialized(specialization_key(table, config))
-        if kernel.key.integer:
-            kernel.warm(table, span_budget)
 
     def matmul_with_table(
         self,
@@ -607,107 +557,16 @@ class ParallelExecutor(VectorizedExecutor):
         return out
 
 
-class ProcessExecutor(VectorizedExecutor):
-    """GIL-free executor: output-column shards on a worker-*process* pool.
-
-    The sharding geometry is exactly the :class:`ParallelExecutor`'s
-    (:meth:`KernelPlan.output_tiles`, tile-aligned, disjoint output spans),
-    but the shards execute in separate processes, so the Python glue
-    between numpy gathers genuinely overlaps instead of serializing on the
-    GIL.  Plan artifacts (weight scales/zeros plus the kernel's index
-    array — reduce-major planes or gather offsets and signs) are
-    published once per plan into shared memory by
-    :mod:`repro.core.shm`; per call only the activation lookup table, the
-    group sums and the output move, all through a reusable scratch arena.
-    Workers run the same span pipeline over the same bytes with the same
-    chunk budget, so results are bit-identical to the serial vectorized
-    executor at any worker count.
-
-    Dispatch policy per call:
-
-    * below ``parallel_threshold`` (or with shared memory unavailable) —
-      the serial vectorized path, like the thread executor;
-    * ``num_workers=None`` (auto) — the cost model's IPC-aware
-      :func:`~repro.hardware.cost_model.pool_dispatch_choice` may route
-      the shape to the thread pool when the per-call arena traffic would
-      eat the GIL-free win;
-    * an explicit ``num_workers`` pins the call to the process pool.
-
-    A call either completes bit-identically (workers that die are
-    respawned and their shards resubmitted) or raises
-    :class:`ExecutorWorkerError` — it never hangs.
-    """
-
-    name = "process"
-
-    def resolve_workers(self, config: TMACConfig) -> int:
-        """Worker-process count for this call (override or usable cores)."""
-        if config.num_workers is not None:
-            return max(1, config.num_workers)
-        return usable_cpus()
-
-    def matmul_with_table(
-        self,
-        plan: KernelPlan,
-        table: LookupTable,
-        config: TMACConfig,
-        activation: np.ndarray,
-    ) -> np.ndarray:
-        from repro.core import shm
-
-        n = activation.shape[0]
-        workers = self.resolve_workers(config)
-        work = n * plan.out_features * plan.num_groups
-        shards: List = []
-        if (workers > 1 and work >= config.parallel_threshold
-                and shm.shm_available()):
-            shards = plan.output_tiles(workers)
-        if len(shards) <= 1:
-            _PROCESS_STATS.add(process_calls=1, process_serial_fallbacks=1)
-            return super().matmul_with_table(plan, table, config, activation)
-
-        if config.num_workers is None:
-            from repro.hardware.cost_model import pool_dispatch_choice
-
-            choice = pool_dispatch_choice(
-                n, plan.out_features, plan.in_features, config,
-                len(shards), group_size=plan.group_size,
-                tile_config=plan.weights.tile_config,
-            )
-            if choice == "thread":
-                _PROCESS_STATS.add(process_calls=1,
-                                   process_thread_delegations=1)
-                delegated = config.with_options(executor="parallel",
-                                                num_threads=workers)
-                return ParallelExecutor().matmul_with_table(
-                    plan, table, delegated, activation)
-
-        group_sums = activation.reshape(n, plan.num_qgroups, -1).sum(axis=2)
-        span_budget = max(1, self.gather_budget(config) // len(shards))
-        pool = shm.get_process_pool(workers)
-        try:
-            with plan_canary(plan):
-                out = pool.run_matmul(plan, table, config, group_sums,
-                                      shards, span_budget)
-        except ExecutorWorkerError:
-            _PROCESS_STATS.add(process_calls=1, process_worker_errors=1)
-            raise
-        _PROCESS_STATS.add(process_calls=1, process_dispatches=1,
-                           process_shards_executed=len(shards))
-        return out
-
-
 _EXECUTORS: Dict[str, Type[KernelExecutor]] = {
     LoopExecutor.name: LoopExecutor,
     VectorizedExecutor.name: VectorizedExecutor,
     ParallelExecutor.name: ParallelExecutor,
-    ProcessExecutor.name: ProcessExecutor,
 }
 
 
 def get_executor(name: str) -> KernelExecutor:
-    """Instantiate an executor by name (``"vectorized"``, ``"parallel"``,
-    ``"process"`` or ``"loop"``)."""
+    """Instantiate an executor by name (``"vectorized"``, ``"parallel"``
+    or ``"loop"``)."""
     try:
         return _EXECUTORS[name]()
     except KeyError:

@@ -115,9 +115,8 @@ def weight_fingerprint(qweight: QuantizedWeight) -> str:
 class _LookupTables:
     """Precomputed gather metadata for one mirror setting (executor detail).
 
-    Used by the generic vectorized walk and the float-domain specialized
-    closures (unquantized, fine-granularity and fast-aggregation tables);
-    the default group-granularity mode runs
+    Used by the generic vectorized walk (unquantized, fine-granularity and
+    fast-aggregation tables); the default group-granularity mode runs
     :class:`~repro.core.specialize.IntegerLutKernel` and never builds it.
     The mirror-folded table offsets and the mirror-reconstruction signs are
     pure functions of the weight indices — computed once per plan and
@@ -157,15 +156,12 @@ class KernelPlan:
     _gather_cache: Dict[bool, _LookupTables] = field(
         default_factory=dict, repr=False
     )
-    #: Specialization key -> compiled span kernel
-    #: (:mod:`repro.core.specialize`).  Lazily built,
-    #: guarded by the same lock as the gather tables, and owned by the
-    #: plan: evicting the plan from the :class:`PlanCache` releases every
-    #: compiled kernel with it (the kernels hold no reference back).
-    _spec_cache: Dict[tuple, object] = field(
-        default_factory=dict, repr=False
-    )
-    #: Serializes the lazy gather-metadata and specialized-kernel builds:
+    #: The compiled integer LUT kernel (:mod:`repro.core.specialize`).
+    #: Lazily built, guarded by the same lock as the gather tables, and
+    #: owned by the plan: evicting the plan from the :class:`PlanCache`
+    #: releases the kernel with it (it holds no reference back).
+    _integer_kernel: Optional[object] = field(default=None, repr=False)
+    #: Serializes the lazy gather-metadata and integer-kernel builds:
     #: the parallel executor's workers (and concurrent serving requests)
     #: may race into :meth:`lookup_tables` / :meth:`specialized` for one
     #: shared plan.
@@ -295,39 +291,30 @@ class KernelPlan:
         self._gather_cache[mirrored] = tables
         return tables
 
-    def specialized(self, key) -> object:
-        """The compiled codes-dot kernel for ``key`` (lazily built).
+    def specialized(self) -> object:
+        """The compiled integer LUT kernel (lazily built).
 
         Thread-safe and single-flight like :meth:`lookup_tables`:
-        concurrent executor workers racing on one plan compile each
-        distinct :class:`~repro.core.specialize.SpecializationKey`
-        exactly once and all receive the same kernel object.
+        concurrent executor workers racing on one plan compile it exactly
+        once and all receive the same kernel object.
         """
-        # Benign double-checked read: dict.get is atomic under the GIL and
-        # entries are only ever added (never mutated or removed), so a
-        # stale miss just falls through to the locked slow path.
+        # Benign double-checked read: the attribute is set once and never
+        # changed, so a stale miss just falls through to the locked build.
         # repro-lint: disable=lock-guard -- lock-free fast path; misses fall through to the locked build
-        cached = self._spec_cache.get(key)
-        if cached is not None:
-            return cached
+        kernel = self._integer_kernel
+        if kernel is not None:
+            return kernel
         with self._gather_lock:
-            return self._build_specialized_locked(key)
+            return self._build_specialized_locked()
 
-    def _build_specialized_locked(self, key) -> object:
-        cached = self._spec_cache.get(key)
-        if cached is not None:
-            return cached
-        # Resolved per build: tests substitute the compiler on the module.
-        from repro.core.specialize import compile_specialized
+    def _build_specialized_locked(self) -> object:
+        if self._integer_kernel is None:
+            # Resolved per build: tests substitute the compiler on the
+            # module.
+            from repro.core.specialize import compile_specialized
 
-        # The integer kernel builds its own planes and leaves the gather
-        # tables unbuilt; the float closures need them, built with the
-        # non-reentrant lock already held.
-        tables = (None if key.integer
-                  else self._build_lookup_tables_locked(key.mirrored))
-        kernel = compile_specialized(self, key, tables)
-        self._spec_cache[key] = kernel
-        return kernel
+            self._integer_kernel = compile_specialized(self)
+        return self._integer_kernel
 
     def compatible_with(self, config: TMACConfig) -> bool:
         """Whether this plan can execute under ``config``.

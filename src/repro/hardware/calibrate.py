@@ -22,15 +22,12 @@ fits one linear coefficient per cost term —
   (``N * M * QG``),
 
 plus a constant per phase (the per-call dispatch overhead the
-specialization work attacks).  The same run races the two gather drivers
-(advanced indexing vs. :func:`np.take`) and a small chunk-budget sweep, so
-the profile also records which driver and which chunk size this host's
-caches actually prefer.
+specialization work attacks).  The same run sweeps a few chunk budgets, so
+the profile also records which chunk size this host's caches actually
+prefer.
 
-The fitted :class:`CalibrationProfile` round-trips through JSON, feeds the
-autotuner (:mod:`repro.tuning.tuner`) under ``REPRO_AUTOTUNE=1``, and can
-be handed to :class:`~repro.hardware.cost_model.CostModel` so dispatch
-decisions use measured serial latencies instead of modelled ones.
+The fitted :class:`CalibrationProfile` round-trips through JSON and feeds
+the autotuner (:mod:`repro.tuning.tuner`) under ``REPRO_AUTOTUNE=1``.
 
 Command line::
 
@@ -91,10 +88,10 @@ QUICK_PROBE_SHAPES: Tuple[Tuple[int, int, int, int, int], ...] = (
 #: trade numpy batch width for cache residency.
 CHUNK_BUDGET_CANDIDATES: Tuple[int, ...] = (1 << 20, 1 << 22, 1 << 24)
 
-#: Shape used for the gather-driver race and the chunk sweep — large
-#: enough that the driver difference dominates timer noise, small enough
-#: to keep calibration under a few seconds.
-_VARIANT_PROBE = (1, 1024, 4096, 4, 128)
+#: Shape used for the chunk sweep — large enough that the budget
+#: difference dominates timer noise, small enough to keep calibration
+#: under a few seconds.
+_CHUNK_PROBE = (1, 1024, 4096, 4, 128)
 
 
 @dataclass(frozen=True)
@@ -130,6 +127,11 @@ class ProbeResult:
         return abs(self.predicted_s - self.total_s) / self.total_s
 
 
+#: Keys of profiles written while calibration raced two gather drivers;
+#: :meth:`CalibrationProfile.from_dict` ignores them.
+_RETIRED_KEYS = frozenset({"gather_variant", "gather_timings_s"})
+
+
 @dataclass
 class CalibrationProfile:
     """Fitted per-term overheads of this host, with the evidence attached.
@@ -152,8 +154,6 @@ class CalibrationProfile:
     cores: int
     numpy_version: str
     repeats: int
-    gather_variant: str
-    gather_timings_s: Dict[str, float]
     chunk_elements: Optional[int]
     chunk_timings_s: Dict[str, float]
     coefficients: Dict[str, float]
@@ -215,7 +215,8 @@ class CalibrationProfile:
             ProbeResult(shape=ProbeShape(**p.pop("shape")), **p)
             for p in [dict(p) for p in payload.get("probes", ())]
         ]
-        fields = {k: v for k, v in payload.items() if k != "probes"}
+        fields = {k: v for k, v in payload.items()
+                  if k != "probes" and k not in _RETIRED_KEYS}
         return cls(probes=probes, **fields)
 
     def save(self, path: str) -> None:
@@ -229,18 +230,6 @@ class CalibrationProfile:
         """Read a profile previously written by :meth:`save`."""
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    # -- side effects ---------------------------------------------------- #
-
-    def apply(self) -> None:
-        """Push the measured preferences into the kernel defaults.
-
-        Today that is the gather driver: ``gather_variant="auto"`` configs
-        resolve to whichever driver this profile measured faster.
-        """
-        from repro.core.specialize import set_default_gather_variant
-
-        set_default_gather_variant(self.gather_variant)
 
 
 # --------------------------------------------------------------------- #
@@ -303,13 +292,11 @@ def _probe_kernel(shape: ProbeShape, config):
     return kernel, a
 
 
-def _probe_config(bits: int, gather_variant: str = "auto",
-                  chunk_elements: Optional[int] = None):
-    """The probe kernel configuration: the serial specialized hot path."""
+def _probe_config(bits: int, chunk_elements: Optional[int] = None):
+    """The probe kernel configuration: the serial integer-kernel hot path."""
     from repro.core.config import TMACConfig
 
-    return TMACConfig(bits=bits, executor="vectorized", specialize=True,
-                      gather_variant=gather_variant,
+    return TMACConfig(bits=bits, executor="vectorized",
                       chunk_elements=chunk_elements)
 
 
@@ -317,8 +304,8 @@ def _probe_config(bits: int, gather_variant: str = "auto",
 _ROUNDS_PER_REPEAT = 4
 
 
-def _run_probes(shapes: Sequence[ProbeShape], repeats: int,
-                gather_variant: str) -> List[ProbeResult]:
+def _run_probes(shapes: Sequence[ProbeShape],
+                repeats: int) -> List[ProbeResult]:
     """Time the LUT-build and matmul phases of every probe shape.
 
     A round times each phase of each probe once, and a phase keeps its
@@ -330,8 +317,7 @@ def _run_probes(shapes: Sequence[ProbeShape], repeats: int,
     """
     phases = []
     for shape in shapes:
-        kernel, a = _probe_kernel(shape,
-                                  _probe_config(shape.bits, gather_variant))
+        kernel, a = _probe_kernel(shape, _probe_config(shape.bits))
         table = kernel.precompute(a)
         phases.append((
             lambda kernel=kernel, a=a: kernel.precompute(a),
@@ -362,22 +348,8 @@ def _run_probes(shapes: Sequence[ProbeShape], repeats: int,
     return results
 
 
-def _race_gather_variants(repeats: int) -> Tuple[str, Dict[str, float]]:
-    """Measure both gather drivers on the representative shape."""
-    shape = ProbeShape(*_VARIANT_PROBE)
-    timings: Dict[str, float] = {}
-    for variant in ("fancy", "take"):
-        config = _probe_config(shape.bits, gather_variant=variant)
-        kernel, a = _probe_kernel(shape, config)
-        table = kernel.precompute(a)
-        timings[variant] = _best_seconds(
-            lambda: kernel.matmul_with_table(a, table), repeats)
-    best = min(timings, key=timings.get)
-    return best, timings
-
-
 def _sweep_chunk_budgets(
-    repeats: int, gather_variant: str,
+    repeats: int,
     candidates: Sequence[int] = CHUNK_BUDGET_CANDIDATES,
 ) -> Tuple[Optional[int], Dict[str, float]]:
     """Race chunk budgets on the representative shape.
@@ -388,13 +360,12 @@ def _sweep_chunk_budgets(
     """
     from repro.core.executor import VectorizedExecutor
 
-    shape = ProbeShape(*_VARIANT_PROBE)
+    shape = ProbeShape(*_CHUNK_PROBE)
     default_budget = VectorizedExecutor.max_gather_elements
     timings: Dict[str, float] = {}
     best_budget, best_s = None, float("inf")
     for budget in candidates:
-        config = _probe_config(shape.bits, gather_variant,
-                               chunk_elements=budget)
+        config = _probe_config(shape.bits, chunk_elements=budget)
         kernel, a = _probe_kernel(shape, config)
         table = kernel.precompute(a)
         seconds = _best_seconds(
@@ -484,8 +455,6 @@ def calibrate(
 
     ``quick=True`` uses the reduced probe set and fewer repeats — the mode
     the autotuner uses when calibrating lazily inside a serving process.
-    The returned profile has already been :meth:`~CalibrationProfile.apply`-d
-    (the measured gather preference is active).
     """
     import platform
 
@@ -497,15 +466,12 @@ def calibrate(
     else:
         shapes = shapes or PROBE_SHAPES
 
-    gather_variant, gather_timings = _race_gather_variants(repeats)
     if sweep_chunks:
-        chunk_best, chunk_timings = _sweep_chunk_budgets(repeats,
-                                                         gather_variant)
+        chunk_best, chunk_timings = _sweep_chunk_budgets(repeats)
     else:
         chunk_best, chunk_timings = None, {}
 
-    probes = _run_probes([ProbeShape(*spec) for spec in shapes], repeats,
-                         gather_variant)
+    probes = _run_probes([ProbeShape(*spec) for spec in shapes], repeats)
     coefficients = _fit(probes)
 
     profile = CalibrationProfile(
@@ -513,8 +479,6 @@ def calibrate(
         cores=usable_cpus(),
         numpy_version=np.__version__,
         repeats=repeats,
-        gather_variant=gather_variant,
-        gather_timings_s=gather_timings,
         chunk_elements=chunk_best,
         chunk_timings_s=chunk_timings,
         coefficients=coefficients,
@@ -524,7 +488,6 @@ def calibrate(
         probe.predicted_s = profile.predict_gemm_seconds(
             probe.shape.n, probe.shape.m, probe.shape.k,
             _probe_config(probe.shape.bits), probe.shape.group_size)
-    profile.apply()
     return profile
 
 
@@ -537,9 +500,7 @@ def load_profile(path: Optional[str] = None) -> Optional[CalibrationProfile]:
     path = path or os.environ.get("REPRO_CALIBRATION")
     if not path or not os.path.exists(path):
         return None
-    profile = CalibrationProfile.load(path)
-    profile.apply()
-    return profile
+    return CalibrationProfile.load(path)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -557,7 +518,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     profile = calibrate(repeats=args.repeats, quick=args.quick)
     profile.save(args.out)
     worst = profile.max_relative_error()
-    print(f"calibrated {profile.host}: gather={profile.gather_variant} "
+    print(f"calibrated {profile.host}: "
           f"chunk={profile.chunk_elements or 'default'} "
           f"worst fit error {worst:.1%}")
     for name, value in sorted(profile.coefficients.items()):

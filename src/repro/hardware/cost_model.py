@@ -39,71 +39,19 @@ __all__ = [
     "KernelLatency",
     "CostModel",
     "TABLE_SPILL_PENALTY",
-    "PROCESS_DISPATCH_OVERHEAD_S",
-    "PROCESS_SHARD_OVERHEAD_S",
-    "SHM_COPY_BANDWIDTH",
     "THREAD_POOL_GIL_FRACTION",
-    "pool_dispatch_choice",
-    "process_ipc_overhead_seconds",
 ]
 
 #: Slow-down applied to lookup instructions when the tables live in L1/L2
 #: instead of vector registers (TM-base, before the LUT-centric tiling).
 TABLE_SPILL_PENALTY = 3.0
 
-#: Fixed cost of one process-pool mpGEMM dispatch: taking the pool lock,
-#: laying out the scratch arena and waking the result-queue reader.
-PROCESS_DISPATCH_OVERHEAD_S = 120e-6
-
-#: Per-shard cost of a process-pool call: one control tuple through a
-#: multiprocessing queue each way (pickle + pipe + wakeup).
-PROCESS_SHARD_OVERHEAD_S = 60e-6
-
-#: Effective bandwidth of the per-call shared-memory copies (LUT values in,
-#: output shards back out) — a plain memcpy through the page cache.
-SHM_COPY_BANDWIDTH = 8e9  # bytes/s
-
 #: Fraction of each extra *thread* that converts into real speedup under
 #: the GIL.  The thread pool only overlaps inside numpy's nogil kernels;
 #: the Python glue between gathers serializes, and the measured
 #: thread-scaling run reaches 1.18x on 2 threads — i.e. ~18% of the second
-#: thread was usable.  Worker processes do not pay this tax.
+#: thread was usable.
 THREAD_POOL_GIL_FRACTION = 0.18
-
-
-def process_ipc_overhead_seconds(
-    n: int,
-    m: int,
-    k: int,
-    config: TMACConfig,
-    workers: int,
-    group_size: int = 128,
-) -> float:
-    """Per-call overhead of the process executor over the thread one.
-
-    The plan's weight artifacts live in shared memory and cost nothing
-    per call; what remains is the fixed dispatch cost, one queue
-    round-trip per shard, and the copies through the scratch arena —
-    the activation lookup table (plus its dynamic scales), the
-    per-quantization-group activation sums, and the output read back.
-    Device-independent (pure shape arithmetic over the pool constants),
-    so the autotuner shares it with :class:`CostModel`.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    groups = k // config.g
-    lut_bytes = n * groups * config.table_length * config.table_entry_bytes
-    if config.table_quantization:
-        blocks = groups // (group_size // config.g
-                            if config.lut_scale_granularity == "group"
-                            else 1)
-        lut_bytes += n * max(1, blocks) * 4  # float32 dynamic scales
-    sums_bytes = n * (k // group_size) * 4  # float32 group sums
-    out_bytes = n * m * 4  # float32 result, copied back out
-    moved = lut_bytes + sums_bytes + out_bytes
-    return (PROCESS_DISPATCH_OVERHEAD_S
-            + workers * PROCESS_SHARD_OVERHEAD_S
-            + moved / SHM_COPY_BANDWIDTH)
 
 
 @dataclass(frozen=True)
@@ -135,13 +83,6 @@ class CostModel:
     ----------
     device:
         The :class:`~repro.hardware.device.Device` to model.
-    calibration:
-        Optional measured host profile
-        (:class:`~repro.hardware.calibrate.CalibrationProfile`).  When
-        given, :meth:`pool_dispatch_choice` anchors its serial-latency
-        term to the measured fit instead of the roofline estimate, so
-        thread-vs-process decisions reflect the machine actually running
-        the kernels rather than the modelled device.
 
     Examples
     --------
@@ -153,10 +94,9 @@ class CostModel:
     True
     """
 
-    def __init__(self, device: Device, calibration=None):
+    def __init__(self, device: Device):
         self.device = device
         self.memory = MemoryModel(device.cpu)
-        self.calibration = calibration
 
     # ------------------------------------------------------------------ #
     # Core roofline
@@ -326,122 +266,6 @@ class CostModel:
             for t in thread_counts
         }
 
-    # ------------------------------------------------------------------ #
-    # Process-executor (worker-pool) estimates
-    # ------------------------------------------------------------------ #
-
-    def ipc_overhead_seconds(
-        self,
-        n: int,
-        m: int,
-        k: int,
-        config: TMACConfig,
-        workers: int,
-        group_size: int = 128,
-    ) -> float:
-        """Per-call overhead of the process executor over the thread one.
-
-        Delegates to :func:`process_ipc_overhead_seconds` (the term is
-        pure shape arithmetic, shared with the autotuner).
-        """
-        return process_ipc_overhead_seconds(n, m, k, config, workers,
-                                            group_size)
-
-    def tmac_process_gemm_latency(
-        self,
-        n: int,
-        m: int,
-        k: int,
-        config: TMACConfig,
-        workers: int,
-        group_size: int = 128,
-        tile_config=None,
-    ) -> KernelLatency:
-        """Latency of a T-MAC mpGEMM under the process executor.
-
-        The compute/memory terms are the thread-pool roofline (worker
-        processes shard identically and scale without the GIL tax), plus
-        the :meth:`ipc_overhead_seconds` term for the per-call arena
-        traffic — which is what makes small shapes favour the thread pool
-        and large shapes the process pool.
-        """
-        base = self.tmac_parallel_gemm_latency(
-            n, m, k, config, workers, group_size, tile_config)
-        overhead = self.ipc_overhead_seconds(n, m, k, config, workers,
-                                             group_size)
-        compute = base.compute_seconds + overhead
-        seconds = max(compute, base.memory_seconds)
-        return KernelLatency(
-            seconds=seconds,
-            compute_seconds=compute,
-            memory_seconds=base.memory_seconds,
-            threads=workers,
-            bound="compute" if compute >= base.memory_seconds else "memory",
-            description=base.description.replace(
-                f"[parallel x{workers}]", f"[process x{workers}]"),
-        )
-
-    def process_scaling(
-        self,
-        n: int,
-        m: int,
-        k: int,
-        config: TMACConfig,
-        worker_counts,
-        group_size: int = 128,
-        tile_config=None,
-    ) -> "dict[int, KernelLatency]":
-        """Process-executor latency at each requested worker count."""
-        return {
-            int(w): self.tmac_process_gemm_latency(
-                n, m, k, config, int(w), group_size, tile_config)
-            for w in worker_counts
-        }
-
-    def pool_dispatch_choice(
-        self,
-        n: int,
-        m: int,
-        k: int,
-        config: TMACConfig,
-        workers: int,
-        group_size: int = 128,
-        tile_config=None,
-    ) -> str:
-        """``"thread"`` or ``"process"`` — which pool should run this shape.
-
-        Threads are modelled as the ideal sharded roofline degraded by
-        :data:`THREAD_POOL_GIL_FRACTION` (only numpy's nogil interior
-        overlaps); processes pay the full IPC term instead.  The process
-        executor consults this per shape when ``num_workers`` is left to
-        auto-detection, so decode-regime kernels that amortize nothing
-        keep using the cheaper thread pool.
-        """
-        workers = max(1, min(workers, self.device.cpu.cores))
-        if workers == 1:
-            return "thread"
-        serial = self.tmac_gemm_latency(n, m, k, config, threads=1,
-                                        group_size=group_size,
-                                        tile_config=tile_config).seconds
-        ideal = self.tmac_parallel_gemm_latency(
-            n, m, k, config, workers, group_size, tile_config).seconds
-        if self.calibration is not None and serial > 0:
-            # Keep the roofline's *relative* parallel-efficiency structure
-            # but anchor the absolute scale to the measured host fit: the
-            # IPC term below is absolute seconds, so comparing it against
-            # modelled seconds of a different machine would skew the
-            # break-even shape.
-            measured = self.calibration.predict_gemm_seconds(
-                n, m, k, config, group_size)
-            ideal *= measured / serial
-            serial = measured
-        ideal_speedup = serial / ideal if ideal > 0 else 1.0
-        gil_speedup = 1.0 + (ideal_speedup - 1.0) * THREAD_POOL_GIL_FRACTION
-        thread_s = serial / max(1.0, gil_speedup)
-        process_s = ideal + self.ipc_overhead_seconds(
-            n, m, k, config, workers, group_size)
-        return "process" if process_s < thread_s else "thread"
-
     def dequant_gemm_latency(
         self,
         n: int,
@@ -467,32 +291,3 @@ class CostModel:
     ) -> KernelLatency:
         """Latency of the llama.cpp-style dequantization mpGEMV (N=1)."""
         return self.dequant_gemm_latency(1, m, k, bits, threads, group_size)
-
-
-_DISPATCH_MODEL: Optional[CostModel] = None
-
-
-def pool_dispatch_choice(
-    n: int,
-    m: int,
-    k: int,
-    config: TMACConfig,
-    workers: int,
-    group_size: int = 128,
-    tile_config=None,
-) -> str:
-    """Thread-vs-process pool choice over a reference multi-core device.
-
-    Module-level convenience for the process executor's runtime heuristic:
-    the *relative* ranking of the two pools depends on the shape and the
-    IPC term far more than on the exact device, so one reference model
-    (the paper's M2 Ultra, the deepest-cored device in the catalogue)
-    serves every host.  See :meth:`CostModel.pool_dispatch_choice`.
-    """
-    global _DISPATCH_MODEL
-    if _DISPATCH_MODEL is None:
-        from repro.hardware.devices import M2_ULTRA
-
-        _DISPATCH_MODEL = CostModel(M2_ULTRA)
-    return _DISPATCH_MODEL.pool_dispatch_choice(
-        n, m, k, config, workers, group_size, tile_config)

@@ -321,31 +321,13 @@ class GatewayMetrics:
             f"{ns}_prefix_cache_hit_rate",
             "Fraction of prompt tokens served from shared prefix pages "
             "(-1 when prefix caching is off).")
-        self.process_dispatches = registry.counter(
-            f"{ns}_process_executor_dispatches_total",
-            "mpGEMM calls dispatched to the worker-process pool "
-            "(process-wide executor counter).")
-        self.process_fallbacks = registry.counter(
-            f"{ns}_process_executor_fallbacks_total",
-            "Process-executor calls that fell back to the serial path "
-            "(below threshold or shared memory unavailable).")
-        self.process_worker_restarts = registry.counter(
-            f"{ns}_process_worker_restarts_total",
-            "Dead mpGEMM worker processes respawned by the pool.")
-        self.process_shm_segments = registry.gauge(
-            f"{ns}_process_shm_segments",
-            "Live shared-memory segments (published plans + scratch "
-            "arenas).")
-        self.process_shm_bytes = registry.gauge(
-            f"{ns}_process_shm_bytes",
-            "Bytes held in shared-memory segments.")
         self.specialize_builds = registry.counter(
             f"{ns}_specialized_kernel_builds_total",
-            "Specialized span kernels compiled (one per plan + table "
-            "mode; process-wide counter).")
+            "Integer LUT kernels compiled (one per plan; process-wide "
+            "counter).")
         self.specialize_calls = registry.counter(
             f"{ns}_specialized_span_calls_total",
-            "Span executions routed through a compiled specialized "
+            "Span executions routed through a compiled integer LUT "
             "kernel.")
 
     def observe_timing(self, samples: Dict[str, List[float]]) -> None:
@@ -368,13 +350,6 @@ class GatewayMetrics:
         self.plan_cache_hit_rate.set(hits / total if total else 0.0)
         self.prefix_cache_hit_rate.set(stats.get("prefix_hit_rate", -1.0))
         self.kv_free_pages.set(stats.get("kv_free_blocks", -1.0))
-        self.process_dispatches.set_total(stats.get("process_dispatches", 0))
-        self.process_fallbacks.set_total(
-            stats.get("process_serial_fallbacks", 0))
-        self.process_worker_restarts.set_total(
-            stats.get("process_worker_restarts", 0))
-        self.process_shm_segments.set(stats.get("process_shm_segments", 0))
-        self.process_shm_bytes.set(stats.get("process_shm_bytes", 0))
         self.specialize_builds.set_total(stats.get("specialize_builds", 0))
         self.specialize_calls.set_total(stats.get("specialize_calls", 0))
 

@@ -62,11 +62,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.executor import (
-    parallel_executor_stats,
-    process_executor_stats,
-    specialize_stats,
-)
+from repro.core.executor import parallel_executor_stats, specialize_stats
 from repro.core.plan import plan_cache_stats
 from repro.kvcache import OutOfBlocks, PagePool
 from repro.kvcache.pool import DEFAULT_BLOCK_SIZE
@@ -805,12 +801,10 @@ class ServingEngine:
             "global_plan_cache_hits": plan_stats["hits"],
             "global_plan_cache_misses": plan_stats["misses"],
         }
-        # Like the plan-cache counters, the parallel- and process-executor
-        # counters are process-wide (every kernel call in the process, not
-        # only this engine's); the "parallel_" / "process_" prefixes mark
-        # the scope.
+        # Like the plan-cache counters, the parallel-executor counters are
+        # process-wide (every kernel call in the process, not only this
+        # engine's); the "parallel_" prefix marks the scope.
         out.update(parallel_executor_stats())
-        out.update(process_executor_stats())
         out.update(specialize_stats())
         if self.pool is not None:
             out.update(self.pool.stats())

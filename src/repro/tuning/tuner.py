@@ -10,8 +10,8 @@ roofline latency for a given problem shape, device and thread count.
 
 :class:`ShapeTuner` is the runtime counterpart, driven by *measurements*
 instead of the analytic model: given a host calibration profile
-(:mod:`repro.hardware.calibrate`), it picks the executor, worker count,
-chunk budget and gather driver for each mpGEMM shape, memoized per shape.
+(:mod:`repro.hardware.calibrate`), it picks the executor, thread count
+and chunk budget for each mpGEMM shape, memoized per shape.
 ``REPRO_AUTOTUNE=1`` makes :class:`~repro.core.kernel.TMACKernel` consult
 it transparently on every matmul (:func:`resolve_autotuned`).
 """
@@ -24,11 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import TMACConfig, autotune_enabled
 from repro.core.tiling import TileConfig
-from repro.hardware.cost_model import (
-    THREAD_POOL_GIL_FRACTION,
-    CostModel,
-    process_ipc_overhead_seconds,
-)
+from repro.hardware.cost_model import THREAD_POOL_GIL_FRACTION, CostModel
 from repro.hardware.device import Device
 from repro.tuning.search_space import candidate_tile_configs
 
@@ -70,15 +66,11 @@ class TuningResult:
 
 
 class Tuner:
-    """Exhaustive tuner for T-MAC tile configurations on one device.
+    """Exhaustive tuner for T-MAC tile configurations on one device."""
 
-    ``calibration`` optionally anchors the cost model to a measured host
-    profile (see :class:`~repro.hardware.cost_model.CostModel`).
-    """
-
-    def __init__(self, device: Device, calibration=None):
+    def __init__(self, device: Device):
         self.device = device
-        self.cost_model = CostModel(device, calibration=calibration)
+        self.cost_model = CostModel(device)
 
     def tune(
         self,
@@ -139,14 +131,13 @@ class Tuner:
 class ExecutionChoice:
     """The execution strategy picked for one mpGEMM shape.
 
-    ``workers`` is the pool width for the ``"parallel"`` (threads) or
-    ``"process"`` executor and 1 for ``"vectorized"``.
+    ``workers`` is the thread-pool width for the ``"parallel"`` executor
+    and 1 for ``"vectorized"``.
     """
 
     executor: str
     workers: int
     chunk_elements: Optional[int]
-    gather_variant: str
     predicted_seconds: float
 
 
@@ -159,13 +150,11 @@ class ShapeTuner:
     * the serial vectorized executor,
     * the thread pool at 2..cores workers, degraded by the measured GIL
       fraction (:data:`~repro.hardware.cost_model.THREAD_POOL_GIL_FRACTION`),
-    * the process pool at the same widths, paying the per-call IPC term
-      (:func:`~repro.hardware.cost_model.process_ipc_overhead_seconds`),
 
     and returns the cheapest as an :class:`ExecutionChoice` — together
-    with the profile's measured chunk-budget and gather-driver
-    preferences.  Choices are memoized; the per-call cost after the first
-    resolution of a shape is one dict lookup.
+    with the profile's measured chunk-budget preference.  Choices are
+    memoized; the per-call cost after the first resolution of a shape is
+    one dict lookup.
     """
 
     def __init__(self, profile):
@@ -196,27 +185,16 @@ class ShapeTuner:
         best = ("vectorized", 1, serial_s)
         gather_work = n * m * (k // config.g)
         if profile.cores > 1 and gather_work >= config.parallel_threshold:
-            # Process workers run the numpy integer phase.
-            worker_s = profile.predict_gemm_seconds(
-                n, m, k, config.with_options(executor="process"), group_size)
             for workers in range(2, profile.cores + 1):
-                # Same pool economics as CostModel.pool_dispatch_choice,
-                # anchored to the measured serial fit: threads overlap
-                # only numpy's nogil interior; processes shard ideally
-                # but pay the per-call arena traffic.
+                # Threads overlap only numpy's nogil interior.
                 gil_speedup = 1.0 + (workers - 1) * THREAD_POOL_GIL_FRACTION
                 thread_s = serial_s / gil_speedup
-                process_s = worker_s / workers + process_ipc_overhead_seconds(
-                    n, m, k, config, workers, group_size)
                 if thread_s < best[2]:
                     best = ("parallel", workers, thread_s)
-                if process_s < best[2]:
-                    best = ("process", workers, process_s)
         return ExecutionChoice(
             executor=best[0],
             workers=best[1],
             chunk_elements=profile.chunk_elements,
-            gather_variant=profile.gather_variant,
             predicted_seconds=best[2],
         )
 
@@ -224,16 +202,14 @@ class ShapeTuner:
         """Rewrite ``config`` to execute with ``choice``.
 
         Explicit user settings win: an already-pinned ``chunk_elements``
-        or a non-``"auto"`` ``gather_variant`` is left alone — the tuner
-        only fills in what the caller delegated.
+        is left alone — the tuner only fills in what the caller
+        delegated.
         """
         updates: dict = {}
         if config.executor != choice.executor:
             updates["executor"] = choice.executor
         if choice.executor == "parallel" and config.num_threads != choice.workers:
             updates["num_threads"] = choice.workers
-        if choice.executor == "process" and config.num_workers != choice.workers:
-            updates["num_workers"] = choice.workers
         if (choice.chunk_elements is not None
                 and config.chunk_elements is None):
             updates["chunk_elements"] = choice.chunk_elements

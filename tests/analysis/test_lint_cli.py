@@ -102,9 +102,11 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("frozen-plan", "lock-guard", "shm-lifecycle",
-                     "determinism", "no-swallowed-futures"):
+        rules = ("frozen-plan", "lock-guard", "determinism",
+                 "no-swallowed-futures")
+        for rule in rules:
             assert rule in out
+        assert len(out.strip().splitlines()) == len(rules)
 
     def test_syntax_error_is_reported_not_crashed(self, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")

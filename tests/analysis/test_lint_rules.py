@@ -47,17 +47,23 @@ class TestFrozenPlan:
         """
         assert len(run("x.py", bad, "frozen-plan")) == 1
 
-    def test_freeze_helper_and_view_count_as_evidence(self):
+    def test_freeze_helper_counts_as_evidence(self):
         good = """
-            def rebuild(buf, spec):
-                arr = _view(buf, spec)
-                return _LookupTables(stored=8, folded=[arr])
-
             def build(qw):
                 qw.freeze()
                 return PreprocessedWeights(index_planes=qw.codes)
         """
         assert run("x.py", good, "frozen-plan") == []
+
+    def test_view_helper_is_not_evidence(self):
+        """Only ``setflags(write=False)`` or a ``*freeze*`` call counts: a
+        buffer view handed straight to an artifact constructor fires."""
+        bad = """
+            def rebuild(buf, spec):
+                arr = _view(buf, spec)
+                return _LookupTables(stored=8, folded=[arr])
+        """
+        assert len(run("x.py", bad, "frozen-plan")) == 1
 
     def test_plan_write_outside_build_fires(self):
         bad = """
@@ -154,46 +160,6 @@ class TestLockGuard:
                     return self._plans
         """
         assert run("x.py", good, "lock-guard") == []
-
-
-# --------------------------------------------------------------------- #
-# shm-lifecycle
-# --------------------------------------------------------------------- #
-
-class TestShmLifecycle:
-    def test_unpaired_create_fires(self):
-        bad = """
-            def make(nbytes):
-                return SharedMemory(create=True, size=nbytes)
-        """
-        assert len(run("x.py", bad, "shm-lifecycle")) == 1
-
-    def test_finalize_in_same_scope_passes(self):
-        good = """
-            def make(owner, nbytes):
-                seg = SharedMemory(create=True, size=nbytes)
-                weakref.finalize(owner, seg.unlink)
-                return seg
-        """
-        assert run("x.py", good, "shm-lifecycle") == []
-
-    def test_module_level_atexit_sweep_passes(self):
-        good = """
-            @atexit.register
-            def _cleanup():
-                sweep()
-
-            def make(nbytes):
-                return SharedMemory(create=True, size=nbytes)
-        """
-        assert run("x.py", good, "shm-lifecycle") == []
-
-    def test_attach_without_create_ignored(self):
-        good = """
-            def attach(name):
-                return SharedMemory(name=name)
-        """
-        assert run("x.py", good, "shm-lifecycle") == []
 
 
 # --------------------------------------------------------------------- #

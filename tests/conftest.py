@@ -9,6 +9,10 @@ from repro.analysis import sanitizer
 
 sanitizer.install()
 
+import hashlib
+import os
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -42,6 +46,53 @@ def sanitizer_gate():
         f"plan-mutation canary tripped {report['canary_trips']} time(s) "
         "during the session"
     )
+
+
+def _tree_state(root):
+    """``git status --porcelain`` of ``root`` with a digest of every file it
+    lists (so a rewrite of an already-modified file also shows), or
+    ``None`` outside a git checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=all"],
+            cwd=root, capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if proc.returncode != 0:
+        return None
+    state = {}
+    for line in proc.stdout.splitlines():
+        path = os.path.join(root, line[3:])
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                state[line] = hashlib.sha1(fh.read()).hexdigest()
+        else:
+            state[line] = None
+    return state
+
+
+@pytest.fixture(scope="session", autouse=True)
+def clean_tree_gate(request):
+    """Fail the session if the run added or changed any path git sees.
+
+    Test and benchmark output belongs in git-ignored places (e.g.
+    ``benchmarks/out/``); only ``--bench-commit`` may rewrite the
+    committed ``benchmarks/results/``, so the check is off under it.
+    Skipped outside a git checkout.
+    """
+    root = str(request.config.rootpath)
+    before = None
+    if not request.config.getoption("--bench-commit", default=False):
+        before = _tree_state(root)
+    yield
+    if before is None:
+        return
+    after = _tree_state(root)
+    changed = sorted(line for line in set(before) | set(after or {})
+                     if before.get(line) != (after or {}).get(line))
+    assert not changed, (
+        "the test session added or changed tracked or untracked paths "
+        f"(git status --porcelain): {changed}")
 
 
 @pytest.fixture

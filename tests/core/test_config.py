@@ -1,7 +1,9 @@
 """Unit tests for the kernel configuration and ablation stages."""
 
+import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 from repro.core.config import (
@@ -10,7 +12,7 @@ from repro.core.config import (
     ablation_stages,
     usable_cpus,
 )
-from repro.core.executor import ParallelExecutor, ProcessExecutor
+from repro.core.executor import ParallelExecutor
 
 
 class TestTMACConfig:
@@ -56,6 +58,43 @@ class TestTMACConfig:
             TMACConfig(**kwargs)
 
 
+class TestRetiredKnobs:
+    """The process pool and the float closures are gone, and so are their
+    configuration surfaces."""
+
+    @pytest.mark.parametrize("field", ["num_workers", "gather_variant",
+                                       "specialize"])
+    def test_retired_fields_rejected(self, field):
+        assert field not in {f.name for f in dataclasses.fields(TMACConfig)}
+        with pytest.raises(TypeError):
+            TMACConfig(**{field: None})
+
+    @pytest.mark.parametrize("name", [
+        "REPRO_NUM_WORKERS", "REPRO_DISABLE_SHM",
+        "REPRO_PROCESS_CALL_TIMEOUT_S", "REPRO_GATHER", "REPRO_SPECIALIZE",
+    ])
+    def test_retired_env_knobs_are_ignored(self, monkeypatch, name):
+        baseline = TMACConfig(bits=4)
+        monkeypatch.setenv(name, "not-a-value")
+        assert TMACConfig(bits=4) == baseline
+
+    def test_shm_shim_keeps_only_a_noop_shutdown(self):
+        from repro.core import shm
+
+        public = {name for name in vars(shm) if not name.startswith("_")}
+        assert public == {"shutdown_process_pools"}
+        assert shm.shutdown_process_pools() is None
+
+    def test_backend_ignores_num_workers(self, monkeypatch):
+        from repro.backends import get_backend
+
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        backend = get_backend("tmac", bits=4, group_size=32, num_workers=2)
+        linear = backend.make_linear(np.ones((32, 64), dtype=np.float32))
+        assert linear.kernel.config.executor == "vectorized"
+        assert not hasattr(linear.kernel.config, "num_workers")
+
+
 class TestAblationStages:
     def test_stage_names_match_paper_figure10(self):
         stages = ablation_stages()
@@ -86,14 +125,12 @@ class TestUsableCpus:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5, 7},
                             raising=False)
-        auto = TMACConfig(num_threads=None, num_workers=None)
+        auto = TMACConfig(num_threads=None)
         assert usable_cpus() == 3
         assert ParallelExecutor().resolve_threads(auto) == 3
-        assert ProcessExecutor().resolve_workers(auto) == 3
-        # Explicit counts still win.
-        pinned = TMACConfig(num_threads=5, num_workers=6)
+        # An explicit count still wins.
+        pinned = TMACConfig(num_threads=5)
         assert ParallelExecutor().resolve_threads(pinned) == 5
-        assert ProcessExecutor().resolve_workers(pinned) == 6
 
     def test_falls_back_to_cpu_count_without_affinity_support(
             self, monkeypatch):
@@ -104,14 +141,10 @@ class TestUsableCpus:
         assert usable_cpus() == 1
 
     def test_calibration_profile_records_usable_cores(self, monkeypatch):
-        from repro.core import specialize
         from repro.hardware.calibrate import calibrate
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
-        # calibrate() applies the measured gather preference process-wide.
-        monkeypatch.setattr(specialize, "_DEFAULT_GATHER",
-                            specialize.default_gather_variant())
         profile = calibrate(shapes=[(1, 64, 128, 4, 32)], repeats=1,
                             sweep_chunks=False)
         assert profile.cores == 3

@@ -69,8 +69,8 @@ class TestIntegerKernelFrozen:
         """The default config compiles the integer LUT kernel: its arrays
         (nibble blocks on the native path, planes on numpy's), the table's
         fused row-minor slabs and the cached index vectors that build them
-        are read-only, and the gather tables of the float closures are
-        never built."""
+        are read-only, and the generic walk's gather tables are never
+        built."""
         plan, config = make_plan()
         kernel = TMACKernel.from_plan(plan, config)
         activation = np.random.default_rng(5).standard_normal(
@@ -79,7 +79,7 @@ class TestIntegerKernelFrozen:
         kernel.matmul_with_table(activation, table)
 
         assert plan._gather_cache == {}
-        (compiled,) = plan._spec_cache.values()
+        compiled = plan._integer_kernel
         selectors = _fusion_selectors(table.g, plan.num_qgroups)
         assert len(selectors) == fusion_width(table.g)
         assert selectors is _fusion_selectors(table.g, plan.num_qgroups)

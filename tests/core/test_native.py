@@ -19,7 +19,7 @@ from repro.core import native
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
 from repro.core.plan import build_plan
-from repro.core.specialize import NativeLutKernel, specialization_key
+from repro.core.specialize import NativeLutKernel
 from repro.quant.uniform import quantize_weights
 from repro.workloads.generator import gaussian_activation, gaussian_weights
 
@@ -61,7 +61,7 @@ def compiled_kernel(bits=4):
     out = TMACKernel.from_plan(plan, config).matmul(a)
     oracle = TMACKernel.from_plan(
         plan, config.with_options(executor="loop")).matmul(a)
-    compiled = plan.specialized(specialization_key(plan.precompute(a), config))
+    compiled = plan.specialized()
     return plan, compiled, out, oracle
 
 
@@ -156,8 +156,7 @@ def test_zero_row_table_gives_an_empty_span():
         kernel = TMACKernel.from_plan(build_plan(qw, config), config)
         with native.force(path):
             table = kernel.precompute(a)
-            compiled = kernel.plan.specialized(
-                specialization_key(table, config))
+            compiled = kernel.plan.specialized()
         assert compiled.path == path
         assert compiled.recombine_span(
             table, np.zeros((0, 4)), 5, 70, 1 << 24).shape == (0, 65)
@@ -176,8 +175,7 @@ def test_nibbles_are_frozen_and_canaried():
         with registry.canary(plan):
             compiled.nibbles.setflags(write=True)
             compiled.nibbles[0, 0, 0] ^= 1
-    # The canary reads what the kernel owns; it does not build the lazy
-    # numpy-path planes the process pool would publish.
+    # The native kernel holds no numpy-path planes.
     assert "planes" not in vars(compiled)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.config import DEFAULT_PARALLEL_THRESHOLD, TMACConfig
 from repro.core.executor import (
     ParallelExecutor,
@@ -13,6 +14,7 @@ from repro.core.executor import (
 )
 from repro.core.kernel import TMACKernel
 from repro.core.plan import build_plan
+from repro.core.specialize import IntegerLutKernel
 from repro.quant.uniform import quantize_weights
 from repro.workloads.generator import gaussian_activation, gaussian_weights
 
@@ -97,6 +99,53 @@ class TestBitIdentity:
         np.testing.assert_array_equal(serial, parallel)
 
 
+    @pytest.mark.parametrize("group_size", [32, 64, 128])
+    def test_parity_across_group_sizes(self, group_size):
+        qw = quantize_weights(gaussian_weights(96, 256, seed=16), bits=4,
+                              group_size=group_size)
+        a = gaussian_activation(2, 256, seed=17)
+        serial = TMACKernel(qw, TMACConfig(
+            bits=4, executor="vectorized")).matmul(a)
+        parallel = TMACKernel(qw, TMACConfig(
+            bits=4, executor="parallel", num_threads=3,
+            parallel_threshold=0)).matmul(a)
+        np.testing.assert_array_equal(serial, parallel)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_numpy_integer_phase_parity_across_bits_and_threads(
+            self, bits, threads):
+        """The numpy fallback of the integer kernel shards bit-identically
+        too (the host's native phase is covered above)."""
+        qw = quantize_weights(gaussian_weights(96, 128, seed=bits + 60),
+                              bits=bits, group_size=32)
+        a = gaussian_activation(3, 128, seed=bits + 70)
+        loop = TMACKernel(qw, TMACConfig(bits=bits,
+                                         executor="loop")).matmul(a)
+        config = TMACConfig(bits=bits, executor="parallel",
+                            num_threads=threads, parallel_threshold=0)
+        with native.force("numpy"):
+            kernel = TMACKernel(qw, config)
+            np.testing.assert_array_equal(kernel.matmul(a), loop)
+        assert type(kernel.plan.specialized()) is IntegerLutKernel
+
+    def test_parity_single_thread_is_serial_path(self):
+        kernel, qw = make_kernel(seed=18, executor="parallel", num_threads=1,
+                                 parallel_threshold=0)
+        a = gaussian_activation(2, 128, seed=19)
+        serial = TMACKernel(qw, TMACConfig(bits=4, executor="vectorized"))
+        np.testing.assert_array_equal(serial.matmul(a), kernel.matmul(a))
+
+    def test_repeated_calls_stay_bit_identical(self):
+        """Reused per-thread buffers never perturb later results."""
+        kernel, qw = make_kernel(seed=20, executor="parallel", num_threads=2,
+                                 parallel_threshold=0)
+        serial = TMACKernel(qw, TMACConfig(bits=4, executor="vectorized"))
+        for step in range(4):
+            a = gaussian_activation(1 + step, 128, seed=21 + step)
+            np.testing.assert_array_equal(serial.matmul(a), kernel.matmul(a))
+
+
 class TestShardingPolicy:
     def test_small_calls_fall_back_to_serial(self):
         reset_parallel_executor_stats()
@@ -138,6 +187,67 @@ class TestShardingPolicy:
         assert executor.resolve_threads(
             TMACConfig(bits=4, num_threads=7)) == 7
         assert executor.resolve_threads(TMACConfig(bits=4)) >= 1
+
+
+class TestStats:
+    def test_snapshot_and_reset(self):
+        reset_parallel_executor_stats()
+        stats = parallel_executor_stats()
+        for key in ("parallel_calls", "parallel_sharded_calls",
+                    "parallel_serial_fallbacks", "parallel_shards_executed"):
+            assert stats[key] == 0
+        kernel, _ = make_kernel(seed=30, executor="parallel", num_threads=2,
+                                parallel_threshold=0)
+        kernel.matmul(gaussian_activation(2, 128, seed=31))
+        after = parallel_executor_stats()
+        assert after["parallel_calls"] == 1
+        assert after["parallel_shards_executed"] == 2
+        assert not any(key.startswith("process") for key in after)
+
+    def test_parallel_stats_reset_is_atomic(self):
+        reset_parallel_executor_stats()
+        kernel, _ = make_kernel(seed=32, executor="parallel", num_threads=2,
+                                parallel_threshold=0)
+        kernel.matmul(gaussian_activation(2, 128, seed=33))
+        assert parallel_executor_stats()["parallel_sharded_calls"] == 1
+        reset_parallel_executor_stats()
+        assert all(v == 0 for v in parallel_executor_stats().values())
+
+    def test_stat_accessors_are_safe_during_dispatch(self):
+        """Snapshots and resets from other threads while sharded calls run
+        neither raise nor disturb the results."""
+        import threading
+
+        kernel, qw = make_kernel(seed=34, executor="parallel", num_threads=2,
+                                 parallel_threshold=0)
+        a = gaussian_activation(2, 128, seed=35)
+        expected = TMACKernel(qw, TMACConfig(
+            bits=4, executor="vectorized")).matmul(a)
+        stop = threading.Event()
+        errors = []
+
+        def hammer():
+            try:
+                while not stop.is_set():
+                    parallel_executor_stats()
+                    reset_parallel_executor_stats()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        try:
+            for _ in range(5):
+                np.testing.assert_array_equal(kernel.matmul(a), expected)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=5.0)
+        assert errors == []
+        reset_parallel_executor_stats()
+        kernel.matmul(a)
+        assert parallel_executor_stats()["parallel_calls"] == 1
 
 
 class TestOutputTiles:

@@ -81,8 +81,7 @@ class TestExecutorParity:
             get_executor("cuda")
 
     def test_executor_listing(self):
-        assert list_executors() == ["loop", "parallel", "process",
-                                    "vectorized"]
+        assert list_executors() == ["loop", "parallel", "vectorized"]
 
 
 class TestSharedTableExecution:

@@ -1,18 +1,18 @@
-"""Plan-specialized kernels: bit-exactness, cache behaviour, lifetimes.
+"""The compiled integer kernel: bit-exactness, cache behaviour, lifetimes.
 
-Two kernels compile behind ``plan.specialized(key)``: the integer LUT
-kernel (group-granularity quantized tables — the default config) and the
-float closures (every other table mode).  Oracle parity of the integer
-kernel over its whole shape space lives in
-``tests/properties/test_property_core.py``.
+Integer-key tables (group-granularity quantized tables with exact
+aggregation — the default config) run the kernel compiled behind
+``plan.specialized()``; every other table mode runs the vectorized
+executor's generic walk.  Oracle parity of the integer kernel over its
+whole shape space lives in ``tests/properties/test_property_core.py``.
 
-The specialization cache lives on the plan (same lock as the lazy gather
+The compiled kernel lives on the plan (same lock as the lazy gather
 tables), so the properties that matter are the plan cache's, one level
-down: exactly one compile per ``(plan, SpecializationKey)`` no matter how
-many executor threads race into a cold dispatch, eviction of a plan
-releasing its compiled kernels (no leaked closures pinning the weight
-arrays), and — above all — bit-identical results to the generic executor
-for every table mode, gather driver and worker count.
+down: exactly one compile per plan no matter how many executor threads
+race into a cold dispatch, eviction of a plan releasing its compiled
+kernel (nothing pinning the weight arrays), and — above all —
+bit-identical results to the loop oracle for every table mode under the
+serial and the thread-sharded executor.
 """
 
 import gc
@@ -25,21 +25,18 @@ import numpy as np
 import pytest
 
 import repro.core.specialize as spec_mod
+from repro.core import native
 from repro.core.config import TMACConfig
 from repro.core.executor import get_executor, get_worker_pool
 from repro.core.kernel import TMACKernel
 from repro.core.plan import PlanCache, build_plan
 from repro.core.specialize import (
     IntegerLutKernel,
-    SpecializedKernel,
     compile_specialized,
-    default_gather_variant,
+    integer_key,
     maybe_specialized,
     reduce_major_planes,
     reset_specialize_stats,
-    resolve_gather_variant,
-    set_default_gather_variant,
-    specialization_key,
     specialize_stats,
 )
 from repro.quant.uniform import quantize_weights
@@ -60,8 +57,13 @@ def activations(n=3, k=128, seed=7):
     return gaussian_activation(n, k, seed=seed)
 
 
+def loop_oracle(kernel, a):
+    return TMACKernel.from_plan(
+        kernel.plan, kernel.config.with_options(executor="loop")).matmul(a)
+
+
 # --------------------------------------------------------------------- #
-# Bit-exact parity with the generic executor
+# Bit-exact parity with the loop oracle
 # --------------------------------------------------------------------- #
 
 
@@ -78,90 +80,128 @@ TABLE_MODES = {
 
 
 @pytest.mark.parametrize("mode", sorted(TABLE_MODES))
-@pytest.mark.parametrize("gather", ["fancy", "take"])
-def test_specialized_matches_generic(mode, gather):
-    kwargs = dict(TABLE_MODES[mode], gather_variant=gather)
-    spec = make_kernel(specialize=True, **kwargs)
-    generic = make_kernel(specialize=False, **kwargs)
+@pytest.mark.parametrize("executor", ["vectorized", "parallel"])
+def test_every_table_mode_matches_loop_oracle(mode, executor):
+    """Integer keys (on the host's integer phase and on the forced numpy
+    one) and the generic walk are ``np.array_equal`` to the loop oracle,
+    serial and sharded."""
+    options = dict(TABLE_MODES[mode], executor=executor)
+    if executor == "parallel":
+        options.update(num_threads=3, parallel_threshold=0)
+    qw = quantize_weights(gaussian_weights(128, 128, seed=5), bits=4,
+                          group_size=32)
+    config = TMACConfig(bits=4, **options)
     a = activations()
-    expected = generic.matmul(a)
-    got = spec.matmul(a)
-    np.testing.assert_array_equal(got, expected)
+    expected = TMACKernel(qw, config.with_options(executor="loop")).matmul(a)
+    assert integer_key(TMACKernel(qw, config).precompute(a), config) == (
+        mode in ("quantized_group", "unmirrored"))
+    for path in sorted({native.status().path, "numpy"}):
+        # A fresh plan per path: the compiled kernel is cached on it.
+        kernel = TMACKernel.from_plan(build_plan(qw, config), config)
+        with native.force(path):
+            np.testing.assert_array_equal(kernel.matmul(a), expected)
+
+
+def integer_paths():
+    """The integer phases this host can run: its own and forced numpy."""
+    return sorted({native.status().path, "numpy"})
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])
 @pytest.mark.parametrize("group_size", [32, 64])
 def test_specialized_parity_across_bit_widths(bits, group_size):
-    spec = make_kernel(bits=bits, group_size=group_size, specialize=True)
-    generic = make_kernel(bits=bits, group_size=group_size, specialize=False)
-    a = activations()
-    np.testing.assert_array_equal(spec.matmul(a), generic.matmul(a))
+    """The compiled integer kernel, on every integer phase, matches the
+    loop oracle at every bit width the paper evaluates."""
+    qw = quantize_weights(gaussian_weights(64, 128, seed=bits), bits=bits,
+                          group_size=group_size)
+    config = TMACConfig(bits=bits, executor="vectorized")
+    a = activations(seed=bits + 20)
+    expected = TMACKernel(qw, config.with_options(executor="loop")).matmul(a)
+    for path in integer_paths():
+        kernel = TMACKernel.from_plan(build_plan(qw, config), config)
+        with native.force(path):
+            np.testing.assert_array_equal(kernel.matmul(a), expected)
+        assert kernel.plan._integer_kernel is not None
 
 
-@pytest.mark.parametrize("executor,workers", [("parallel", 3),
-                                              ("process", 2)])
-def test_specialized_parity_under_pools(executor, workers):
-    """Worker pools consume the same compiled kernels, bit-identically."""
-    serial = make_kernel(m=128, k=256, specialize=True)
-    kwargs = {"num_threads" if executor == "parallel" else "num_workers":
-              workers}
-    pooled = make_kernel(m=128, k=256, specialize=True, executor=executor,
-                         parallel_threshold=1, **kwargs)
+GENERIC_MODES = ("unquantized", "quantized_fine", "fast_aggregation")
+
+
+@pytest.mark.parametrize("mode", GENERIC_MODES)
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_generic_walk_parity_across_bit_widths(mode, bits):
+    """Every table mode the integer kernel declines runs the generic walk,
+    bit-identical to the loop oracle at every bit width."""
+    kernel = make_kernel(bits=bits, seed=bits + 30, **TABLE_MODES[mode])
+    a = activations(seed=bits + 40)
+    assert not integer_key(kernel.precompute(a), kernel.config)
+    np.testing.assert_array_equal(kernel.matmul(a), loop_oracle(kernel, a))
+    assert kernel.plan._integer_kernel is None
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_specialized_parity_under_pools(threads):
+    """The thread pool consumes the same compiled kernel, bit-identically."""
+    serial = make_kernel(m=128, k=256)
+    pooled = make_kernel(m=128, k=256, executor="parallel",
+                         num_threads=threads, parallel_threshold=1)
     a = activations(n=4, k=256)
     np.testing.assert_array_equal(pooled.matmul(a), serial.matmul(a))
 
 
 def test_chunk_budget_does_not_change_results():
-    baseline = make_kernel(specialize=True)
-    chunked = make_kernel(specialize=True, chunk_elements=1 << 10)
     a = activations()
-    np.testing.assert_array_equal(chunked.matmul(a), baseline.matmul(a))
+    # The integer kernel and the generic walk.
+    for options in (dict(), dict(table_quantization=False)):
+        baseline = make_kernel(**options)
+        chunked = make_kernel(chunk_elements=1 << 8, **options)
+        np.testing.assert_array_equal(chunked.matmul(a), baseline.matmul(a))
 
 
 # --------------------------------------------------------------------- #
-# Key normalization
+# Which tables compile the kernel
 # --------------------------------------------------------------------- #
-
-
-def test_irrelevant_flags_do_not_fork_kernels():
-    kernel = make_kernel(table_quantization=False, specialize=True)
-    table = kernel.precompute(activations())
-    base = specialization_key(table, kernel.config)
-    # fast_aggregation only matters for group-granularity quantized
-    # tables; on an unquantized table it must not fork a second kernel.
-    forked = specialization_key(
-        table, kernel.config.with_options(table_quantization=True,
-                                          fast_aggregation=True))
-    assert base == forked
-    assert not base.fast_aggregation
-    assert not base.integer  # the integer kernel needs quantized tables
 
 
 def test_integer_key_requires_exact_group_granularity():
     for kwargs in (dict(lut_scale_granularity="fine"),
                    dict(fast_aggregation=True),
                    dict(table_quantization=False)):
-        kernel = make_kernel(specialize=True, **kwargs)
+        kernel = make_kernel(**kwargs)
         table = kernel.precompute(activations())
-        assert not specialization_key(table, kernel.config).integer
-    group = make_kernel(specialize=True)
+        assert not integer_key(table, kernel.config)
+    group = make_kernel()
     table = group.precompute(activations())
-    assert specialization_key(table, group.config).integer
+    assert integer_key(table, group.config)
 
 
-def test_integer_kernel_is_shared_across_mirror_and_gather_settings():
-    """One compiled kernel serves mirrored and unmirrored tables under
-    either gather preference: the table expansion absorbs the mirror."""
-    kernel = make_kernel(specialize=True)
+def test_irrelevant_flags_do_not_fork_kernels():
+    """Execution-layer flags never change which tables compile the kernel,
+    nor which kernel a plan hands out."""
+    kernel = make_kernel()
     a = activations()
-    keys = set()
+    table = kernel.precompute(a)
+    compiled = maybe_specialized(kernel.plan, table, kernel.config)
+    assert compiled is not None
+    for options in (dict(chunk_elements=1 << 8),
+                    dict(executor="parallel", num_threads=3),
+                    dict(parallel_threshold=0)):
+        config = kernel.config.with_options(**options)
+        assert integer_key(table, config)
+        assert maybe_specialized(kernel.plan, table, config) is compiled
+
+
+def test_integer_kernel_is_shared_across_mirror_settings():
+    """One compiled kernel serves mirrored and unmirrored tables: the
+    table expansion absorbs the mirror."""
+    kernel = make_kernel()
+    a = activations()
+    kernels = set()
     for mirrored in (True, False):
-        for gather in ("fancy", "take"):
-            config = kernel.config.with_options(
-                mirror_consolidation=mirrored, gather_variant=gather)
-            keys.add(specialization_key(kernel.plan.precompute(a, config),
-                                        config))
-    assert len(keys) == 1
+        config = kernel.config.with_options(mirror_consolidation=mirrored)
+        table = kernel.plan.precompute(a, config)
+        kernels.add(id(maybe_specialized(kernel.plan, table, config)))
+    assert len(kernels) == 1
 
 
 @pytest.mark.parametrize("g", [1, 2, 4, 8])
@@ -196,21 +236,6 @@ def test_fused_planes_never_outgrow_one_index_per_group(g, qgroups, gpq):
                 plane.reshape(m, qgroups, gpq)[:, :, p])
 
 
-def test_gather_variant_resolution():
-    config = TMACConfig(bits=4, gather_variant="auto")
-    host_default = default_gather_variant()
-    assert resolve_gather_variant(config) == host_default
-    try:
-        set_default_gather_variant("take")
-        assert resolve_gather_variant(config) == "take"
-        explicit = TMACConfig(bits=4, gather_variant="fancy")
-        assert resolve_gather_variant(explicit) == "fancy"
-    finally:
-        set_default_gather_variant(host_default)
-    with pytest.raises(ValueError):
-        set_default_gather_variant("scatter")
-
-
 # --------------------------------------------------------------------- #
 # Cache: single-flight builds, reuse, stats
 # --------------------------------------------------------------------- #
@@ -225,27 +250,25 @@ class CountingCompiler:
         self.lock = threading.Lock()
         self.delay = delay
 
-    def __call__(self, plan, key, artifacts=None):
+    def __call__(self, plan):
         with self.lock:
             self.calls += 1
         if self.delay:
             time.sleep(self.delay)
-        return compile_specialized(plan, key, artifacts)
+        return compile_specialized(plan)
 
 
 def test_concurrent_dispatch_compiles_exactly_once(monkeypatch):
     compiler = CountingCompiler()
     monkeypatch.setattr(spec_mod, "compile_specialized", compiler)
-    kernel = make_kernel(specialize=True)
-    table = kernel.precompute(activations())
-    key = specialization_key(table, kernel.config)
+    kernel = make_kernel()
 
     pool = get_worker_pool(HAMMER_THREADS)
     start = threading.Barrier(HAMMER_THREADS)
 
     def hammer():
         start.wait()
-        return kernel.plan.specialized(key)
+        return kernel.plan.specialized()
 
     futures = [pool.submit(hammer) for _ in range(HAMMER_THREADS)]
     wait(futures)
@@ -260,9 +283,9 @@ def test_concurrent_matmul_through_thread_pool_compiles_once(monkeypatch):
     """End to end: racing matmuls on a cold plan share one compile."""
     compiler = CountingCompiler()
     monkeypatch.setattr(spec_mod, "compile_specialized", compiler)
-    kernel = make_kernel(specialize=True)
+    kernel = make_kernel()
     a = activations()
-    expected = make_kernel(specialize=False).matmul(a)
+    expected = loop_oracle(kernel, a)
 
     pool = get_worker_pool(HAMMER_THREADS)
     start = threading.Barrier(HAMMER_THREADS)
@@ -278,51 +301,59 @@ def test_concurrent_matmul_through_thread_pool_compiles_once(monkeypatch):
     assert compiler.calls == 1
 
 
-def test_distinct_keys_compile_distinct_kernels(monkeypatch):
+def test_generic_table_modes_compile_nothing(monkeypatch):
     compiler = CountingCompiler(delay=0)
     monkeypatch.setattr(spec_mod, "compile_specialized", compiler)
-    kernel = make_kernel(specialize=True, table_quantization=False)
-    table = kernel.precompute(activations())
-    fancy = specialization_key(table, kernel.config)
-    take = specialization_key(
-        table, kernel.config.with_options(gather_variant="take"))
-    assert fancy != take
-    first = kernel.plan.specialized(fancy)
-    second = kernel.plan.specialized(take)
-    third = kernel.plan.specialized(fancy)  # cache hit, no recompile
+    a = activations()
+    for mode in ("unquantized", "quantized_fine", "fast_aggregation"):
+        kernel = make_kernel(**TABLE_MODES[mode])
+        kernel.matmul(a)
+        assert kernel.plan._integer_kernel is None
+    assert compiler.calls == 0
+
+
+def test_distinct_plans_compile_distinct_kernels(monkeypatch):
+    """One compile per plan: a second plan compiles its own kernel, and a
+    repeat request on either plan is a cache hit."""
+    compiler = CountingCompiler(delay=0)
+    monkeypatch.setattr(spec_mod, "compile_specialized", compiler)
+    first_plan = make_kernel(seed=1).plan
+    second_plan = make_kernel(seed=2).plan
+    first = first_plan.specialized()
+    second = second_plan.specialized()
+    assert first_plan.specialized() is first
+    assert second_plan.specialized() is second
+    assert first is not second
     assert compiler.calls == 2
-    assert first is third and first is not second
-    assert isinstance(first, SpecializedKernel)
 
 
 def test_specialize_stats_counters():
     reset_specialize_stats()
-    kernel = make_kernel(specialize=True)
+    kernel = make_kernel()
     a = activations()
     kernel.matmul(a)
     kernel.matmul(a)
     stats = specialize_stats()
     assert stats["specialize_builds"] == 1  # second call reuses the cache
     assert stats["specialize_calls"] >= 2
-    assert stats["specialize_generic_calls"] == 0
 
     reset_specialize_stats()
-    generic = make_kernel(specialize=False)
+    generic = make_kernel(table_quantization=False)
     generic.matmul(a)
-    stats = specialize_stats()
-    assert stats["specialize_builds"] == 0
-    assert stats["specialize_calls"] == 0
-    assert stats["specialize_generic_calls"] >= 1
+    assert specialize_stats() == {"specialize_builds": 0,
+                                  "specialize_calls": 0}
 
 
 def test_maybe_specialized_gates():
-    kernel = make_kernel(specialize=True)
+    kernel = make_kernel()
     table = kernel.precompute(activations())
-    assert maybe_specialized(kernel.plan, table, kernel.config) is not None
-    disabled = kernel.config.with_options(specialize=False)
-    assert maybe_specialized(kernel.plan, table, disabled) is None
-    # Plan-shaped objects without a cache (e.g. raw mocks) fall back.
-    assert maybe_specialized(object(), table, kernel.config) is None
+    assert maybe_specialized(kernel.plan, table,
+                             kernel.config) is kernel.plan.specialized()
+    fast = kernel.config.with_options(fast_aggregation=True)
+    assert maybe_specialized(kernel.plan, table, fast) is None
+    fine = kernel.config.with_options(lut_scale_granularity="fine")
+    fine_table = kernel.plan.precompute(activations(), fine)
+    assert maybe_specialized(kernel.plan, fine_table, fine) is None
 
 
 # --------------------------------------------------------------------- #
@@ -333,26 +364,25 @@ def test_maybe_specialized_gates():
 def _plan_with_specialized(cache, seed):
     qw = quantize_weights(gaussian_weights(64, 128, seed=seed), bits=4,
                           group_size=32)
-    config = TMACConfig(bits=4, specialize=True, executor="vectorized")
+    config = TMACConfig(bits=4, executor="vectorized")
     plan = cache.get(qw, config)
     kernel = TMACKernel.from_plan(plan, config)
-    kernel.matmul(activations())  # populates the plan's _spec_cache
-    key = specialization_key(kernel.precompute(activations()), config)
-    return plan, plan.specialized(key)
+    kernel.matmul(activations())  # compiles the plan's integer kernel
+    return plan, plan.specialized()
 
 
 def test_plan_eviction_releases_specialized_kernels():
-    """No leaked closures: evicting a plan frees its compiled kernels.
+    """Evicting a plan frees its compiled kernel.
 
-    SpecializedKernel holds plan artifacts only by reference (never the
-    plan itself), so the LRU dropping the plan must be enough for the
-    whole object graph — closures included — to be collected.
+    The kernel holds plan artifacts only by reference (never the plan
+    itself), so the LRU dropping the plan must be enough for the whole
+    object graph to be collected.
     """
     cache = PlanCache(max_entries=1)
     plan, specialized = _plan_with_specialized(cache, seed=11)
     plan_ref = weakref.ref(plan)
     spec_ref = weakref.ref(specialized)
-    assert plan.specialized(specialized.key) is specialized  # cached
+    assert plan.specialized() is specialized  # cached
 
     _plan_with_specialized(cache, seed=12)  # LRU-evicts the first plan
     del plan, specialized
@@ -374,19 +404,19 @@ def test_cache_clear_releases_specialized_kernels():
     assert spec_ref() is None
 
 
-@pytest.mark.parametrize("table_quantization", [True, False],
-                         ids=["integer", "float_closures"])
-def test_specialized_kernel_does_not_reference_plan(table_quantization):
-    """The compiled kernel must never close over the plan object."""
-    config = TMACConfig(bits=4, specialize=True, executor="vectorized",
-                        table_quantization=table_quantization)
+@pytest.mark.parametrize("path", ["host", "numpy"])
+def test_specialized_kernel_does_not_reference_plan(path):
+    """The compiled kernel, native or numpy, must never hold the plan."""
+    config = TMACConfig(bits=4, executor="vectorized")
     plan = build_plan(
         quantize_weights(gaussian_weights(64, 128, seed=3), bits=4,
                          group_size=32),
         config,
     )
-    table = plan.precompute(activations(), config)
-    kernel = plan.specialized(specialization_key(table, config))
+    with native.force(native.status().path if path == "host" else path):
+        kernel = plan.specialized()
+    if path == "numpy":
+        assert type(kernel) is IntegerLutKernel
     seen = {id(kernel)}
     frontier = [kernel.__dict__]
     while frontier:
@@ -409,12 +439,12 @@ def test_specialized_kernel_does_not_reference_plan(table_quantization):
 
 
 def test_vectorized_executor_uses_specialized_kernel(monkeypatch):
-    """The generic executor routes spans through the compiled kernel."""
-    kernel = make_kernel(specialize=True)
+    """The vectorized executor routes integer-key spans through the
+    compiled kernel."""
+    kernel = make_kernel()
     a = activations()
     table = kernel.precompute(a)
-    key = specialization_key(table, kernel.config)
-    compiled = kernel.plan.specialized(key)
+    compiled = kernel.plan.specialized()
     calls = []
     original = compiled.recombine_span
 

@@ -1,12 +1,11 @@
 """Host calibration: fitting, persistence, and the live accuracy gate."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.core.specialize import default_gather_variant, set_default_gather_variant
-from repro.hardware import M2_ULTRA
 from repro.hardware.calibrate import (
     PROBE_SHAPES,
     CalibrationProfile,
@@ -19,7 +18,12 @@ from repro.hardware.calibrate import (
     calibrate,
     load_profile,
 )
-from repro.hardware.cost_model import CostModel
+
+#: The profile committed with the benchmark results (written before the
+#: gather-driver race was removed).
+COMMITTED_PROFILE = os.path.join(os.path.dirname(__file__), os.pardir,
+                                 os.pardir, "benchmarks", "results",
+                                 "calibration.json")
 
 TRUE_COEFFICIENTS = {
     "lut_base_s": 2e-5,
@@ -52,13 +56,11 @@ def synthetic_probes(coefficients=TRUE_COEFFICIENTS):
     return probes
 
 
-def synthetic_profile(cores=1, chunk_elements=None, gather="fancy",
+def synthetic_profile(cores=1, chunk_elements=None,
                       coefficients=TRUE_COEFFICIENTS):
     profile = CalibrationProfile(
         host="testhost", cores=cores, numpy_version=np.__version__,
-        repeats=1, gather_variant=gather,
-        gather_timings_s={"fancy": 1e-3, "take": 2e-3},
-        chunk_elements=chunk_elements, chunk_timings_s={},
+        repeats=1, chunk_elements=chunk_elements, chunk_timings_s={},
         coefficients=dict(coefficients), probes=synthetic_probes(),
     )
     for probe in profile.probes:
@@ -113,33 +115,41 @@ class TestPersistence:
         assert load_profile() is None
         assert load_profile(str(tmp_path / "absent.json")) is None
 
-    def test_load_profile_from_env_applies_gather(self, tmp_path, monkeypatch):
-        host_default = default_gather_variant()
+    def test_load_profile_from_env(self, tmp_path, monkeypatch):
         path = tmp_path / "calibration.json"
-        synthetic_profile(gather="take").save(str(path))
+        synthetic_profile(chunk_elements=1 << 22).save(str(path))
         monkeypatch.setenv("REPRO_CALIBRATION", str(path))
-        try:
-            profile = load_profile()
-            assert profile is not None
-            assert default_gather_variant() == "take"
-        finally:
-            set_default_gather_variant(host_default)
+        profile = load_profile()
+        assert profile is not None
+        assert profile.chunk_elements == 1 << 22
 
+    @pytest.mark.parametrize("retired", [
+        dict(gather_variant="take"),
+        dict(gather_timings_s={"fancy": 1e-3, "take": 9e-4}),
+        dict(gather_variant="take",
+             gather_timings_s={"fancy": 1e-3, "take": 9e-4}),
+    ], ids=["variant", "timings", "both"])
+    def test_profiles_with_gather_race_keys_still_load(self, tmp_path,
+                                                       retired):
+        """Older profiles carry the retired ``gather_variant`` /
+        ``gather_timings_s`` keys; they load with both ignored."""
+        payload = synthetic_profile(cores=2).to_dict()
+        payload.update(retired)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        loaded = load_profile(str(path))
+        assert loaded.cores == 2
+        assert not set(retired) & set(loaded.to_dict())
+        assert loaded.max_relative_error() == pytest.approx(0.0, abs=1e-9)
 
-class TestCostModelAnchoring:
-    def test_calibration_rescales_pool_decision(self):
-        # Slow host: measured serial latencies are large relative to the
-        # absolute IPC term, so sharding across processes pays off.
-        slow = {k: v * 50 for k, v in TRUE_COEFFICIENTS.items()}
-        model = CostModel(M2_ULTRA, calibration=synthetic_profile(
-            cores=8, coefficients=slow))
-        config = _probe_config(4)
-        assert model.pool_dispatch_choice(8, 4096, 4096, config, 8) == "process"
-        # Near-zero measured cost: nothing amortizes the IPC term.
-        fast = {k: v * 1e-6 for k, v in TRUE_COEFFICIENTS.items()}
-        model = CostModel(M2_ULTRA, calibration=synthetic_profile(
-            cores=8, coefficients=fast))
-        assert model.pool_dispatch_choice(8, 4096, 4096, config, 8) == "thread"
+    def test_committed_profile_loads(self):
+        """The profile committed with the benchmark results predates the
+        removal of the gather race and still loads."""
+        with open(COMMITTED_PROFILE) as fh:
+            assert "gather_variant" in json.load(fh)
+        committed = load_profile(COMMITTED_PROFILE)
+        assert committed.probes and committed.coefficients
+        assert "gather_variant" not in committed.to_dict()
 
 
 class TestLiveCalibration:
@@ -150,12 +160,7 @@ class TestLiveCalibration:
     def test_quick_calibration_meets_accuracy_gate(self):
         """Acceptance: the fitted model predicts measured mpGEMV latency
         within 25% on the probed decode shapes."""
-        host_default = default_gather_variant()
-        try:
-            profile = calibrate(quick=True, repeats=3, sweep_chunks=False)
-        finally:
-            set_default_gather_variant(host_default)
-        assert profile.gather_variant in ("fancy", "take")
+        profile = calibrate(quick=True, repeats=3, sweep_chunks=False)
         assert all(v >= 0 for v in profile.coefficients.values())
         assert profile.probes, "calibration kept no probe evidence"
         assert profile.max_relative_error(gemv_only=True) <= 0.25

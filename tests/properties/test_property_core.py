@@ -12,7 +12,7 @@ from repro.core.kernel import TMACKernel
 from repro.core.lut import build_lut, lookup, precompute_lut
 from repro.core import native
 from repro.core.plan import build_plan
-from repro.core.specialize import IntegerLutKernel, specialization_key
+from repro.core.specialize import IntegerLutKernel
 from repro.core.weights import (
     group_bits,
     nibble_blocks,
@@ -251,8 +251,7 @@ class TestIntegerLutKernelProperties:
             group_size=group_size)
         a = rng.standard_normal((n, k)).astype(np.float32)
         config = TMACConfig(bits=bits, g=g, mirror_consolidation=mirrored,
-                            s0=-s1, s1=s1, executor="vectorized",
-                            specialize=True)
+                            s0=-s1, s1=s1, executor="vectorized")
         oracle = TMACKernel(qw, config.with_options(executor="loop")).matmul(
             a)
         m0 = span[0] % m
@@ -264,8 +263,7 @@ class TestIntegerLutKernelProperties:
             with native.force(path):
                 np.testing.assert_array_equal(kernel.matmul(a), oracle)
             table = kernel.precompute(a)
-            compiled = kernel.plan.specialized(
-                specialization_key(table, config))
+            compiled = kernel.plan.specialized()
             assert isinstance(compiled, IntegerLutKernel)
             assert compiled.path == path
             assert compiled.acc_dtype == (

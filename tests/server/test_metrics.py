@@ -142,6 +142,18 @@ class TestGatewayMetrics:
         assert "gw_prefix_cache_hit_rate 0.5" in text
         assert "gw_kv_free_pages 12" in text
 
+    def test_kernel_counters_mirrored(self):
+        """The compiled-kernel counters reach ``/metrics``; no executor
+        family other than the thread pool's is rendered."""
+        metrics = GatewayMetrics("gw")
+        metrics.observe_engine({"specialize_builds": 2,
+                                "specialize_calls": 40,
+                                "process_dispatches": 5}, queue_depth=0)
+        text = metrics.render()
+        assert "gw_specialized_kernel_builds_total 2" in text
+        assert "gw_specialized_span_calls_total 40" in text
+        assert "_process_" not in text
+
     def test_timing_samples_feed_histograms(self):
         metrics = GatewayMetrics()
         metrics.observe_timing({"ttft_s": [0.004, 0.02],

@@ -217,6 +217,19 @@ class TestContinuousBatching:
         assert stats["mean_batch_size"] > 1.0
 
 
+    def test_stats_report_thread_pool_and_kernel_counters(
+            self, arch, shared_weights):
+        model = build_model(arch, shared_weights)
+        serving = ServingEngine(model, max_batch_size=2)
+        serving.submit([2, 3], max_new_tokens=2)
+        serving.run()
+        stats = serving.serving_stats()
+        for key in ("parallel_calls", "specialize_builds",
+                    "specialize_calls"):
+            assert key in stats
+        assert not [key for key in stats if key.startswith("process_")]
+
+
 class TestLUTReuse:
     @pytest.mark.parametrize("kind, tables, reuses",
                              [("tmac", 9, 6), ("reference", 0, 0)])
@@ -237,7 +250,7 @@ class TestLUTReuse:
         model = TransformerModel(
             arch, weights=shared_weights,
             engine=get_backend("tmac", group_size=32, config=TMACConfig(
-                executor="vectorized", specialize=True)))
+                executor="vectorized")))
         expected = 4 * arch.num_layers + 1
 
         def calls(run):

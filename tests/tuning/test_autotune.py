@@ -57,9 +57,20 @@ class TestChoose:
         config = _config(parallel_threshold=1)
         choice = tuner.choose(8, 4096, 4096, config)
         serial = tuner.profile.predict_gemm_seconds(8, 4096, 4096, config)
-        assert choice.executor in ("parallel", "process")
+        assert choice.executor == "parallel"
         assert choice.workers > 1
         assert choice.predicted_seconds < serial
+
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    def test_choices_name_only_serial_or_thread_pool(self, cores):
+        slow = {k: v * 50 for k, v in TRUE_COEFFICIENTS.items()}
+        tuner = ShapeTuner(synthetic_profile(cores=cores, coefficients=slow))
+        config = _config(parallel_threshold=1)
+        for n, m, k in ((1, 256, 1024), (1, 4096, 4096), (8, 4096, 4096),
+                        (64, 11008, 4096)):
+            choice = tuner.choose(n, m, k, config)
+            assert choice.executor in ("vectorized", "parallel")
+            assert 1 <= choice.workers <= max(cores, 1)
 
     def test_choice_memoized_per_shape(self):
         tuner = ShapeTuner(synthetic_profile(cores=1))
@@ -71,11 +82,9 @@ class TestChoose:
         assert other is not first
 
     def test_profile_preferences_propagate(self):
-        tuner = ShapeTuner(synthetic_profile(cores=1, chunk_elements=1 << 20,
-                                             gather="take"))
+        tuner = ShapeTuner(synthetic_profile(cores=1, chunk_elements=1 << 20))
         choice = tuner.choose(1, 512, 2048, _config())
         assert choice.chunk_elements == 1 << 20
-        assert choice.gather_variant == "take"
 
 
 class TestApply:
@@ -83,7 +92,6 @@ class TestApply:
         tuner = ShapeTuner(synthetic_profile(cores=1, chunk_elements=1 << 20))
         choice = ExecutionChoice(executor="vectorized", workers=1,
                                  chunk_elements=1 << 20,
-                                 gather_variant="fancy",
                                  predicted_seconds=1e-3)
         delegated = _config(chunk_elements=None)
         tuned = tuner.apply(delegated, choice)
@@ -93,14 +101,8 @@ class TestApply:
 
     def test_rewrites_executor_and_workers(self):
         tuner = ShapeTuner(synthetic_profile(cores=8))
-        choice = ExecutionChoice(executor="process", workers=4,
-                                 chunk_elements=None, gather_variant="fancy",
-                                 predicted_seconds=1e-3)
-        tuned = tuner.apply(_config(), choice)
-        assert tuned.executor == "process"
-        assert tuned.num_workers == 4
         choice = ExecutionChoice(executor="parallel", workers=3,
-                                 chunk_elements=None, gather_variant="fancy",
+                                 chunk_elements=None,
                                  predicted_seconds=1e-3)
         tuned = tuner.apply(_config(), choice)
         assert tuned.executor == "parallel"
@@ -110,7 +112,7 @@ class TestApply:
         tuner = ShapeTuner(synthetic_profile(cores=1))
         config = _config(chunk_elements=1 << 22)
         choice = ExecutionChoice(executor="vectorized", workers=1,
-                                 chunk_elements=None, gather_variant="fancy",
+                                 chunk_elements=None,
                                  predicted_seconds=1e-3)
         assert tuner.apply(config, choice) is config
 
@@ -128,7 +130,7 @@ class TestKernelIntegration:
     def test_resolve_autotuned_fills_chunk_budget(self, tuned_env):
         qw = quantize_weights(gaussian_weights(64, 128, seed=2), bits=4,
                               group_size=32)
-        kernel = TMACKernel(qw, _config(specialize=True))
+        kernel = TMACKernel(qw, _config())
         tuned = resolve_autotuned(kernel.plan, kernel.config, n=1)
         assert tuned.chunk_elements == 1 << 20
         assert tuned.executor == "vectorized"
@@ -137,16 +139,16 @@ class TestKernelIntegration:
         qw = quantize_weights(gaussian_weights(64, 128, seed=2), bits=4,
                               group_size=32)
         a = gaussian_activation(3, 128, seed=9)
-        tuned_out = TMACKernel(qw, _config(specialize=True)).matmul(a)
+        tuned_out = TMACKernel(qw, _config()).matmul(a)
         monkeypatch.delenv("REPRO_AUTOTUNE")
-        plain_out = TMACKernel(qw, _config(specialize=True)).matmul(a)
+        plain_out = TMACKernel(qw, _config()).matmul(a)
         np.testing.assert_array_equal(tuned_out, plain_out)
 
     def test_disabled_autotune_keeps_kernel_binding(self, monkeypatch):
         monkeypatch.delenv("REPRO_AUTOTUNE", raising=False)
         qw = quantize_weights(gaussian_weights(64, 128, seed=2), bits=4,
                               group_size=32)
-        kernel = TMACKernel(qw, _config(specialize=True))
+        kernel = TMACKernel(qw, _config())
         config, executor = kernel._execution(np.zeros((1, 128),
                                                       dtype=np.float32))
         assert config is kernel.config
