@@ -34,7 +34,6 @@ __all__ = [
     "ABLATION_STAGE_NAMES",
     "DEFAULT_PARALLEL_THRESHOLD",
     "usable_cpus",
-    "autotune_enabled",
 ]
 
 #: Minimum gather work (``N * M * K/g`` lookup elements) before the
@@ -78,12 +77,6 @@ def _env_float(name: str, default: Optional[float]) -> Optional[float]:
         return float(raw)
     except ValueError:
         raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
-def autotune_enabled() -> bool:
-    """Whether ``REPRO_AUTOTUNE`` opts matmuls into the shape autotuner
-    (:mod:`repro.tuning.tuner`)."""
-    return os.environ.get("REPRO_AUTOTUNE", "") not in ("", "0", "false", "no")
 
 
 @dataclass(frozen=True)
@@ -142,11 +135,6 @@ class TMACConfig:
     parallel_threshold:
         Minimum gather work (``N * M * K/g`` elements) before the parallel
         executor shards a call; below it the serial vectorized path runs.
-    chunk_elements:
-        Override of the executor's raw-gather element budget per chunk
-        (``None`` uses the executor default).  Chunk boundaries never
-        change results; this is a memory/locality knob for the tuner.
-        Env: ``REPRO_CHUNK_ELEMENTS``.
     """
 
     bits: int = 4
@@ -168,8 +156,6 @@ class TMACConfig:
     num_threads: Optional[int] = field(
         default_factory=lambda: _env_int("REPRO_NUM_THREADS", None))
     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
-    chunk_elements: Optional[int] = field(
-        default_factory=lambda: _env_int("REPRO_CHUNK_ELEMENTS", None))
     name: str = "T-MAC"
     extra: dict = field(default_factory=dict, compare=False)
 
@@ -200,11 +186,6 @@ class TMACConfig:
         if self.parallel_threshold < 0:
             raise ValueError(
                 f"parallel_threshold must be >= 0, got {self.parallel_threshold}"
-            )
-        if self.chunk_elements is not None and self.chunk_elements < 1:
-            raise ValueError(
-                f"chunk_elements must be >= 1 (or None for the executor "
-                f"default), got {self.chunk_elements}"
             )
         # Imported lazily: repro.core.executor imports this module.  The
         # executor registry is the single source of valid names.

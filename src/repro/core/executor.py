@@ -276,16 +276,6 @@ class VectorizedExecutor(KernelExecutor):
     #: groups, the integer kernel along the output columns.
     max_gather_elements = 1 << 24
 
-    def gather_budget(self, config: TMACConfig) -> int:
-        """Raw-gather element budget per chunk for this call.
-
-        ``TMACConfig.chunk_elements`` overrides the class default (a
-        memory/locality knob for the tuner); chunk boundaries never change
-        results.
-        """
-        override = getattr(config, "chunk_elements", None)
-        return override or self.max_gather_elements
-
     def _raw_chunk(
         self,
         tables,
@@ -349,7 +339,7 @@ class VectorizedExecutor(KernelExecutor):
         if spec is not None:
             yield from spec.iter_span(
                 table, group_sums, m0, m1,
-                max_elements or self.gather_budget(config))
+                max_elements or self.max_gather_elements)
             return
 
         tables = plan.lookup_tables(table.mirrored)
@@ -364,7 +354,7 @@ class VectorizedExecutor(KernelExecutor):
         # intact) so one raw temporary never exceeds the element budget —
         # per *call*: the parallel executor passes a per-shard budget so
         # its concurrent spans together still respect the default bound.
-        budget = max_elements or self.gather_budget(config)
+        budget = max_elements or self.max_gather_elements
         per_qgroup = n * m * gpq
         qg_chunk = max(1, min(qgroups, budget // max(1, per_qgroup)))
 
@@ -413,7 +403,7 @@ class VectorizedExecutor(KernelExecutor):
         if spec is not None:
             return spec.recombine_span(
                 table, group_sums, m0, m1,
-                max_elements or self.gather_budget(config))
+                max_elements or self.max_gather_elements)
         return super()._recombine_span(plan, table, config, group_sums,
                                        m0, m1, max_elements)
 
@@ -534,7 +524,7 @@ class ParallelExecutor(VectorizedExecutor):
 
         # Split the raw-temporary element budget across the concurrent
         # shards so total transient memory matches the serial bound.
-        span_budget = max(1, self.gather_budget(config) // len(shards))
+        span_budget = max(1, self.max_gather_elements // len(shards))
         self._warm_shared(plan, table, config, span_budget)
         group_sums = activation.reshape(n, plan.num_qgroups, -1).sum(axis=2)
         out = np.empty((n, plan.out_features), dtype=np.float32)

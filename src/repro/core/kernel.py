@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import TMACConfig, autotune_enabled
+from repro.core.config import TMACConfig
 from repro.core.executor import KernelExecutor, get_executor
 from repro.core.lut import LookupTable
 from repro.core.plan import KernelPlan, build_plan
@@ -116,9 +116,6 @@ class TMACKernel:
                 )
         self.plan = plan
         self.executor: KernelExecutor = get_executor(self.config.executor)
-        #: ``REPRO_AUTOTUNE`` is read once per kernel, like the ``REPRO_*``
-        #: defaults of :class:`TMACConfig` — not on every dispatch.
-        self._autotune = autotune_enabled()
 
     @classmethod
     def from_plan(
@@ -183,8 +180,7 @@ class TMACKernel:
         if squeeze:
             a = a[None, :]
         table = self.precompute(a)  # validates the shape, once
-        config, executor = self._execution(a)
-        out = executor.matmul_with_table(self.plan, table, config, a)
+        out = self.executor.matmul_with_table(self.plan, table, self.config, a)
         return out[0] if squeeze else out
 
     __call__ = matmul
@@ -204,8 +200,7 @@ class TMACKernel:
         a = self._check_activation(activation)
         squeeze = np.asarray(activation).ndim == 1
         self._check_table(table, a)
-        config, executor = self._execution(a)
-        out = executor.matmul_with_table(self.plan, table, config, a)
+        out = self.executor.matmul_with_table(self.plan, table, self.config, a)
         return out[0] if squeeze else out
 
     def matmul_codes(self, activation: np.ndarray) -> np.ndarray:
@@ -228,25 +223,6 @@ class TMACKernel:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-
-    def _execution(self, a: np.ndarray):
-        """The ``(config, executor)`` pair actually used for this dispatch.
-
-        Normally the kernel's own binding; under ``REPRO_AUTOTUNE=1`` the
-        shape autotuner (:mod:`repro.tuning.tuner`, backed by the host
-        calibration profile) may rewrite the executor, worker count and
-        chunk budget per activation shape.  Autotuning never changes
-        numerics — every executor is bit-identical — only dispatch.
-        """
-        if not self._autotune:
-            return self.config, self.executor
-        # Imported lazily: the tuner's calibration imports this module.
-        from repro.tuning.tuner import resolve_autotuned
-
-        config = resolve_autotuned(self.plan, self.config, a.shape[0])
-        if config is self.config:
-            return self.config, self.executor
-        return config, get_executor(config.executor)
 
     def _check_table(self, table: LookupTable, activation: np.ndarray) -> None:
         """Reject externally supplied tables this kernel cannot consume."""

@@ -22,12 +22,10 @@ fits one linear coefficient per cost term —
   (``N * M * QG``),
 
 plus a constant per phase (the per-call dispatch overhead the
-specialization work attacks).  The same run sweeps a few chunk budgets, so
-the profile also records which chunk size this host's caches actually
-prefer.
+specialization work attacks).
 
-The fitted :class:`CalibrationProfile` round-trips through JSON and feeds
-the autotuner (:mod:`repro.tuning.tuner`) under ``REPRO_AUTOTUNE=1``.
+The fitted :class:`CalibrationProfile` round-trips through JSON
+(:meth:`CalibrationProfile.save` / :meth:`CalibrationProfile.load`).
 
 Command line::
 
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -50,10 +47,8 @@ __all__ = [
     "ProbeResult",
     "CalibrationProfile",
     "calibrate",
-    "load_profile",
     "PROBE_SHAPES",
     "QUICK_PROBE_SHAPES",
-    "CHUNK_BUDGET_CANDIDATES",
 ]
 
 #: Default probe set: ``(n, m, k, bits, group_size)``.  Shapes vary every
@@ -73,8 +68,7 @@ PROBE_SHAPES: Tuple[Tuple[int, int, int, int, int], ...] = (
     (2, 1024, 2048, 3, 128),
 )
 
-#: Reduced probe set for the lazy in-process calibration the autotuner
-#: falls back to when no saved profile is configured.
+#: Reduced probe set of ``calibrate --quick`` (and the live accuracy gate).
 QUICK_PROBE_SHAPES: Tuple[Tuple[int, int, int, int, int], ...] = (
     (1, 256, 1024, 4, 128),
     (1, 512, 2048, 4, 128),
@@ -82,17 +76,6 @@ QUICK_PROBE_SHAPES: Tuple[Tuple[int, int, int, int, int], ...] = (
     (1, 512, 1024, 4, 64),
     (4, 256, 1024, 4, 128),
 )
-
-#: Chunk budgets raced by the locality sweep (raw gather elements per
-#: codes-dot chunk).  The executor default is ``1 << 24``; smaller budgets
-#: trade numpy batch width for cache residency.
-CHUNK_BUDGET_CANDIDATES: Tuple[int, ...] = (1 << 20, 1 << 22, 1 << 24)
-
-#: Shape used for the chunk sweep — large enough that the budget
-#: difference dominates timer noise, small enough to keep calibration
-#: under a few seconds.
-_CHUNK_PROBE = (1, 1024, 4096, 4, 128)
-
 
 @dataclass(frozen=True)
 class ProbeShape:
@@ -127,9 +110,10 @@ class ProbeResult:
         return abs(self.predicted_s - self.total_s) / self.total_s
 
 
-#: Keys of profiles written while calibration raced two gather drivers;
-#: :meth:`CalibrationProfile.from_dict` ignores them.
-_RETIRED_KEYS = frozenset({"gather_variant", "gather_timings_s"})
+#: Keys of profiles written while calibration raced two gather drivers or
+#: swept chunk budgets; :meth:`CalibrationProfile.from_dict` ignores them.
+_RETIRED_KEYS = frozenset({"gather_variant", "gather_timings_s",
+                           "chunk_elements", "chunk_timings_s"})
 
 
 @dataclass
@@ -154,8 +138,6 @@ class CalibrationProfile:
     cores: int
     numpy_version: str
     repeats: int
-    chunk_elements: Optional[int]
-    chunk_timings_s: Dict[str, float]
     coefficients: Dict[str, float]
     probes: List[ProbeResult] = field(default_factory=list)
     version: int = 1
@@ -194,8 +176,7 @@ class CalibrationProfile:
         """Worst in-sample prediction error across the fitted probes.
 
         ``gemv_only`` restricts to the N=1 probes — the decode-regime
-        latencies the acceptance gate (and the autotuner's dispatch
-        decisions) actually depend on.
+        latencies the acceptance gate depends on.
         """
         probes = [p for p in self.probes if p.shape.n == 1 or not gemv_only]
         if not probes:
@@ -292,12 +273,11 @@ def _probe_kernel(shape: ProbeShape, config):
     return kernel, a
 
 
-def _probe_config(bits: int, chunk_elements: Optional[int] = None):
+def _probe_config(bits: int):
     """The probe kernel configuration: the serial integer-kernel hot path."""
     from repro.core.config import TMACConfig
 
-    return TMACConfig(bits=bits, executor="vectorized",
-                      chunk_elements=chunk_elements)
+    return TMACConfig(bits=bits, executor="vectorized")
 
 
 #: Timing rounds of the probe set per requested repeat.
@@ -348,36 +328,6 @@ def _run_probes(shapes: Sequence[ProbeShape],
     return results
 
 
-def _sweep_chunk_budgets(
-    repeats: int,
-    candidates: Sequence[int] = CHUNK_BUDGET_CANDIDATES,
-) -> Tuple[Optional[int], Dict[str, float]]:
-    """Race chunk budgets on the representative shape.
-
-    Returns ``(best_budget, timings)`` where ``best_budget`` is ``None``
-    when the executor default (the largest candidate) wins — in that case
-    the tuner leaves ``chunk_elements`` alone.
-    """
-    from repro.core.executor import VectorizedExecutor
-
-    shape = ProbeShape(*_CHUNK_PROBE)
-    default_budget = VectorizedExecutor.max_gather_elements
-    timings: Dict[str, float] = {}
-    best_budget, best_s = None, float("inf")
-    for budget in candidates:
-        config = _probe_config(shape.bits, chunk_elements=budget)
-        kernel, a = _probe_kernel(shape, config)
-        table = kernel.precompute(a)
-        seconds = _best_seconds(
-            lambda: kernel.matmul_with_table(a, table), repeats)
-        timings[str(budget)] = seconds
-        if seconds < best_s:
-            best_budget, best_s = budget, seconds
-    if best_budget is not None and best_budget >= default_budget:
-        best_budget = None
-    return best_budget, timings
-
-
 # --------------------------------------------------------------------- #
 # Fitting
 # --------------------------------------------------------------------- #
@@ -410,8 +360,8 @@ def _relative_lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     Each equation is scaled by ``1 / measured`` before solving, so the fit
     minimizes ``sum(((pred - meas) / meas)^2)`` instead of absolute error.
     Without this the multi-millisecond probes dominate and the fit happily
-    mispredicts sub-millisecond decode shapes by 30%+ — exactly the shapes
-    the autotuner cares most about.
+    mispredicts sub-millisecond decode shapes by 30%+ — the decode shapes
+    the accuracy gate checks.
     """
     weights = 1.0 / np.maximum(target, 1e-9)
     return _nonnegative_lstsq(design * weights[:, None], target * weights)
@@ -449,12 +399,10 @@ def calibrate(
     shapes: Optional[Sequence[Tuple[int, int, int, int, int]]] = None,
     repeats: int = 5,
     quick: bool = False,
-    sweep_chunks: bool = True,
 ) -> CalibrationProfile:
     """Run the probes, fit the cost terms, return the host profile.
 
-    ``quick=True`` uses the reduced probe set and fewer repeats — the mode
-    the autotuner uses when calibrating lazily inside a serving process.
+    ``quick=True`` uses the reduced probe set and fewer repeats.
     """
     import platform
 
@@ -466,11 +414,6 @@ def calibrate(
     else:
         shapes = shapes or PROBE_SHAPES
 
-    if sweep_chunks:
-        chunk_best, chunk_timings = _sweep_chunk_budgets(repeats)
-    else:
-        chunk_best, chunk_timings = None, {}
-
     probes = _run_probes([ProbeShape(*spec) for spec in shapes], repeats)
     coefficients = _fit(probes)
 
@@ -479,8 +422,6 @@ def calibrate(
         cores=usable_cpus(),
         numpy_version=np.__version__,
         repeats=repeats,
-        chunk_elements=chunk_best,
-        chunk_timings_s=chunk_timings,
         coefficients=coefficients,
         probes=probes,
     )
@@ -491,18 +432,6 @@ def calibrate(
     return profile
 
 
-def load_profile(path: Optional[str] = None) -> Optional[CalibrationProfile]:
-    """Load the profile named by ``path`` or ``REPRO_CALIBRATION``.
-
-    Returns ``None`` when neither names an existing file — callers fall
-    back to lazy quick calibration or the analytic model.
-    """
-    path = path or os.environ.get("REPRO_CALIBRATION")
-    if not path or not os.path.exists(path):
-        return None
-    return CalibrationProfile.load(path)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: calibrate this host and write the profile JSON."""
     parser = argparse.ArgumentParser(
@@ -510,7 +439,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", default="calibration.json",
                         help="output profile path (default: %(default)s)")
     parser.add_argument("--repeats", type=int, default=5,
-                        help="timed repetitions per probe (median taken)")
+                        help="timed repetitions per probe (minimum taken)")
     parser.add_argument("--quick", action="store_true",
                         help="reduced probe set (faster, less precise)")
     args = parser.parse_args(argv)
@@ -518,9 +447,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     profile = calibrate(repeats=args.repeats, quick=args.quick)
     profile.save(args.out)
     worst = profile.max_relative_error()
-    print(f"calibrated {profile.host}: "
-          f"chunk={profile.chunk_elements or 'default'} "
-          f"worst fit error {worst:.1%}")
+    print(f"calibrated {profile.host}: worst fit error {worst:.1%}")
     for name, value in sorted(profile.coefficients.items()):
         print(f"  {name:>22s} = {value:.3e}")
     print(f"profile written to {args.out}")

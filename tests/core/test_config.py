@@ -2,6 +2,9 @@
 
 import dataclasses
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,11 @@ from repro.core.config import (
     usable_cpus,
 )
 from repro.core.executor import ParallelExecutor
+from repro.core.kernel import TMACKernel
+from repro.quant.uniform import quantize_weights
+from repro.workloads.generator import gaussian_activation, gaussian_weights
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestTMACConfig:
@@ -59,11 +67,11 @@ class TestTMACConfig:
 
 
 class TestRetiredKnobs:
-    """The process pool and the float closures are gone, and so are their
-    configuration surfaces."""
+    """The process pool, the float closures and the runtime execution
+    autotuner are gone, and so are their configuration surfaces."""
 
     @pytest.mark.parametrize("field", ["num_workers", "gather_variant",
-                                       "specialize"])
+                                       "specialize", "chunk_elements"])
     def test_retired_fields_rejected(self, field):
         assert field not in {f.name for f in dataclasses.fields(TMACConfig)}
         with pytest.raises(TypeError):
@@ -72,11 +80,29 @@ class TestRetiredKnobs:
     @pytest.mark.parametrize("name", [
         "REPRO_NUM_WORKERS", "REPRO_DISABLE_SHM",
         "REPRO_PROCESS_CALL_TIMEOUT_S", "REPRO_GATHER", "REPRO_SPECIALIZE",
+        "REPRO_AUTOTUNE", "REPRO_CHUNK_ELEMENTS", "REPRO_CALIBRATION",
     ])
     def test_retired_env_knobs_are_ignored(self, monkeypatch, name):
+        """The config is unchanged, and a matmul runs the executor and
+        config the kernel was bound to."""
         baseline = TMACConfig(bits=4)
+        qw = quantize_weights(gaussian_weights(64, 128, seed=2), bits=4,
+                              group_size=32)
+        a = gaussian_activation(3, 128, seed=9)
+        expected = TMACKernel(qw, baseline).matmul(a)
         monkeypatch.setenv(name, "not-a-value")
         assert TMACConfig(bits=4) == baseline
+        kernel = TMACKernel(qw, TMACConfig(bits=4))
+        seen = []
+        bound = kernel.executor.matmul_with_table
+
+        def spy(plan, table, config, activation):
+            seen.append(config)
+            return bound(plan, table, config, activation)
+
+        monkeypatch.setattr(kernel.executor, "matmul_with_table", spy)
+        np.testing.assert_array_equal(kernel.matmul(a), expected)
+        assert len(seen) == 1 and seen[0] is kernel.config
 
     def test_shm_shim_keeps_only_a_noop_shutdown(self):
         from repro.core import shm
@@ -93,6 +119,32 @@ class TestRetiredKnobs:
         linear = backend.make_linear(np.ones((32, 64), dtype=np.float32))
         assert linear.kernel.config.executor == "vectorized"
         assert not hasattr(linear.kernel.config, "num_workers")
+
+    def test_autotuner_surface_is_gone(self):
+        import repro.core.config as config_mod
+        import repro.hardware.calibrate as calibrate_mod
+        import repro.tuning.tuner as tuner_mod
+        from repro.core.executor import VectorizedExecutor
+
+        for name in ("ShapeTuner", "ExecutionChoice", "resolve_autotuned",
+                     "reset_autotuner", "autotune_enabled"):
+            assert not hasattr(tuner_mod, name), name
+        assert not hasattr(config_mod, "autotune_enabled")
+        for name in ("load_profile", "CHUNK_BUDGET_CANDIDATES",
+                     "_sweep_chunk_budgets"):
+            assert not hasattr(calibrate_mod, name), name
+        assert not hasattr(TMACKernel, "_execution")
+        assert not hasattr(VectorizedExecutor, "gather_budget")
+
+    def test_quickstart_finishes_with_autotune_set(self):
+        """``REPRO_AUTOTUNE=1`` once deadlocked the first matmul."""
+        env = dict(os.environ, REPRO_AUTOTUNE="1",
+                   PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "examples" / "quickstart.py")],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestAblationStages:
@@ -145,6 +197,5 @@ class TestUsableCpus:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
-        profile = calibrate(shapes=[(1, 64, 128, 4, 32)], repeats=1,
-                            sweep_chunks=False)
+        profile = calibrate(shapes=[(1, 64, 128, 4, 32)], repeats=1)
         assert profile.cores == 3

@@ -149,13 +149,57 @@ def test_specialized_parity_under_pools(threads):
     np.testing.assert_array_equal(pooled.matmul(a), serial.matmul(a))
 
 
-def test_chunk_budget_does_not_change_results():
+@pytest.mark.parametrize("mode", sorted(TABLE_MODES))
+@pytest.mark.parametrize("executor", ["vectorized", "parallel"])
+def test_chunk_budget_does_not_change_results(mode, executor):
+    """A tiny raw-gather budget (the spans' ``max_elements``) changes no
+    bit of the codes-dot chunks nor of the recombined output, on the full
+    width and on the thread pool's shards."""
+    kernel = make_kernel(m=256, executor=executor, **TABLE_MODES[mode])
+    plan, config, ex = kernel.plan, kernel.config, kernel.executor
     a = activations()
-    # The integer kernel and the generic walk.
-    for options in (dict(), dict(table_quantization=False)):
-        baseline = make_kernel(**options)
-        chunked = make_kernel(chunk_elements=1 << 8, **options)
-        np.testing.assert_array_equal(chunked.matmul(a), baseline.matmul(a))
+    table = kernel.precompute(a)
+    group_sums = a.reshape(a.shape[0], plan.num_qgroups, -1).sum(axis=2)
+    width = plan.out_features
+    spans = plan.output_tiles(3) if executor == "parallel" else [(0, width)]
+    assert (len(spans) > 1) == (executor == "parallel")
+
+    def codes_dot(budget, spans):
+        out = np.full((a.shape[0], width, plan.num_qgroups), np.nan)
+        for m0, m1 in spans:
+            for qg0, qg1, chunk in ex.iter_codes_dot_span(
+                    plan, table, config, group_sums, m0, m1, budget):
+                out[:, m0:m1, qg0:qg1] = chunk
+        return out
+
+    def recombined(budget, spans):
+        return np.concatenate([
+            ex._recombine_span(plan, table, config, group_sums, m0, m1,
+                               budget)
+            for m0, m1 in spans], axis=1)
+
+    np.testing.assert_array_equal(codes_dot(1 << 8, spans),
+                                  codes_dot(0, [(0, width)]))
+    np.testing.assert_array_equal(recombined(1 << 8, spans),
+                                  recombined(0, [(0, width)]))
+
+
+@pytest.mark.parametrize("executor", ["vectorized", "parallel"])
+def test_executor_gather_budget_does_not_change_matmul(executor, monkeypatch):
+    """A tiny executor-wide budget, split per shard by the thread pool,
+    changes no bit of a matmul on the integer kernel or the generic walk."""
+    from repro.core.executor import VectorizedExecutor
+
+    a = activations()
+    options = dict(executor=executor)
+    if executor == "parallel":
+        options.update(num_threads=3, parallel_threshold=0)
+    for mode in ("quantized_group", "unquantized"):
+        expected = make_kernel(m=256, **TABLE_MODES[mode]).matmul(a)
+        with monkeypatch.context() as patch:
+            patch.setattr(VectorizedExecutor, "max_gather_elements", 1 << 8)
+            kernel = make_kernel(m=256, **TABLE_MODES[mode], **options)
+            np.testing.assert_array_equal(kernel.matmul(a), expected)
 
 
 # --------------------------------------------------------------------- #
@@ -183,12 +227,19 @@ def test_irrelevant_flags_do_not_fork_kernels():
     table = kernel.precompute(a)
     compiled = maybe_specialized(kernel.plan, table, kernel.config)
     assert compiled is not None
-    for options in (dict(chunk_elements=1 << 8),
-                    dict(executor="parallel", num_threads=3),
+    for options in (dict(executor="parallel", num_threads=3),
                     dict(parallel_threshold=0)):
         config = kernel.config.with_options(**options)
         assert integer_key(table, config)
         assert maybe_specialized(kernel.plan, table, config) is compiled
+    # Nor does a tiny per-call gather budget.
+    builds = specialize_stats()["specialize_builds"]
+    group_sums = a.reshape(a.shape[0], kernel.plan.num_qgroups, -1).sum(axis=2)
+    kernel.executor._recombine_span(kernel.plan, table, kernel.config,
+                                    group_sums, 0, kernel.out_features,
+                                    max_elements=1 << 8)
+    assert maybe_specialized(kernel.plan, table, kernel.config) is compiled
+    assert specialize_stats()["specialize_builds"] == builds
 
 
 def test_integer_kernel_is_shared_across_mirror_settings():

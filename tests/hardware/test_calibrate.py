@@ -16,11 +16,11 @@ from repro.hardware.calibrate import (
     _nonnegative_lstsq,
     _probe_config,
     calibrate,
-    load_profile,
+    main,
 )
 
 #: The profile committed with the benchmark results (written before the
-#: gather-driver race was removed).
+#: gather-driver race and the chunk-budget sweep were removed).
 COMMITTED_PROFILE = os.path.join(os.path.dirname(__file__), os.pardir,
                                  os.pardir, "benchmarks", "results",
                                  "calibration.json")
@@ -56,12 +56,10 @@ def synthetic_probes(coefficients=TRUE_COEFFICIENTS):
     return probes
 
 
-def synthetic_profile(cores=1, chunk_elements=None,
-                      coefficients=TRUE_COEFFICIENTS):
+def synthetic_profile(cores=1, coefficients=TRUE_COEFFICIENTS):
     profile = CalibrationProfile(
         host="testhost", cores=cores, numpy_version=np.__version__,
-        repeats=1, chunk_elements=chunk_elements, chunk_timings_s={},
-        coefficients=dict(coefficients), probes=synthetic_probes(),
+        repeats=1, coefficients=dict(coefficients), probes=synthetic_probes(),
     )
     for probe in profile.probes:
         probe.predicted_s = profile.predict_gemm_seconds(
@@ -98,58 +96,72 @@ class TestFitting:
 
 class TestPersistence:
     def test_json_round_trip(self, tmp_path):
-        profile = synthetic_profile(cores=4, chunk_elements=1 << 20)
+        profile = synthetic_profile(cores=4)
         path = tmp_path / "calibration.json"
         profile.save(str(path))
         loaded = CalibrationProfile.load(str(path))
         assert loaded.coefficients == profile.coefficients
         assert loaded.cores == 4
-        assert loaded.chunk_elements == 1 << 20
         assert len(loaded.probes) == len(profile.probes)
         assert loaded.probes[0].shape == profile.probes[0].shape
         assert loaded.max_relative_error() == pytest.approx(
             profile.max_relative_error())
 
-    def test_load_profile_missing_returns_none(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CALIBRATION", raising=False)
-        assert load_profile() is None
-        assert load_profile(str(tmp_path / "absent.json")) is None
-
-    def test_load_profile_from_env(self, tmp_path, monkeypatch):
-        path = tmp_path / "calibration.json"
-        synthetic_profile(chunk_elements=1 << 22).save(str(path))
-        monkeypatch.setenv("REPRO_CALIBRATION", str(path))
-        profile = load_profile()
-        assert profile is not None
-        assert profile.chunk_elements == 1 << 22
+    def test_unknown_profile_keys_are_rejected(self):
+        """Only the listed retired keys are forgiven; a misspelt field
+        fails loudly instead of loading a half-empty profile."""
+        payload = synthetic_profile().to_dict()
+        payload["coefficient"] = payload.pop("coefficients")
+        with pytest.raises(TypeError):
+            CalibrationProfile.from_dict(payload)
 
     @pytest.mark.parametrize("retired", [
         dict(gather_variant="take"),
         dict(gather_timings_s={"fancy": 1e-3, "take": 9e-4}),
         dict(gather_variant="take",
              gather_timings_s={"fancy": 1e-3, "take": 9e-4}),
-    ], ids=["variant", "timings", "both"])
+        dict(chunk_elements=None,
+             chunk_timings_s={"1048576": 8.25e-4, "16777216": 7.72e-4}),
+        dict(chunk_elements=1 << 20, chunk_timings_s={"1048576": 7e-4}),
+        dict(gather_variant="take", gather_timings_s={"take": 9e-4},
+             chunk_elements=None, chunk_timings_s={"16777216": 7.72e-4}),
+    ], ids=["variant", "timings", "both", "chunk-default", "chunk-budget",
+            "gather-and-chunk"])
     def test_profiles_with_gather_race_keys_still_load(self, tmp_path,
                                                        retired):
-        """Older profiles carry the retired ``gather_variant`` /
-        ``gather_timings_s`` keys; they load with both ignored."""
+        """Older profiles carry the retired gather-race (``gather_variant``
+        / ``gather_timings_s``) and chunk-sweep (``chunk_elements`` /
+        ``chunk_timings_s``) keys; they load with all of them ignored."""
         payload = synthetic_profile(cores=2).to_dict()
         payload.update(retired)
         path = tmp_path / "old.json"
         path.write_text(json.dumps(payload))
-        loaded = load_profile(str(path))
+        loaded = CalibrationProfile.load(str(path))
         assert loaded.cores == 2
         assert not set(retired) & set(loaded.to_dict())
         assert loaded.max_relative_error() == pytest.approx(0.0, abs=1e-9)
 
     def test_committed_profile_loads(self):
         """The profile committed with the benchmark results predates the
-        removal of the gather race and still loads."""
+        removal of the gather race and the chunk sweep and still loads."""
+        retired = {"gather_variant", "chunk_elements", "chunk_timings_s"}
         with open(COMMITTED_PROFILE) as fh:
-            assert "gather_variant" in json.load(fh)
-        committed = load_profile(COMMITTED_PROFILE)
+            assert retired <= set(json.load(fh))
+        committed = CalibrationProfile.load(COMMITTED_PROFILE)
         assert committed.probes and committed.coefficients
-        assert "gather_variant" not in committed.to_dict()
+        assert not retired & set(committed.to_dict())
+
+
+class TestCli:
+    def test_cli_writes_a_loadable_profile(self, tmp_path, capsys):
+        out = tmp_path / "calibration.json"
+        assert main(["--out", str(out), "--quick", "--repeats", "1"]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert summary.startswith("calibrated ") and "chunk=" not in summary
+        profile = CalibrationProfile.load(str(out))
+        assert set(profile.coefficients) == set(TRUE_COEFFICIENTS)
+        assert not {"chunk_elements", "chunk_timings_s"} & set(
+            json.loads(out.read_text()))
 
 
 class TestLiveCalibration:
@@ -160,7 +172,7 @@ class TestLiveCalibration:
     def test_quick_calibration_meets_accuracy_gate(self):
         """Acceptance: the fitted model predicts measured mpGEMV latency
         within 25% on the probed decode shapes."""
-        profile = calibrate(quick=True, repeats=3, sweep_chunks=False)
+        profile = calibrate(quick=True, repeats=3)
         assert all(v >= 0 for v in profile.coefficients.values())
         assert profile.probes, "calibration kept no probe evidence"
         assert profile.max_relative_error(gemv_only=True) <= 0.25
