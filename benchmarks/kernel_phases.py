@@ -137,8 +137,9 @@ def measure_phases(m: int, k: int, n: int, probes: Dict[str, float],
     # A replica of IntegerLutKernel._codes_dot / recombine_span, statement
     # by statement, over the whole output span, on the numpy path's planes.
     lut = expand()
-    planes = reduce_major_planes(kernel.plan.weights.index_planes, g,
-                                 kernel.plan.groups_per_qgroup)
+    planes = reduce_major_planes(
+        [kernel.plan.weights.indices(bit) for bit in range(bits)], g,
+        kernel.plan.groups_per_qgroup)
     index = planes.reshape(steps, -1)
     acc = np.empty((index.shape[1], n), dtype=spec.acc_dtype)
     looked_up = np.empty_like(acc)

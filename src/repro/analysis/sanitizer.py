@@ -14,9 +14,10 @@ cannot participate in a deadlock cycle (this also keeps
 ``threading.Condition``'s internal ownership probe quiet).
 
 **Plan-mutation canary.**  :func:`plan_canary` checksums a plan's
-published artifacts (preprocessed weight planes, scales/zeros, lazily
-built gather tables) around an executor dispatch and raises
-:class:`PlanMutationError` if any existing artifact's bytes drift —
+published artifacts (the packed weight indices, the scales and
+scale*zero products, lazily built gather tables) around an executor
+dispatch and raises :class:`PlanMutationError` if any existing
+artifact's bytes drift —
 plans are frozen and content-addressed, so drift means corruption.
 Artifacts that *appear* during the dispatch (the lazy gather build) are
 merged into the baseline, not flagged.
@@ -312,12 +313,10 @@ def _plan_checksums(plan) -> Dict[str, int]:
     sums: Dict[str, int] = {}
     weights = getattr(plan, "weights", None)
     if weights is not None:
-        for name in ("scales", "zeros"):
+        for name in ("packed", "scales_t", "sz_t"):
             arr = getattr(weights, name, None)
             if arr is not None:
                 sums[f"weights.{name}"] = _array_checksum(arr)
-        for i, arr in enumerate(getattr(weights, "index_planes", ()) or ()):
-            sums[f"weights.index_planes[{i}]"] = _array_checksum(arr)
     cache = getattr(plan, "_gather_cache", None)
     if cache is not None:
         for mirrored, tables in list(cache.items()):
@@ -328,14 +327,12 @@ def _plan_checksums(plan) -> Dict[str, int]:
                     sums[f"{prefix}.{group}[{i}]"] = _array_checksum(arr)
     kernel = getattr(plan, "_integer_kernel", None)
     if kernel is not None:
-        # The compiled kernel mostly holds references to arrays already
-        # checksummed above; these are the artifacts it owns (the index
-        # planes or nibble blocks and the transposed scales), and a
+        # The compiled kernel reads the weights' arrays checksummed above;
+        # the numpy kernel also owns its reduce-major planes, and a
         # mutation there would corrupt every call.
-        for name in ("planes", "nibbles", "scales_t", "sz_t"):
-            arr = vars(kernel).get(name)
-            if arr is not None:
-                sums[f"kernel.{name}"] = _array_checksum(arr)
+        arr = vars(kernel).get("planes")
+        if arr is not None:
+            sums["kernel.planes"] = _array_checksum(arr)
     return sums
 
 

@@ -136,17 +136,15 @@ class KernelExecutor:
         the executor default); chunk boundaries never change results.
         """
         n = group_sums.shape[0]
-        scales = plan.weights.scales  # [M, QG]
-        zeros = plan.weights.zeros  # [M, QG]
+        scales_t = plan.weights.scales_t  # [QG, M]
+        sz_t = plan.weights.sz_t  # [QG, M], scales * zeros
         out = np.zeros((n, m1 - m0), dtype=np.float64)
         for qg0, qg1, chunk in self.iter_codes_dot_span(
             plan, table, config, group_sums, m0, m1, max_elements
         ):
             for qg in range(qg0, qg1):
-                scale_col = scales[m0:m1, qg][None, :]  # [1, span]
-                zero_col = zeros[m0:m1, qg][None, :]  # [1, span]
-                out += scale_col * chunk[:, :, qg - qg0]
-                out -= (scale_col * zero_col) * group_sums[:, qg][:, None]
+                out += scales_t[qg, m0:m1][None, :] * chunk[:, :, qg - qg0]
+                out -= sz_t[qg, m0:m1][None, :] * group_sums[:, qg][:, None]
         return out
 
     def matmul_with_table(
@@ -200,7 +198,7 @@ class LoopExecutor(KernelExecutor):
         gpq = plan.groups_per_qgroup
         j0 = qg * gpq
         jslice = slice(j0, j0 + gpq)
-        indices = plan.weights.index_planes[bit][:, jslice]
+        indices = plan.weights.indices(bit, j0, j0 + gpq)
         raw = lookup(table, indices, group_slice=jslice)  # [N, M, gpq]
 
         if not table.quantized:

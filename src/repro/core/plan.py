@@ -1,7 +1,7 @@
 """Offline kernel plans and the process-wide plan cache.
 
 Algorithm 1 splits the T-MAC kernel into an *offline* stage (weights are
-bit-plane decomposed and grouped once — they never change during
+packed into grouped bit-plane indices once — they never change during
 inference) and an *online* stage (per-activation table
 precompute, lookup, aggregation).  :class:`KernelPlan` is the materialized
 offline stage: everything derivable from ``(quantized weights, config)``
@@ -15,8 +15,8 @@ fields that change the offline artifacts enter the key — execution-time
 knobs (table quantization, fast aggregation, LUT scale granularity,
 executor choice) deliberately do not, so e.g. ``T-MAC`` and ``T-MAC (+FA)``
 share one plan for the same weights.  Neither do the permutation and
-interleaving flags: the packed layout a kernel reads is built at kernel
-compile, the same for every setting of them (the flags drive only the
+interleaving flags: the plan stores one packed layout, the same for
+every setting of them (the flags drive only the
 SIMD cost profile, :mod:`repro.simd.profile`).
 
 The cache is what lets :func:`repro.core.gemm.tmac_gemm` /
@@ -142,7 +142,7 @@ class KernelPlan:
         plan under a *different* config as long as the layout-relevant
         fields (``bits``, ``g``, ``s0``/``s1``, tiling) agree — see :meth:`compatible_with`.
     weights:
-        The preprocessed weight operand (index planes, scales, zeros).
+        The preprocessed weight operand (packed indices, scales, zeros).
     transform:
         Bit-serial transform mapping weight bits to table signs.
     fingerprint:
@@ -275,7 +275,8 @@ class KernelPlan:
             half if mirrored else full)
         signs: Optional[List[np.ndarray]] = [] if mirrored else None
         offsets: List[np.ndarray] = []
-        for plane in self.weights.index_planes:
+        for bit in range(self.bits):
+            plane = self.weights.indices(bit)
             folded = plane
             if mirrored:
                 negate = plane >= half

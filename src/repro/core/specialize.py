@@ -45,7 +45,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.lut import accumulator_dtype, fusion_width
-from repro.core.weights import nibble_blocks
 
 __all__ = [
     "IntegerLutKernel",
@@ -118,7 +117,7 @@ def integer_key(table, config) -> bool:
 def reduce_major_planes(index_planes, g: int, gpq: int) -> np.ndarray:
     """Permute the ``[M, K/g]`` index planes to the integer kernel's layout.
 
-    Returns frozen ``planes[s, m, bit, qg] = qg * 2**(g*f) + code`` in the
+    Returns ``planes[s, m, bit, qg] = qg * 2**(g*f) + code`` in the
     narrowest unsigned dtype holding ``QG * 2**(g*f)``; ``code`` is the
     little-endian concatenation of the ``f`` indices of step ``s`` (pattern
     0 past ``gpq``, where the table has an all-zero slab).  ``s`` (the
@@ -140,16 +139,15 @@ def reduce_major_planes(index_planes, g: int, gpq: int) -> np.ndarray:
         np.add(padded[:, :, 0::f], base[:, None], out=code)
         for t in range(1, f):
             code |= padded[:, :, t::f] << (g * t)
-    planes.setflags(write=False)
     return planes
 
 
 class IntegerLutKernel:
     """The reduce-major, row-minor integer LUT kernel (module docstring).
 
-    Owns its frozen artifacts — ``planes`` plus ``[QG, M]`` transposes of
-    the weight scales and of the ``scales * zeros`` product — and scalars,
-    never the plan.  Its span API mirrors the executor's:
+    Holds its frozen ``planes`` and scalars, plus references to the
+    weights' ``[QG, M]`` scales and ``scales * zeros`` product — never the
+    plan.  Its span API mirrors the executor's:
     :meth:`iter_span` yields ``(qg0, qg1, chunk)`` codes-dot chunks and
     :meth:`recombine_span` applies the weight scales/zeros.
     """
@@ -282,19 +280,20 @@ class NativeLutKernel(IntegerLutKernel):
 
     For ``g = 4``: per bit, index column and 32-row block, one
     ``vpshufb`` of the 16-entry int8 table answers 32 weight rows of the
-    frozen :func:`~repro.core.weights.nibble_blocks` layout, with the GIL
+    plan's frozen :func:`~repro.core.weights.nibble_blocks` array (read
+    as it is, no copy), with the GIL
     released (:mod:`repro.core.native`).  The block sums arrive m-minor,
     so the float epilogue starts with a contiguous convert; no expanded
     table is built.
     """
 
-    def __init__(self, *, index_planes, native, gpq: int, **epilogue):
-        super().__init__(bits=len(index_planes),
+    def __init__(self, *, nibbles, native, gpq: int, **epilogue):
+        super().__init__(bits=nibbles.shape[0],
                          steps=-(-gpq // fusion_width(4)), gpq=gpq,
                          **epilogue)
         self.native = native
         self.path = native.path
-        self.nibbles = nibble_blocks(index_planes)
+        self.nibbles = nibbles
 
     def _lookup_source(self, table, n0: int, n1: int):
         return np.ascontiguousarray(table.values[n0:n1])
@@ -335,29 +334,26 @@ def runs_native(config, group_size: int) -> bool:
 def compile_specialized(plan):
     """Compile the integer LUT kernel for ``plan``.
 
-    :class:`NativeLutKernel` when the native library serves the plan's
-    ``g``, else :class:`IntegerLutKernel` over reduce-major planes built
-    from the plan's index planes.
+    :class:`NativeLutKernel` over the plan's packed weights when the
+    native library serves the plan's ``g``, else :class:`IntegerLutKernel`
+    over reduce-major planes built from index planes unpacked for the
+    compile.
     """
-    scales = plan.weights.scales
-    # The recombination's scale*zero product, once per plan (float32 in,
-    # float32 out — the exact per-call product of the generic path).
-    sz = np.multiply(scales, plan.weights.zeros)
-    scales_t = np.ascontiguousarray(scales.T)
-    sz_t = np.ascontiguousarray(sz.T)
-    # Frozen before publication: shared by every executor thread.
-    scales_t.setflags(write=False)
-    sz_t.setflags(write=False)
-    epilogue = dict(gpq=plan.groups_per_qgroup, scales_t=scales_t,
-                    sz_t=sz_t, alpha=plan.transform.alpha,
+    weights = plan.weights
+    epilogue = dict(gpq=plan.groups_per_qgroup, scales_t=weights.scales_t,
+                    sz_t=weights.sz_t, alpha=plan.transform.alpha,
                     beta=plan.transform.beta)
     backend = native_phase(plan.g)
     if backend is not None:
-        kernel = NativeLutKernel(index_planes=plan.weights.index_planes,
-                                 native=backend, **epilogue)
+        kernel = NativeLutKernel(nibbles=weights.packed, native=backend,
+                                 **epilogue)
     else:
-        planes = reduce_major_planes(plan.weights.index_planes, plan.g,
-                                     plan.groups_per_qgroup)
+        planes = reduce_major_planes(
+            [weights.indices(bit) for bit in range(plan.bits)], plan.g,
+            plan.groups_per_qgroup)
+        # Frozen before publication: shared by every executor thread (the
+        # weights' arrays were frozen when the plan was built).
+        planes.setflags(write=False)
         kernel = IntegerLutKernel(bits=planes.shape[2], steps=planes.shape[0],
                                   planes=planes, **epilogue)
     _SPECIALIZE_STATS.add(specialize_builds=1)

@@ -1,21 +1,23 @@
 """Offline weight preprocessing for the T-MAC kernel.
 
 Algorithm 1's ``PreprocessWeights`` runs once, offline (weights never change
-during inference) and produces, per weight bit:
+during inference).  Conceptually it produces, per weight bit:
 
 1. **Bit-plane extraction** — the n-bit codes are split into n one-bit
    matrices (:mod:`repro.core.bitserial`).
 2. **Grouping** — every ``g`` consecutive one-bit weights along K become a
    single ``g``-bit *index* into the lookup table.
 
-The plan keeps these ``[M, K/g]`` index planes.  Each compiled kernel
-derives the one packed layout it reads from them
-(:mod:`repro.core.specialize`): the numpy path reduce-major table
-addresses, the native path :func:`nibble_blocks` — two 4-bit indices per
-byte (Figure 3's ``uint4``), contiguous 32-row blocks per index column
-(Section 3.2, "Weight permutation for sequential memory access") with the
-nibbles interleaved so one AND and one shift yield the block's indices in
-row order (Figure 4, "Weight interleaving for fast unpacking").
+The plan stores one layout of those indices, :func:`nibble_blocks`: two
+4-bit indices per byte (Figure 3's ``uint4``), contiguous 32-row blocks per
+index column (Section 3.2, "Weight permutation for sequential memory
+access") with the nibbles interleaved so one AND and one shift yield the
+block's indices in row order (Figure 4, "Weight interleaving for fast
+unpacking").  :func:`pack_codes` writes it straight from the codes, never
+materializing the ``[M, K]`` bit planes or the ``[M, K/g]`` index planes;
+the native kernel reads it as it is, and the loop oracle, the generic walk
+and the numpy kernel's compile unpack the index-plane slices they need on
+demand (:meth:`PreprocessedWeights.indices`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.bitserial import decompose_bits
 from repro.core.config import TMACConfig
 from repro.core.tiling import TileConfig
 from repro.quant.uniform import QuantizedWeight
@@ -37,6 +38,7 @@ __all__ = [
     "pack_indices",
     "unpack_indices",
     "nibble_blocks",
+    "pack_codes",
     "PreprocessedWeights",
     "preprocess_weights",
 ]
@@ -127,14 +129,19 @@ def unpack_indices(packed: np.ndarray, num_indices: int, g: int = 4) -> np.ndarr
     return interlaced[:, :num_indices]
 
 
-def nibble_blocks(index_planes: List[np.ndarray]) -> np.ndarray:
-    """The native kernel's packed layout of ``g = 4`` index planes.
+def nibble_blocks(index_planes: List[np.ndarray], g: int = 4) -> np.ndarray:
+    """The packed block layout of ``[M, K/g]`` index planes.
 
     Returns frozen ``uint8 [bits, K/g, ceil(M/32) * 16]``: per bit and
     index column ``j``, the ``M`` indices (zero-padded to whole 32-row
     blocks) two per byte, byte ``i`` of a block holding row ``i`` in its
     low nibble and row ``16 + i`` in its high one — Figure 4's interleave,
-    so an AND and a shift unpack a block's 32 indices in row order.
+    so an AND and a shift unpack a block's 32 indices in row order.  For
+    ``g > 4`` the same order holds one index per byte (rows ``i`` and
+    ``16 + i`` at bytes ``2i`` and ``2i + 1``), ``ceil(M/32) * 32`` wide.
+
+    :func:`pack_codes` builds this layout straight from the codes; this is
+    the step-by-step construction it is tested against.
     """
     bits = len(index_planes)
     m, groups = index_planes[0].shape
@@ -143,31 +150,79 @@ def nibble_blocks(index_planes: List[np.ndarray]) -> np.ndarray:
     for bit, plane in enumerate(index_planes):
         padded[bit, :, :m] = plane.T
     pairs = padded.reshape(bits * groups, blocks, 2, 16).swapaxes(2, 3)
-    nibbles = pack_indices(pairs.reshape(bits * groups, -1)).reshape(
-        bits, groups, blocks * 16)
+    nibbles = pack_indices(pairs.reshape(bits * groups, -1), g).reshape(
+        bits, groups, -1)
     nibbles.setflags(write=False)
     return nibbles
+
+
+def pack_codes(codes: np.ndarray, bits: int, g: int) -> np.ndarray:
+    """Pack ``[M, K]`` quantized codes into the :func:`nibble_blocks`
+    layout of their ``g``-bit index planes, without building the planes.
+
+    Returns frozen ``uint8 [bits, K/g, W]`` equal to
+    ``nibble_blocks([group_bits(p, g) for p in decompose_bits(codes, bits)], g)``.
+    The codes are laid out once in the packed order (rows ``i`` and
+    ``16 + i`` of a block side by side, K outermost); every bit's indices
+    are then a shift-and-mask per group element, OR-ed at their index bit.
+    While ``bits <= 4`` and ``g <= 4`` the two rows share one byte as two
+    nibbles, so the mask ``0x11`` takes bit ``b`` of both codes at once and
+    the result is already the packed byte.
+    """
+    m, k = codes.shape
+    groups = k // g
+    blocks = -(-m // 32)
+    padded = np.zeros((blocks * 32, k), dtype=np.uint8)
+    padded[:m] = codes
+    rows = padded.reshape(blocks, 2, 16, k)
+    if bits <= 4 and g <= 4:
+        lanes, mask = rows[:, 0] | (rows[:, 1] << 4), 0x11
+    else:
+        lanes, mask = rows.transpose(0, 2, 1, 3), 0x01
+    # [K/g, g, W]: the t-th element of every index group as one contiguous run.
+    lanes = np.ascontiguousarray(lanes.reshape(-1, k).T).reshape(groups, g, -1)
+    out = np.empty((bits, groups, lanes.shape[2]), dtype=np.uint8)
+    term = np.empty_like(out[0])
+    for bit in range(bits):
+        plane = out[bit]
+        np.right_shift(lanes[:, 0], bit, out=plane)
+        plane &= mask
+        for t in range(1, g):
+            np.right_shift(lanes[:, t], bit, out=term)
+            term &= mask
+            term <<= t
+            plane |= term
+    if mask == 0x01 and g <= 4:  # codes wider than a nibble: pair up now
+        out = out[:, :, 0::2] | (out[:, :, 1::2] << 4)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass
 class PreprocessedWeights:
     """Offline-prepared weight operand of the T-MAC kernel.
 
+    The plan's one resident copy of the weights.  The native kernel and
+    every recombination read these arrays as they are; index planes are
+    unpacked from :attr:`packed` on demand and never cached here.
+
     Attributes
     ----------
-    index_planes:
-        One ``[M, K/g]`` index matrix per weight bit (LSB first), in the
-        natural (un-permuted) layout.  The kernels derive the layout they
-        read from these once, at kernel compile: the numpy path its
-        reduce-major planes, the native path :func:`nibble_blocks`.
-    scales / zeros:
-        Per-quantization-group dequantization parameters, copied from the
-        :class:`~repro.quant.uniform.QuantizedWeight`.
+    packed:
+        The :func:`nibble_blocks` layout of all bit planes, built by
+        :func:`pack_codes` — the native kernel's operand.  The loop
+        oracle, the generic walk and the numpy kernel's compile unpack
+        the ``[M, K/g]`` index planes they need on demand
+        (:meth:`indices`).
+    scales_t / sz_t:
+        ``float32 [QG, M]``: the per-quantization-group scales and the
+        ``scales * zeros`` products, in the orientation the recombination
+        reads (a row per quantization group).
     """
 
-    index_planes: List[np.ndarray]
-    scales: np.ndarray
-    zeros: np.ndarray
+    packed: np.ndarray
+    scales_t: np.ndarray
+    sz_t: np.ndarray
     bits: int
     g: int
     group_size: int
@@ -185,11 +240,23 @@ class PreprocessedWeights:
         """K — the reduction dimension."""
         return self.shape[1]
 
+    def indices(self, bit: int, j0: int = 0,
+                j1: Optional[int] = None) -> np.ndarray:
+        """Index columns ``[j0, j1)`` of bit plane ``bit``: a fresh
+        ``uint8 [M, j1-j0]`` unpacked from :attr:`packed` (all columns by
+        default)."""
+        block = self.packed[bit, j0:j1]
+        lanes = block
+        if self.g <= 4:
+            lanes = np.stack((block & 0x0F, block >> 4), axis=-1)
+        columns = block.shape[0]
+        rows = lanes.reshape(columns, -1, 16, 2).transpose(0, 1, 3, 2)
+        return rows.reshape(columns, -1)[:, :self.out_features].T
+
     def packed_bytes(self) -> int:
-        """Bytes of the packed weight operand, all bit planes: two indices
-        per byte when ``g <= 4``, one otherwise."""
-        indices = self.out_features * (self.in_features // self.g)
-        return self.bits * (-(-indices // 2) if self.g <= 4 else indices)
+        """Bytes of the stored weight operand, all bit planes (32-row
+        block padding included)."""
+        return self.packed.nbytes
 
 
 def preprocess_weights(
@@ -221,21 +288,23 @@ def preprocess_weights(
         )
     tile = resolve_tile_config(config, tile_config)
 
-    planes = decompose_bits(qweight.codes, qweight.bits)
-    index_planes = [group_bits(plane, config.g) for plane in planes]
-
+    packed = pack_codes(qweight.codes, qweight.bits, config.g)
+    # The recombination's scale*zero product, once (float32 in, float32
+    # out — the oracle's exact per-call product).
+    scales = np.asarray(qweight.scales, dtype=np.float32)
+    zeros = np.asarray(qweight.zeros, dtype=np.float32)
+    sz_t = np.ascontiguousarray(np.multiply(scales, zeros).T)
+    scales_t = np.ascontiguousarray(scales.T)
     # Freeze every array before publication: preprocessed weights are
-    # shared across executor threads and checksummed into plan keys — a
-    # writable buffer would let silent mutation invalidate both.
-    scales = qweight.scales.astype(np.float32)
-    zeros = qweight.zeros.astype(np.float32)
-    for arr in (*index_planes, scales, zeros):
-        arr.setflags(write=False)
+    # shared across executor threads and checksummed by the plan canary —
+    # a writable buffer would let silent mutation corrupt every call.
+    scales_t.setflags(write=False)
+    sz_t.setflags(write=False)
 
     return PreprocessedWeights(
-        index_planes=index_planes,
-        scales=scales,
-        zeros=zeros,
+        packed=packed,
+        scales_t=scales_t,
+        sz_t=sz_t,
         bits=qweight.bits,
         g=config.g,
         group_size=qweight.group_size,

@@ -46,8 +46,8 @@ class QuantizedWeight:
     codes:
         ``uint8`` array of shape ``[M, K]`` holding the quantized codes,
         each in ``[0, 2**bits - 1]``.  Codes are stored unpacked (one code
-        per byte); the T-MAC offline pipeline re-packs them into bit-plane
-        index matrices.
+        per byte); the T-MAC offline pipeline re-packs them into packed
+        bit-plane indices (:func:`repro.core.weights.pack_codes`).
     scales:
         ``float32`` array of shape ``[M, K // group_size]``.
     zeros:

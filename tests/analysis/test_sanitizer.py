@@ -179,9 +179,9 @@ class TestSanitizedLock:
 
 class _FakeWeights:
     def __init__(self, rng):
-        self.scales = rng.normal(size=(8, 4)).astype(np.float32)
-        self.zeros = rng.normal(size=(8, 4)).astype(np.float32)
-        self.index_planes = [rng.integers(0, 16, size=(8, 16)).astype("u1")]
+        self.packed = rng.integers(0, 256, size=(4, 16, 16)).astype("u1")
+        self.scales_t = rng.normal(size=(4, 8)).astype(np.float32)
+        self.sz_t = rng.normal(size=(4, 8)).astype(np.float32)
 
 
 class _FakePlan:
@@ -195,16 +195,16 @@ class TestPlanCanary:
         registry = PlanCanaryRegistry()
         plan = _FakePlan()
         with registry.canary(plan):
-            _ = plan.weights.scales.sum()
+            _ = plan.weights.scales_t.sum()
         assert registry.trips == 0
         assert registry.tracked() == 1
 
     def test_mutation_trips(self):
         registry = PlanCanaryRegistry()
         plan = _FakePlan()
-        with pytest.raises(PlanMutationError, match="weights.scales"):
+        with pytest.raises(PlanMutationError, match="weights.scales_t"):
             with registry.canary(plan):
-                plan.weights.scales[0, 0] += 1.0
+                plan.weights.scales_t[0, 0] += 1.0
         assert registry.trips == 1
 
     def test_trip_survives_an_in_dispatch_exception(self):
@@ -214,7 +214,7 @@ class TestPlanCanary:
         plan = _FakePlan()
         with pytest.raises(PlanMutationError):
             with registry.canary(plan):
-                plan.weights.zeros[0, 0] = 42.0
+                plan.weights.sz_t[0, 0] = 42.0
                 raise RuntimeError("worker died")
         assert registry.trips == 1
 
@@ -252,10 +252,10 @@ class TestPlanCanary:
             executor.matmul_with_table(plan, table, cfg, activation)
         assert registry.trips == 0
 
-        scales = plan.weights.scales
+        scales = plan.weights.scales_t
         scales.setflags(write=True)
         try:
-            with pytest.raises(PlanMutationError, match="weights.scales"):
+            with pytest.raises(PlanMutationError, match="weights.scales_t"):
                 with registry.canary(plan):
                     executor.matmul_with_table(plan, table, cfg, activation)
                     scales[0, 0] += 0.5
@@ -264,12 +264,43 @@ class TestPlanCanary:
             scales.setflags(write=False)
         assert registry.trips == 1
 
+    def test_flipped_packed_nibble_trips_through_executor(self):
+        """The canary checksums the stored packed indices, not index planes
+        derived from them: one nibble flipped through a writable alias of
+        the plan's array trips it."""
+        registry = PlanCanaryRegistry()
+        qw = quantize_weights(gaussian_weights(32, 128, seed=13), bits=4,
+                              group_size=32)
+        cfg = TMACConfig(bits=4)
+        plan = build_plan(qw, cfg)
+        executor = get_executor(cfg.executor)
+        activation = gaussian_activation(2, 128, seed=14)
+        table = plan.precompute(activation, cfg)
+        with registry.canary(plan):
+            executor.matmul_with_table(plan, table, cfg, activation)
+
+        # A view taken while the array was briefly writable stays
+        # writable after the plan's array is frozen again.
+        packed = plan.weights.packed
+        packed.setflags(write=True)
+        alias = packed.reshape(-1)
+        packed.setflags(write=False)
+        try:
+            with pytest.raises(PlanMutationError, match="weights.packed"):
+                with registry.canary(plan):
+                    executor.matmul_with_table(plan, table, cfg, activation)
+                    alias[5] ^= 0x0F
+        finally:
+            alias[5] ^= 0x0F
+        assert not packed.flags.writeable
+        assert registry.trips == 1
+
     def test_frozen_plans_make_accidental_mutation_impossible(self):
         qw = quantize_weights(gaussian_weights(32, 128, seed=12), bits=2,
                               group_size=32)
         plan = build_plan(qw, TMACConfig(bits=2))
         with pytest.raises(ValueError):
-            plan.weights.scales[0, 0] = 1.0
+            plan.weights.scales_t[0, 0] = 1.0
 
     def test_stats_shape(self):
         report = sanitizer.stats()

@@ -32,7 +32,7 @@ def make_plan(bits=4, mirrored=True):
 class TestPreprocessedWeightsFrozen:
     def test_every_array_is_read_only(self, small_qweight):
         pw = preprocess_weights(small_qweight, TMACConfig(bits=4))
-        arrays = [pw.scales, pw.zeros, *pw.index_planes]
+        arrays = [pw.packed, pw.scales_t, pw.sz_t]
         assert arrays
         for arr in arrays:
             assert not arr.flags.writeable
@@ -40,9 +40,9 @@ class TestPreprocessedWeightsFrozen:
     def test_write_attempts_raise(self, small_qweight):
         pw = preprocess_weights(small_qweight, TMACConfig(bits=4))
         with pytest.raises(ValueError):
-            pw.scales[0, 0] = 1.0
+            pw.scales_t[0, 0] = 1.0
         with pytest.raises(ValueError):
-            pw.index_planes[0][0, 0] = 3
+            pw.packed[0, 0, 0] = 3
 
 
 class TestGatherTablesFrozen:

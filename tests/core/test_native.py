@@ -167,11 +167,13 @@ def test_nibbles_are_frozen_and_canaried():
     plan, compiled, out, oracle = compiled_kernel()
     assert isinstance(compiled, NativeLutKernel)
     np.testing.assert_array_equal(out, oracle)
+    # The kernel reads the plan's stored array: no copy at compile.
+    assert compiled.nibbles is plan.weights.packed
     assert not compiled.nibbles.flags.writeable
     with pytest.raises(ValueError):
         compiled.nibbles[0, 0, 0] = 1
     registry = PlanCanaryRegistry()
-    with pytest.raises(PlanMutationError, match="nibbles"):
+    with pytest.raises(PlanMutationError, match="weights.packed"):
         with registry.canary(plan):
             compiled.nibbles.setflags(write=True)
             compiled.nibbles[0, 0, 0] ^= 1

@@ -1,17 +1,30 @@
 """Unit tests for the offline weight-preprocessing pipeline."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.backends import get_backend
+from repro.core.bitserial import decompose_bits
 from repro.core.config import TMACConfig
+from repro.core.kernel import TMACKernel
+from repro.core.plan import clear_plan_cache
 from repro.core.weights import (
+    PreprocessedWeights,
     group_bits,
     nibble_blocks,
+    pack_codes,
     pack_indices,
     preprocess_weights,
     ungroup_bits,
     unpack_indices,
 )
+from repro.llm import TransformerModel, tiny_arch
+from repro.llm.model import generate_random_weights
 from repro.quant.uniform import quantize_weights
 
 
@@ -116,22 +129,66 @@ class TestNibbleBlocks:
         np.testing.assert_array_equal(unpack_blocks(nibbles, 20)[0], plane)
 
 
+class TestPackCodes:
+    @given(m=st.integers(1, 100), bits=st.integers(1, 4),
+           g=st.sampled_from([1, 2, 3, 4, 6]), groups=st.integers(1, 6),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_decompose_group_nibble_blocks(self, m, bits, g, groups,
+                                                   data):
+        """The from-codes packer equals the step-by-step pipeline, and
+        every derived (bit, j0:j1) slice equals the reference plane's."""
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        codes = np.random.default_rng(seed).integers(
+            0, 1 << bits, (m, groups * g)).astype(np.uint8)
+        planes = [group_bits(p, g) for p in decompose_bits(codes, bits)]
+        packed = pack_codes(codes, bits, g)
+        np.testing.assert_array_equal(packed, nibble_blocks(planes, g))
+        assert not packed.flags.writeable
+
+        pre = PreprocessedWeights(packed=packed, scales_t=None, sz_t=None,
+                                  bits=bits, g=g, group_size=g,
+                                  shape=codes.shape)
+        bit = data.draw(st.integers(0, bits - 1))
+        j0 = data.draw(st.integers(0, groups - 1))
+        j1 = data.draw(st.integers(j0 + 1, groups))
+        np.testing.assert_array_equal(pre.indices(bit, j0, j1),
+                                      planes[bit][:, j0:j1])
+        np.testing.assert_array_equal(pre.indices(bit), planes[bit])
+
+    @pytest.mark.parametrize("bits,g", [(8, 4), (5, 2), (8, 8)])
+    def test_codes_wider_than_a_nibble(self, bits, g, rng):
+        codes = rng.integers(0, 1 << bits, (45, 8 * g)).astype(np.uint8)
+        planes = [group_bits(p, g) for p in decompose_bits(codes, bits)]
+        np.testing.assert_array_equal(pack_codes(codes, bits, g),
+                                      nibble_blocks(planes, g))
+
+
 class TestPreprocessWeights:
     def test_produces_one_plane_per_bit(self, small_qweight):
         config = TMACConfig(bits=4)
         pre = preprocess_weights(small_qweight, config)
-        assert len(pre.index_planes) == 4
-        assert pre.packed_bytes() == 4 * 48 * (256 // 4) // 2
+        # 48 rows pad to two 32-row blocks of 16 bytes per index column.
+        assert pre.packed.shape == (4, 256 // 4, 2 * 16)
+        assert pre.packed_bytes() == pre.packed.nbytes == 4 * 64 * 64 // 2
         assert pre.shape == (48, 256)
 
     def test_index_planes_recombine_to_codes(self, small_qweight):
         config = TMACConfig(bits=4)
         pre = preprocess_weights(small_qweight, config)
         codes = np.zeros_like(small_qweight.codes, dtype=np.uint32)
-        for i, plane in enumerate(pre.index_planes):
-            bits = ungroup_bits(plane, config.g)
+        for i in range(pre.bits):
+            bits = ungroup_bits(pre.indices(i), config.g)
             codes |= bits.astype(np.uint32) << i
         np.testing.assert_array_equal(codes, small_qweight.codes)
+
+    def test_scales_stored_once_in_epilogue_form(self, small_qweight):
+        pre = preprocess_weights(small_qweight, TMACConfig(bits=4))
+        np.testing.assert_array_equal(pre.scales_t, small_qweight.scales.T)
+        np.testing.assert_array_equal(
+            pre.sz_t, (small_qweight.scales * small_qweight.zeros).T)
+        assert pre.scales_t.dtype == pre.sz_t.dtype == np.float32
+        assert pre.scales_t.flags.c_contiguous and pre.sz_t.flags.c_contiguous
 
     def test_packed_bytes_scale_with_bits(self, small_weights):
         sizes = {}
@@ -150,3 +207,64 @@ class TestPreprocessWeights:
         qw = quantize_weights(small_weights, bits=4, group_size=64)
         with pytest.raises(ValueError):
             preprocess_weights(qw, TMACConfig(bits=4, g=7))
+
+
+def _plan_arrays(plan):
+    """Every ndarray reachable from a plan's attributes, its weights, its
+    gather cache and its compiled kernel, with the path it was found at."""
+    found = []
+
+    def walk(obj, path, depth):
+        if isinstance(obj, np.ndarray):
+            found.append((path, obj))
+        elif depth and isinstance(obj, (list, tuple)):
+            for i, item in enumerate(obj):
+                walk(item, f"{path}[{i}]", depth - 1)
+        elif depth and isinstance(obj, dict):
+            for key, item in obj.items():
+                walk(item, f"{path}[{key!r}]", depth - 1)
+        elif depth and hasattr(obj, "__dict__"):
+            for key, item in vars(obj).items():
+                walk(item, f"{path}.{key}", depth - 1)
+
+    walk(plan, "plan", 4)
+    return found
+
+
+class TestResidentBytes:
+    def test_bench_medium_shape_holds_one_packed_layout(self):
+        """A model of bench-medium's shape, every operator run once on the
+        default executor and once on the loop oracle, keeps at most 1.5x
+        its quantized weight bytes resident, and no plan holds an
+        ``[M, K/g]`` index array afterwards."""
+        arch = tiny_arch(512, 1376, num_layers=4, num_heads=8,
+                         vocab_size=1024)
+        weights = generate_random_weights(arch, seed=3)
+        clear_plan_cache()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = TransformerModel(
+                arch, engine=get_backend("tmac", bits=4, group_size=64),
+                weights=weights)
+            rng = np.random.default_rng(0)
+            for op in model.linears():
+                x = rng.standard_normal((1, op.in_features)).astype(
+                    np.float32)
+                oracle = TMACKernel.from_plan(
+                    op.kernel.plan,
+                    op.kernel.config.with_options(executor="loop"))
+                np.testing.assert_array_equal(op(x), oracle.matmul(x))
+            gc.collect()
+            resident, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        quantized = model.quantized_weight_bytes()
+        assert resident <= 1.5 * quantized, (resident, quantized)
+
+        for op in model.linears():
+            plan = op.kernel.plan
+            planes = (plan.out_features, plan.num_groups)
+            for path, arr in _plan_arrays(plan):
+                assert arr.shape[-2:] != planes, path
+        clear_plan_cache()
