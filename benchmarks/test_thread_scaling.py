@@ -127,7 +127,7 @@ def _measure_kernel_series(plan, weight_bytes, make_config, counts):
     outputs = {}
     for workers in counts:
         kernel = TMACKernel.from_plan(plan, make_config(workers))
-        kernel.matmul(a)  # warm the gather metadata / worker pool
+        kernel.matmul(a)  # warm the compiled kernel / worker pool
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()

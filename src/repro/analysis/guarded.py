@@ -36,13 +36,11 @@ __all__ = [
 #: lexically inside ``with self.<lock>:``, or in a method whose name ends
 #: with ``_locked`` (the caller-holds-the-lock convention).
 GUARDED_ATTRS: Dict[str, Tuple[str, FrozenSet[str]]] = {
-    # core/plan.py — the single-flight plan cache and the lazy gather build
+    # core/plan.py — the single-flight plan cache and the lazy kernel build
     "PlanCache": ("_lock", frozenset({
-        "_plans", "_order", "_building", "hits", "misses",
+        "_plans", "_building", "hits", "misses",
     })),
-    "KernelPlan": ("_gather_lock", frozenset({
-        "_gather_cache", "_integer_kernel",
-    })),
+    "KernelPlan": ("_build_lock", frozenset({"_integer_kernel"})),
     # core/specialize.py — the atomic stats block behind executor and
     # specialization counters (re-exported by core/executor.py)
     "_StatsBlock": ("_lock", frozenset({"_counts"})),
@@ -75,7 +73,6 @@ CONSTRUCTOR_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 #: must be frozen (``setflags(write=False)``) in the same function.
 PLAN_ARTIFACT_CONSTRUCTORS = frozenset({
     "PreprocessedWeights",  # core/weights.py — offline weight operand
-    "_LookupTables",        # core/plan.py — precomputed gather metadata
     "IntegerLutKernel",     # core/specialize.py — compiled integer LUT kernel
 })
 
@@ -89,8 +86,7 @@ PLAN_BUILD_FUNCTIONS = frozenset({"build_plan"})
 #: ``KernelPlan`` methods that are part of the offline build phase
 #: (everything else must treat the plan as immutable).
 PLAN_BUILD_METHODS = frozenset({
-    "__init__", "__post_init__", "_build_lookup_tables_locked",
-    "_build_specialized_locked",
+    "__init__", "__post_init__", "_build_specialized_locked",
 })
 
 #: A call whose name contains this counts as freeze evidence inside a

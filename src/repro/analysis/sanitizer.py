@@ -15,11 +15,11 @@ cannot participate in a deadlock cycle (this also keeps
 
 **Plan-mutation canary.**  :func:`plan_canary` checksums a plan's
 published artifacts (the packed weight indices, the scales and
-scale*zero products, lazily built gather tables) around an executor
-dispatch and raises :class:`PlanMutationError` if any existing
-artifact's bytes drift —
+scale*zero products, the numpy integer kernel's lazily built planes)
+around an executor dispatch and raises :class:`PlanMutationError` if any
+existing artifact's bytes drift —
 plans are frozen and content-addressed, so drift means corruption.
-Artifacts that *appear* during the dispatch (the lazy gather build) are
+Artifacts that *appear* during the dispatch (the lazy kernel compile) are
 merged into the baseline, not flagged.
 
 Environment knobs:
@@ -317,14 +317,6 @@ def _plan_checksums(plan) -> Dict[str, int]:
             arr = getattr(weights, name, None)
             if arr is not None:
                 sums[f"weights.{name}"] = _array_checksum(arr)
-    cache = getattr(plan, "_gather_cache", None)
-    if cache is not None:
-        for mirrored, tables in list(cache.items()):
-            prefix = f"gather[{mirrored}]"
-            for group in ("signs", "offsets"):
-                seq = getattr(tables, group, None)
-                for i, arr in enumerate(seq or ()):
-                    sums[f"{prefix}.{group}[{i}]"] = _array_checksum(arr)
     kernel = getattr(plan, "_integer_kernel", None)
     if kernel is not None:
         # The compiled kernel reads the weights' arrays checksummed above;
@@ -377,7 +369,7 @@ class PlanCanaryRegistry:
                 for name, crc in current.items():
                     before = baseline.get(name)
                     if before is None:
-                        # Lazily built mid-dispatch (gather tables):
+                        # Lazily built mid-dispatch (kernel planes):
                         # publication, not mutation — extend the baseline.
                         baseline[name] = crc
                     elif before != crc:

@@ -119,9 +119,9 @@ class TMACConfig:
     executor:
         Online executor used by :class:`~repro.core.kernel.TMACKernel`:
         ``"vectorized"`` (default — the compiled integer LUT kernel for
-        integer-key tables, a batched numpy walk for the other table
-        modes), ``"parallel"`` (the vectorized pipeline sharded over
-        output-column tiles on a persistent worker thread pool) or
+        integer-key tables, else the loop oracle), ``"parallel"`` (the
+        integer kernel sharded over output-column tiles on a persistent
+        worker thread pool) or
         ``"loop"`` (the reference per-group/per-bit Python loops, kept as
         the numerical oracle).  All compute bit-identical results; see
         :mod:`repro.core.executor`.  The default can be overridden with the

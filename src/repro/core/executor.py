@@ -8,25 +8,24 @@ the mpGEMM result.  Two executors implement the same mathematics:
   loops over weight-quantization groups and bit planes, mirroring the tile
   walk of Algorithm 1 line by line.  Slow, obviously correct, kept as the
   numerical oracle.
-* :class:`VectorizedExecutor` — the production implementation, with two
-  span paths.  Integer-key tables (group-granularity quantized tables with
-  exact aggregation — the default config) run the plan's compiled integer
-  LUT kernel (:mod:`repro.core.specialize`), the native ``pshufb`` phase
-  or its numpy fallback.  Every other table mode (unquantized, fine scale
-  granularity, fast aggregation) runs the generic walk: one batched gather
-  per bit plane over the plan's precomputed offsets and mirror signs,
-  aggregation reshaped to ``[N, M, QG, gpq]`` and reduced in a single
-  operation.
-* :class:`ParallelExecutor` — the multi-core implementation: the vectorized
-  executor's output columns are sharded into contiguous spans aligned to
-  the plan's ``m_tm`` layout tile (:meth:`KernelPlan.output_tiles`) and
-  executed on a persistent worker thread pool.  Every worker consumes the
-  *same* per-call lookup table (it is read-only after precompute) and owns
-  a disjoint output span, so there is no cross-tile accumulation and the
-  per-element float-op sequence is exactly the serial vectorized one —
-  results are bit-identical at any thread count.  Calls whose gather work
-  falls below ``TMACConfig.parallel_threshold`` fall back to the serial
-  path, so tiny decode-regime kernels never pay fork/join overhead.
+* :class:`VectorizedExecutor` — the production implementation: the integer
+  kernel, else the oracle.  Integer-key tables (group-granularity
+  quantized tables with exact aggregation — the default config) run the
+  plan's compiled integer LUT kernel (:mod:`repro.core.specialize`), the
+  native ``pshufb`` phase or its numpy fallback.  The ablation table modes
+  (unquantized, fine scale granularity, fast aggregation) run the loop
+  oracle.
+* :class:`ParallelExecutor` — the multi-core implementation: an
+  integer-key call's output columns are sharded into contiguous spans
+  aligned to the plan's ``m_tm`` layout tile
+  (:meth:`KernelPlan.output_tiles`) and executed on a persistent worker
+  thread pool.  Every worker consumes the *same* per-call lookup table (it
+  is read-only after precompute) and owns a disjoint output span, so there
+  is no cross-tile accumulation and the per-element float-op sequence is
+  exactly the serial one — results are bit-identical at any thread count.
+  Calls whose work falls below ``TMACConfig.parallel_threshold``, and
+  every ablation table mode, take the serial path, so tiny decode-regime
+  kernels never pay fork/join overhead.
 
 All executors run the same elementwise float operations in the same order,
 so their results are *bit-identical* (asserted in the unit tests across
@@ -91,7 +90,8 @@ class KernelExecutor:
         peak memory at one span — the consumer folds each chunk into its
         ``[N, M]`` accumulator immediately, like the original kernel did.
         """
-        raise NotImplementedError
+        return self.iter_codes_dot_span(plan, table, config, group_sums,
+                                        0, plan.out_features)
 
     def iter_codes_dot_span(
         self,
@@ -104,16 +104,8 @@ class KernelExecutor:
         max_elements: int = 0,
     ):
         """Like :meth:`iter_codes_dot`, restricted to output columns
-        ``[m0, m1)`` (chunks are ``[N, m1-m0, qg1-qg0]``).
-
-        The base implementation only supports the full span; executors that
-        can shard the output axis (the vectorized family) override this.
-        """
-        if (m0, m1) != (0, plan.out_features):
-            raise NotImplementedError(
-                f"{type(self).__name__} cannot restrict the output span"
-            )
-        yield from self.iter_codes_dot(plan, table, config, group_sums)
+        ``[m0, m1)`` (chunks are ``[N, m1-m0, qg1-qg0]``)."""
+        raise NotImplementedError
 
     def _recombine_span(
         self,
@@ -129,11 +121,10 @@ class KernelExecutor:
 
         Walks the quantization groups in order with the exact float-op
         sequence of the original kernel; every operation is elementwise
-        along the output axis, so computing a column span in isolation
-        produces bit-identical values to slicing a full-width result —
-        the property the parallel executor's sharding relies on.
-        ``max_elements`` bounds this span's raw-gather temporary (0 uses
-        the executor default); chunk boundaries never change results.
+        along the output axis, so a column span computes bitwise the
+        columns of a full-width result.  ``max_elements`` bounds the span's
+        temporaries where the executor splits them (0 uses its default);
+        block boundaries never change results.
         """
         n = group_sums.shape[0]
         scales_t = plan.weights.scales_t  # [QG, M]
@@ -159,11 +150,12 @@ class KernelExecutor:
         The scale/zero recombination walks the quantization groups in order
         with the exact float-op sequence of the original kernel, so all
         executors produce bit-identical results whenever their codes-dot
-        chunks agree bitwise (which they do — the vectorized path performs
-        the same elementwise operations, just batched).  Each streamed
-        chunk is folded into the ``[N, M]`` accumulator immediately, so
-        peak memory matches the seed kernel's running accumulation instead
-        of growing with the number of quantization groups.
+        chunks agree bitwise (which they do — the integer kernel performs
+        the oracle's float operations on exact integer block sums).  Each
+        streamed chunk is folded into the ``[N, M]`` accumulator
+        immediately, so peak memory matches the seed kernel's running
+        accumulation instead of growing with the number of quantization
+        groups.
         """
         n = activation.shape[0]
         group_sums = activation.reshape(n, plan.num_qgroups, -1).sum(axis=2)
@@ -241,13 +233,21 @@ class LoopExecutor(KernelExecutor):
             )
         return codes_dot
 
-    def iter_codes_dot(
+    def iter_codes_dot_span(
         self,
         plan: KernelPlan,
         table: LookupTable,
         config: TMACConfig,
         group_sums: np.ndarray,
+        m0: int,
+        m1: int,
+        max_elements: int = 0,
     ):
+        """The oracle walks the full output width only."""
+        if (m0, m1) != (0, plan.out_features):
+            raise NotImplementedError(
+                f"{type(self).__name__} cannot restrict the output span"
+            )
         for qg in range(plan.num_qgroups):
             block = self._codes_dot_block(
                 plan, table, config, qg, group_sums[:, qg]
@@ -255,60 +255,23 @@ class LoopExecutor(KernelExecutor):
             yield qg, qg + 1, block[:, :, None]
 
 
-class VectorizedExecutor(KernelExecutor):
-    """Batched executor: the compiled integer kernel, or the generic walk.
+class VectorizedExecutor(LoopExecutor):
+    """Production executor: the compiled integer kernel, else the oracle.
 
     Integer-key tables run the plan's compiled integer LUT kernel
-    (:func:`~repro.core.specialize.maybe_specialized`).  The generic walk
-    serves every other table mode: it performs each bit plane's
-    ``[N, M, K/g]`` lookup as large fancy-index gathers over the plan's
-    precomputed offsets, reshaped to ``[N, M, QG, gpq]`` and aggregated
-    for every covered quantization group at once.
+    (:func:`~repro.core.specialize.maybe_specialized`) over any output
+    span.  The ablation table modes (unquantized, fine scale granularity,
+    fast aggregation) compile nothing and run the loop oracle it inherits,
+    so they are bit-identical to it by construction.
     """
 
     name = "vectorized"
 
-    #: Upper bound on the elements of one span temporary (float64).
-    #: Decode-regime calls (small N) fit in one chunk; prefill-style mpGEMM
-    #: over large N is chunked — the float paths along the quantization
-    #: groups, the integer kernel along the output columns.
+    #: Upper bound on the elements of one integer-kernel span temporary
+    #: (float64).  Decode-regime calls (small N) fit in one block;
+    #: prefill-style mpGEMM over large N is split along the activation
+    #: rows and the output columns.
     max_gather_elements = 1 << 24
-
-    def _raw_chunk(
-        self,
-        tables,
-        table: LookupTable,
-        bit: int,
-        j0: int,
-        j1: int,
-        m0: int,
-        m1: int,
-    ) -> np.ndarray:
-        """Lookup of one bit plane over groups ``[j0, j1)`` restricted to
-        output columns ``[m0, m1)``: ``[N, m1-m0, j1-j0]``.
-
-        ``tables`` is the plan's gather metadata for ``table.mirrored``.
-        The 2-D offset view indexes the flat table directly (the gather
-        yields the 3-D result with no index copy), and the mirror signs
-        fold into the widening multiply; both are exact, so the result is
-        bitwise the gather -> widen -> sign-multiply sequence.
-        """
-        flat = table.values.reshape(table.num_rows, -1)
-        looked_up = flat[:, tables.offsets[bit][m0:m1, j0:j1]]
-        if tables.signs is None:
-            return looked_up.astype(np.float64)
-        return np.multiply(looked_up, tables.signs[bit][m0:m1, j0:j1],
-                           dtype=np.float64)
-
-    def iter_codes_dot(
-        self,
-        plan: KernelPlan,
-        table: LookupTable,
-        config: TMACConfig,
-        group_sums: np.ndarray,
-    ):
-        yield from self.iter_codes_dot_span(plan, table, config, group_sums,
-                                            0, plan.out_features)
 
     def iter_codes_dot_span(
         self,
@@ -320,72 +283,12 @@ class VectorizedExecutor(KernelExecutor):
         m1: int,
         max_elements: int = 0,
     ):
-        """Codes-dot chunks over output columns ``[m0, m1)``.
-
-        All operations below are elementwise along the output axis (the
-        gathers, sign flips, per-group aggregations and scale applications
-        never mix output columns), so a restricted span yields bitwise the
-        columns a full-width run would — regardless of how the chunk walk
-        divides the quantization groups.
-
-        Integer-key tables are delegated to the plan's compiled integer
-        LUT kernel (:mod:`repro.core.specialize`); every other table mode
-        runs the generic walk below.  Both are bit-identical to the loop
-        oracle.
-        """
         spec = maybe_specialized(plan, table, config)
-        if spec is not None:
-            yield from spec.iter_span(
-                table, group_sums, m0, m1,
-                max_elements or self.max_gather_elements)
-            return
-
-        tables = plan.lookup_tables(table.mirrored)
-        n = table.num_rows
-        m = m1 - m0
-        qgroups = plan.num_qgroups
-        gpq = plan.groups_per_qgroup
-        alpha = plan.transform.alpha
-        beta = plan.transform.beta
-
-        # Chunk along the quantization-group axis (aggregation blocks stay
-        # intact) so one raw temporary never exceeds the element budget —
-        # per *call*: the parallel executor passes a per-shard budget so
-        # its concurrent spans together still respect the default bound.
-        budget = max_elements or self.max_gather_elements
-        per_qgroup = n * m * gpq
-        qg_chunk = max(1, min(qgroups, budget // max(1, per_qgroup)))
-
-        for qg0 in range(0, qgroups, qg_chunk):
-            qg1 = min(qg0 + qg_chunk, qgroups)
-            chunk = np.zeros((n, m, qg1 - qg0), dtype=np.float64)
-            for bit in range(plan.bits):
-                raw = self._raw_chunk(tables, table, bit, qg0 * gpq,
-                                      qg1 * gpq, m0, m1)
-                blocked = raw.reshape(n, m, qg1 - qg0, gpq)
-
-                if not table.quantized:
-                    partial = blocked.sum(axis=-1)
-                elif table.scale_block == 1:
-                    # Fine granularity: per-group scales applied before the
-                    # float accumulation, all chunk groups at once.
-                    scales = table.scales[:, qg0 * gpq:qg1 * gpq].reshape(
-                        n, 1, qg1 - qg0, gpq
-                    )
-                    partial = (blocked * scales).sum(axis=-1)
-                else:
-                    # Group granularity: integer-domain aggregation (exact
-                    # sum or the lossy rhadd tree), then one scale per block.
-                    if config.fast_aggregation:
-                        aggregated = fast_aggregate(blocked, axis=-1)
-                    else:
-                        aggregated = blocked.sum(axis=-1)
-                    partial = aggregated * table.scales[:, None, qg0:qg1]
-
-                chunk += float(1 << bit) * (
-                    alpha * partial + beta * group_sums[:, None, qg0:qg1]
-                )
-            yield qg0, qg1, chunk
+        if spec is None:
+            return super().iter_codes_dot_span(plan, table, config,
+                                               group_sums, m0, m1)
+        return spec.iter_span(table, group_sums, m0, m1,
+                              max_elements or self.max_gather_elements)
 
     def _recombine_span(
         self,
@@ -398,12 +301,11 @@ class VectorizedExecutor(KernelExecutor):
         max_elements: int = 0,
     ) -> np.ndarray:
         spec = maybe_specialized(plan, table, config)
-        if spec is not None:
-            return spec.recombine_span(
-                table, group_sums, m0, m1,
-                max_elements or self.max_gather_elements)
-        return super()._recombine_span(plan, table, config, group_sums,
-                                       m0, m1, max_elements)
+        if spec is None:
+            return super()._recombine_span(plan, table, config, group_sums,
+                                           m0, m1)
+        return spec.recombine_span(table, group_sums, m0, m1,
+                                   max_elements or self.max_gather_elements)
 
 
 # --------------------------------------------------------------------- #
@@ -449,7 +351,7 @@ def shutdown_worker_pools() -> None:
 _PARALLEL_STATS = _StatsBlock((
     "parallel_calls",  # matmuls routed through the parallel executor
     "parallel_sharded_calls",  # calls that actually sharded across workers
-    "parallel_serial_fallbacks",  # calls below the work threshold
+    "parallel_serial_fallbacks",  # below the threshold, or not integer-key
     "parallel_shards_executed",  # total output-span shards run on workers
 ))
 
@@ -467,10 +369,10 @@ def reset_parallel_executor_stats() -> None:
 class ParallelExecutor(VectorizedExecutor):
     """Multi-core executor: output-column shards on a persistent thread pool.
 
-    The output (M) axis is partitioned into at most ``num_threads``
-    contiguous spans aligned to the plan's ``m_tm`` layout tile
-    (:meth:`KernelPlan.output_tiles`); each shard runs the vectorized
-    span pipeline against the *shared* per-call lookup table and writes a
+    For integer-key tables the output (M) axis is partitioned into at most
+    ``num_threads`` contiguous spans aligned to the plan's ``m_tm`` layout
+    tile (:meth:`KernelPlan.output_tiles`); each shard runs the compiled
+    kernel's span against the *shared* per-call lookup table and writes a
     disjoint slice of the output.  The reduction over K happens entirely
     inside a shard in the serial order, and no accumulator crosses a shard
     boundary, so results are bit-identical to the serial vectorized
@@ -483,6 +385,8 @@ class ParallelExecutor(VectorizedExecutor):
     * ``parallel_threshold`` — minimum gather work (``N * M * K/g``
       elements) before sharding pays; smaller calls (tiny decode-regime
       kernels) take the serial path unchanged.
+
+    The ablation table modes run the serial oracle at any thread count.
     """
 
     name = "parallel"
@@ -492,16 +396,6 @@ class ParallelExecutor(VectorizedExecutor):
         if config.num_threads is not None:
             return max(1, config.num_threads)
         return usable_cpus()
-
-    def _warm_shared(self, plan: KernelPlan, table: LookupTable,
-                     config: TMACConfig, span_budget: int) -> None:
-        """Build a sharded call's lazily shared state (the compiled integer
-        kernel and what it warms, or the generic walk's gather tables) in
-        the calling thread, so pool workers only ever read it."""
-        if integer_key(table, config):
-            plan.specialized().warm(table, span_budget)
-        else:
-            plan.lookup_tables(table.mirrored)
 
     def matmul_with_table(
         self,
@@ -514,16 +408,19 @@ class ParallelExecutor(VectorizedExecutor):
         threads = self.resolve_threads(config)
         work = n * plan.out_features * plan.num_groups
         shards: List = []
-        if threads > 1 and work >= config.parallel_threshold:
+        if (threads > 1 and work >= config.parallel_threshold
+                and integer_key(table, config)):
             shards = plan.output_tiles(threads)
         if len(shards) <= 1:
             _PARALLEL_STATS.add(parallel_calls=1, parallel_serial_fallbacks=1)
             return super().matmul_with_table(plan, table, config, activation)
 
-        # Split the raw-temporary element budget across the concurrent
-        # shards so total transient memory matches the serial bound.
+        # Split the span-temporary element budget across the concurrent
+        # shards so total transient memory matches the serial bound, and
+        # build the shared state (the compiled kernel and what it warms)
+        # in the calling thread, so pool workers only ever read it.
         span_budget = max(1, self.max_gather_elements // len(shards))
-        self._warm_shared(plan, table, config, span_budget)
+        plan.specialized().warm(table, span_budget)
         group_sums = activation.reshape(n, plan.num_qgroups, -1).sum(axis=2)
         out = np.empty((n, plan.out_features), dtype=np.float32)
 

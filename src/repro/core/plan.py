@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -112,26 +113,6 @@ def weight_fingerprint(qweight: QuantizedWeight) -> str:
 
 
 @dataclass
-class _LookupTables:
-    """Precomputed gather metadata for one mirror setting (executor detail).
-
-    Used by the generic vectorized walk (unquantized, fine-granularity and
-    fast-aggregation tables); the default group-granularity mode runs
-    :class:`~repro.core.specialize.IntegerLutKernel` and never builds it.
-    The mirror-folded table offsets and the mirror-reconstruction signs are
-    pure functions of the weight indices — computed once per plan and
-    reused by every online call.
-    """
-
-    #: Per bit: ``[M, J]`` int8 ``+1``/``-1`` factors; ``None`` if unmirrored.
-    signs: Optional[List[np.ndarray]]
-    #: Per bit: ``[M, J]`` int32 flat offsets into a ``[J * stored]`` table
-    #: row (``j * stored + folded index``; ``stored`` is ``2**g``, halved
-    #: when mirrored), so the gather needs no per-call index arithmetic.
-    offsets: List[np.ndarray]
-
-
-@dataclass
 class KernelPlan:
     """The offline stage of the T-MAC kernel, built once per (weights, layout).
 
@@ -147,25 +128,25 @@ class KernelPlan:
         Bit-serial transform mapping weight bits to table signs.
     fingerprint:
         Content hash of the source quantized weights.
+
+    Online, integer-key tables run the integer kernel the plan compiles on
+    first use (:meth:`specialized`), else the loop oracle, which reads the
+    packed weights and adds nothing to the plan.
     """
 
     config: TMACConfig
     weights: PreprocessedWeights
     transform: BitSerialTransform
     fingerprint: str
-    _gather_cache: Dict[bool, _LookupTables] = field(
-        default_factory=dict, repr=False
-    )
     #: The compiled integer LUT kernel (:mod:`repro.core.specialize`).
-    #: Lazily built, guarded by the same lock as the gather tables, and
-    #: owned by the plan: evicting the plan from the :class:`PlanCache`
-    #: releases the kernel with it (it holds no reference back).
+    #: Lazily built under ``_build_lock`` and owned by the plan: evicting
+    #: the plan from the :class:`PlanCache` releases the kernel with it (it
+    #: holds no reference back).
     _integer_kernel: Optional[object] = field(default=None, repr=False)
-    #: Serializes the lazy gather-metadata and integer-kernel builds:
-    #: the parallel executor's workers (and concurrent serving requests)
-    #: may race into :meth:`lookup_tables` / :meth:`specialized` for one
-    #: shared plan.
-    _gather_lock: threading.Lock = field(
+    #: Serializes the lazy integer-kernel build: the parallel executor's
+    #: workers (and concurrent serving requests) may race into
+    #: :meth:`specialized` for one shared plan.
+    _build_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
@@ -249,55 +230,12 @@ class KernelPlan:
             act_dtype=cfg.act_dtype,
         )
 
-    def lookup_tables(self, mirrored: bool) -> _LookupTables:
-        """Precomputed per-bit gather offsets and signs (lazily built).
-
-        Thread-safe: concurrent callers (e.g. parallel-executor workers)
-        build the metadata exactly once and all receive the same object.
-        """
-        # Benign double-checked read: dict.get is atomic under the GIL and
-        # entries are only ever added (never mutated or removed), so a
-        # stale miss just falls through to the locked slow path.
-        # repro-lint: disable=lock-guard -- lock-free fast path; misses fall through to the locked build
-        cached = self._gather_cache.get(mirrored)
-        if cached is not None:
-            return cached
-        with self._gather_lock:
-            return self._build_lookup_tables_locked(mirrored)
-
-    def _build_lookup_tables_locked(self, mirrored: bool) -> _LookupTables:
-        cached = self._gather_cache.get(mirrored)
-        if cached is not None:
-            return cached
-        full = 1 << self.g
-        half = full >> 1
-        col = np.arange(self.num_groups, dtype=np.int32) * (
-            half if mirrored else full)
-        signs: Optional[List[np.ndarray]] = [] if mirrored else None
-        offsets: List[np.ndarray] = []
-        for bit in range(self.bits):
-            plane = self.weights.indices(bit)
-            folded = plane
-            if mirrored:
-                negate = plane >= half
-                folded = np.where(negate, (full - 1) - plane, plane)
-                signs.append(np.where(negate, -1, 1).astype(np.int8))
-            offsets.append((col[None, :] + folded).astype(np.int32))
-        # Freeze before publication: the tables escape to every executor
-        # thread/process, and a writable view would let a kernel bug
-        # corrupt results silently instead of raising.
-        for arr in (*(signs or ()), *offsets):
-            arr.setflags(write=False)
-        tables = _LookupTables(signs=signs, offsets=offsets)
-        self._gather_cache[mirrored] = tables
-        return tables
-
     def specialized(self) -> object:
         """The compiled integer LUT kernel (lazily built).
 
-        Thread-safe and single-flight like :meth:`lookup_tables`:
-        concurrent executor workers racing on one plan compile it exactly
-        once and all receive the same kernel object.
+        Thread-safe and single-flight: concurrent executor workers racing
+        on one plan compile it exactly once and all receive the same kernel
+        object.
         """
         # Benign double-checked read: the attribute is set once and never
         # changed, so a stale miss just falls through to the locked build.
@@ -305,7 +243,7 @@ class KernelPlan:
         kernel = self._integer_kernel
         if kernel is not None:
             return kernel
-        with self._gather_lock:
+        with self._build_lock:
             return self._build_specialized_locked()
 
     def _build_specialized_locked(self) -> object:
@@ -418,8 +356,8 @@ class PlanCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._plans: "Dict[Tuple, KernelPlan]" = {}
-        self._order: List[Tuple] = []
+        #: key -> plan, least recently used first.
+        self._plans: "OrderedDict[Tuple, KernelPlan]" = OrderedDict()
         #: key -> Event set when the in-flight build for that key lands.
         self._building: "Dict[Tuple, threading.Event]" = {}
         self.hits = 0
@@ -440,8 +378,7 @@ class PlanCache:
                 plan = self._plans.get(key)
                 if plan is not None:
                     self.hits += 1
-                    self._order.remove(key)
-                    self._order.append(key)
+                    self._plans.move_to_end(key)
                     return plan
                 pending = self._building.get(key)
                 if pending is None:
@@ -463,10 +400,8 @@ class PlanCache:
             raise
         with self._lock:
             self._plans[key] = plan
-            self._order.append(key)
-            while len(self._order) > self.max_entries:
-                evicted = self._order.pop(0)
-                self._plans.pop(evicted, None)
+            while len(self._plans) > self.max_entries:
+                self._plans.popitem(last=False)
             self._building.pop(key, None)
         pending.set()
         return plan
@@ -484,7 +419,6 @@ class PlanCache:
         """Drop every cached plan and reset the counters."""
         with self._lock:
             self._plans.clear()
-            self._order.clear()
             self.hits = 0
             self.misses = 0
 

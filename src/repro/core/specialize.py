@@ -5,9 +5,9 @@ aggregation, the default :class:`~repro.core.config.TMACConfig` — run one
 kernel compiled at first use and cached on the plan
 (:meth:`KernelPlan.specialized`); serial and thread-sharded execution
 both reach it through that one hook.  Every other table mode
-(unquantized, fine scale granularity, fast aggregation) runs the generic
-walk of :class:`~repro.core.executor.VectorizedExecutor`.  The kernel
-comes in two forms:
+(unquantized, fine scale granularity, fast aggregation) is an ablation
+and runs the loop oracle (:class:`~repro.core.executor.LoopExecutor`).
+The kernel comes in two forms:
 
 * :class:`IntegerLutKernel` — the paper's LUT-centric layout (§3.2/§3.3)
   in numpy terms — except that ``ndarray.take`` costs the same per
@@ -362,7 +362,7 @@ def compile_specialized(plan):
 
 def maybe_specialized(plan, table, config) -> Optional[IntegerLutKernel]:
     """The compiled integer kernel for this dispatch, or ``None`` when the
-    table mode runs the generic walk.
+    table mode runs the loop oracle.
 
     Called once per span execution — the per-call cost of an integer key
     is one attribute read on the plan.

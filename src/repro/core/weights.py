@@ -15,9 +15,9 @@ access") with the nibbles interleaved so one AND and one shift yield the
 block's indices in row order (Figure 4, "Weight interleaving for fast
 unpacking").  :func:`pack_codes` writes it straight from the codes, never
 materializing the ``[M, K]`` bit planes or the ``[M, K/g]`` index planes;
-the native kernel reads it as it is, and the loop oracle, the generic walk
-and the numpy kernel's compile unpack the index-plane slices they need on
-demand (:meth:`PreprocessedWeights.indices`).
+the native kernel reads it as it is, and the loop oracle (which runs the
+ablation table modes) and the numpy kernel's compile unpack the
+index-plane slices they need on demand (:meth:`PreprocessedWeights.indices`).
 """
 
 from __future__ import annotations
@@ -211,9 +211,8 @@ class PreprocessedWeights:
     packed:
         The :func:`nibble_blocks` layout of all bit planes, built by
         :func:`pack_codes` — the native kernel's operand.  The loop
-        oracle, the generic walk and the numpy kernel's compile unpack
-        the ``[M, K/g]`` index planes they need on demand
-        (:meth:`indices`).
+        oracle and the numpy kernel's compile unpack the ``[M, K/g]``
+        index planes they need on demand (:meth:`indices`).
     scales_t / sz_t:
         ``float32 [QG, M]``: the per-quantization-group scales and the
         ``scales * zeros`` products, in the orientation the recombination

@@ -26,7 +26,7 @@ class TestFrozenPlan:
     def test_unfrozen_artifact_constructor_fires(self):
         bad = """
             def build(planes):
-                return _LookupTables(stored=8, folded=planes)
+                return IntegerLutKernel(bits=2, planes=planes)
         """
         assert len(run("x.py", bad, "frozen-plan")) == 1
 
@@ -35,7 +35,7 @@ class TestFrozenPlan:
             def build(planes):
                 for arr in planes:
                     arr.setflags(write=False)
-                return _LookupTables(stored=8, folded=planes)
+                return IntegerLutKernel(bits=2, planes=planes)
         """
         assert run("x.py", good, "frozen-plan") == []
 
@@ -61,7 +61,7 @@ class TestFrozenPlan:
         bad = """
             def rebuild(buf, spec):
                 arr = _view(buf, spec)
-                return _LookupTables(stored=8, folded=[arr])
+                return IntegerLutKernel(bits=2, planes=arr)
         """
         assert len(run("x.py", bad, "frozen-plan")) == 1
 
@@ -149,7 +149,7 @@ class TestLockGuard:
             class KernelPlan:
                 def peek(self):
                     with self._other_lock:
-                        return self._gather_cache.get(True)
+                        return self._integer_kernel
         """
         assert len(run("x.py", bad, "lock-guard")) == 1
 

@@ -21,6 +21,7 @@ from repro.analysis.sanitizer import (
     PlanMutationError,
     _SanitizedLock,
 )
+from repro.core import native
 from repro.core.config import TMACConfig
 from repro.core.executor import get_executor
 from repro.core.plan import build_plan
@@ -187,7 +188,6 @@ class _FakeWeights:
 class _FakePlan:
     def __init__(self, seed=0):
         self.weights = _FakeWeights(np.random.default_rng(seed))
-        self._gather_cache = {}
 
 
 class TestPlanCanary:
@@ -219,21 +219,31 @@ class TestPlanCanary:
         assert registry.trips == 1
 
     def test_lazily_built_artifacts_extend_baseline(self):
+        """The numpy integer kernel's planes appear mid-dispatch (the
+        plan's lazy compile): publication, not mutation.  Once known, a
+        write to them trips the canary on the next dispatch."""
         registry = PlanCanaryRegistry()
-        plan = _FakePlan()
-        with registry.canary(plan):
-            # The gather tables appear mid-dispatch (lazy build): that is
-            # publication, not mutation.
-            class _Tables:
-                signs = None
-                offsets = [np.arange(16, dtype=np.int32)]
-
-            plan._gather_cache[True] = _Tables()
+        qw = quantize_weights(gaussian_weights(32, 128, seed=15), bits=2,
+                              group_size=32)
+        cfg = TMACConfig(bits=2)
+        plan = build_plan(qw, cfg)
+        executor = get_executor("vectorized")
+        activation = gaussian_activation(2, 128, seed=16)
+        table = plan.precompute(activation, cfg)
+        with native.force("numpy"), registry.canary(plan):
+            executor.matmul_with_table(plan, table, cfg, activation)
         assert registry.trips == 0
-        # ... but mutating the now-known artifact on the next dispatch trips.
-        with pytest.raises(PlanMutationError, match="gather"):
-            with registry.canary(plan):
-                plan._gather_cache[True].offsets[0][0] = 99
+
+        planes = plan._integer_kernel.planes
+        planes.setflags(write=True)
+        try:
+            with pytest.raises(PlanMutationError, match="kernel.planes"):
+                with registry.canary(plan):
+                    executor.matmul_with_table(plan, table, cfg, activation)
+                    planes[0, 0, 0, 0] ^= 1
+        finally:
+            planes[0, 0, 0, 0] ^= 1
+            planes.setflags(write=False)
         assert registry.trips == 1
 
     def test_real_plan_mutation_trips_through_executor(self):

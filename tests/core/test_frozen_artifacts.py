@@ -1,11 +1,11 @@
 """Regression tests for the frozen-plan invariant (found by repro_lint).
 
-``preprocess_weights`` and the lazy gather-table build used to publish
-writable arrays; a stray in-place write anywhere downstream would have
-silently corrupted results (and, for the process executor, desynced the
-content-addressed shared-memory segments from the plan bytes).  Every
-published artifact is now ``setflags(write=False)``-frozen, so such a
-write raises immediately instead.
+``preprocess_weights`` used to publish writable arrays; a stray in-place
+write anywhere downstream would have silently corrupted results (and, for
+the process executor, desynced the content-addressed shared-memory
+segments from the plan bytes).  Every published artifact is now
+``setflags(write=False)``-frozen, so such a write raises immediately
+instead.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from repro.quant.uniform import quantize_weights
 from repro.workloads.generator import gaussian_weights
 
 
-def make_plan(bits=4, mirrored=True):
+def make_plan(bits=4):
     qw = quantize_weights(gaussian_weights(32, 128, seed=21), bits=bits,
                           group_size=32)
-    config = TMACConfig(bits=bits, mirror_consolidation=mirrored)
+    config = TMACConfig(bits=bits)
     return build_plan(qw, config), config
 
 
@@ -45,32 +45,12 @@ class TestPreprocessedWeightsFrozen:
             pw.packed[0, 0, 0] = 3
 
 
-class TestGatherTablesFrozen:
-    @pytest.mark.parametrize("mirrored", [True, False])
-    def test_lookup_tables_are_read_only(self, mirrored):
-        plan, _ = make_plan(mirrored=mirrored)
-        tables = plan.lookup_tables(mirrored)
-        arrays = [*(tables.signs or ()), *tables.offsets]
-        assert arrays
-        for arr in arrays:
-            assert not arr.flags.writeable
-
-    def test_cached_object_is_shared_and_stays_frozen(self):
-        plan, _ = make_plan()
-        first = plan.lookup_tables(True)
-        second = plan.lookup_tables(True)
-        assert first is second
-        with pytest.raises(ValueError):
-            first.offsets[0][0, 0] = 0
-
-
 class TestIntegerKernelFrozen:
     def test_default_matmul_publishes_only_frozen_integer_artifacts(self):
         """The default config compiles the integer LUT kernel: its arrays
         (nibble blocks on the native path, planes on numpy's), the table's
         fused row-minor slabs and the cached index vectors that build them
-        are read-only, and the generic walk's gather tables are never
-        built."""
+        are read-only."""
         plan, config = make_plan()
         kernel = TMACKernel.from_plan(plan, config)
         activation = np.random.default_rng(5).standard_normal(
@@ -78,7 +58,6 @@ class TestIntegerKernelFrozen:
         table = kernel.precompute(activation)
         kernel.matmul_with_table(activation, table)
 
-        assert plan._gather_cache == {}
         compiled = plan._integer_kernel
         selectors = _fusion_selectors(table.g, plan.num_qgroups)
         assert len(selectors) == fusion_width(table.g)

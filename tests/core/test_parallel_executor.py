@@ -166,6 +166,29 @@ class TestShardingPolicy:
         assert stats["parallel_sharded_calls"] == 1
         assert stats["parallel_shards_executed"] == 3
 
+    @pytest.mark.parametrize("options", [
+        dict(table_quantization=False),
+        dict(lut_scale_granularity="fine"),
+        dict(fast_aggregation=True),
+        dict(table_quantization=False, mirror_consolidation=False),
+    ], ids=["unquantized", "quantized_fine", "fast_aggregation",
+            "unmirrored_float"])
+    def test_ablation_modes_run_serial_oracle(self, options):
+        """The pool shards only integer keys: an ablation table mode takes
+        the serial fallback whatever the thread count and threshold, and
+        equals the loop oracle bitwise."""
+        reset_parallel_executor_stats()
+        kernel, qw = make_kernel(seed=4, executor="parallel", num_threads=3,
+                                 parallel_threshold=0, **options)
+        a = gaussian_activation(2, 128, seed=5)
+        out = kernel.matmul(a)
+        stats = parallel_executor_stats()
+        assert stats["parallel_serial_fallbacks"] == 1
+        assert stats["parallel_sharded_calls"] == 0
+        assert stats["parallel_shards_executed"] == 0
+        oracle = TMACKernel(qw, kernel.config.with_options(executor="loop"))
+        np.testing.assert_array_equal(out, oracle.matmul(a))
+
     def test_single_thread_stays_serial(self):
         reset_parallel_executor_stats()
         kernel, _ = make_kernel(executor="parallel", num_threads=1,

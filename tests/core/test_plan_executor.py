@@ -263,6 +263,35 @@ class TestKernelPlan:
         cache.get(qws[0], TMACConfig(bits=4))
         assert cache.stats()["misses"] == misses_before + 1
 
+    def test_hit_refreshes_lru_order(self):
+        """Eviction takes the least recently *used* plan, not the oldest
+        built: a hit moves its entry to the back."""
+        cache = PlanCache(max_entries=2)
+        config = TMACConfig(bits=4)
+        first, second, third = (
+            quantize_weights(gaussian_weights(8, 32, seed=40 + i), bits=4,
+                             group_size=32) for i in range(3))
+        kept = cache.get(first, config)
+        cache.get(second, config)
+        assert cache.get(first, config) is kept  # hit: first is now newest
+        cache.get(third, config)  # evicts second
+        assert cache.get(first, config) is kept
+        misses_before = cache.stats()["misses"]
+        cache.get(second, config)
+        assert cache.stats()["misses"] == misses_before + 1
+
+    def test_clear_drops_plans_and_counters(self):
+        cache = PlanCache()
+        config = TMACConfig(bits=4)
+        qw = quantize_weights(gaussian_weights(8, 32, seed=43), bits=4,
+                              group_size=32)
+        plan = cache.get(qw, config)
+        cache.get(qw, config)
+        cache.clear()
+        assert cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
+        assert cache.get(qw, config) is not plan
+        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 1}
+
 
 class TestGemmMemoization:
     def test_repeated_gemm_hits_plan_cache(self):

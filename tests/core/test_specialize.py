@@ -2,17 +2,16 @@
 
 Integer-key tables (group-granularity quantized tables with exact
 aggregation — the default config) run the kernel compiled behind
-``plan.specialized()``; every other table mode runs the vectorized
-executor's generic walk.  Oracle parity of the integer kernel over its
-whole shape space lives in ``tests/properties/test_property_core.py``.
+``plan.specialized()``; every other table mode (the ablations) runs the
+loop oracle.  Oracle parity of the integer kernel over its whole shape
+space lives in ``tests/properties/test_property_core.py``.
 
-The compiled kernel lives on the plan (same lock as the lazy gather
-tables), so the properties that matter are the plan cache's, one level
-down: exactly one compile per plan no matter how many executor threads
-race into a cold dispatch, eviction of a plan releasing its compiled
-kernel (nothing pinning the weight arrays), and — above all —
-bit-identical results to the loop oracle for every table mode under the
-serial and the thread-sharded executor.
+The compiled kernel lives on the plan, so the properties that matter are
+the plan cache's, one level down: exactly one compile per plan no matter
+how many executor threads race into a cold dispatch, eviction of a plan
+releasing its compiled kernel (nothing pinning the weight arrays), and —
+above all — bit-identical results to the loop oracle for every table mode
+under the serial and the thread-sharded executor.
 """
 
 import gc
@@ -77,13 +76,14 @@ TABLE_MODES = {
     "unmirrored_float": dict(mirror_consolidation=False,
                              table_quantization=False),
 }
+INTEGER_MODES = ("quantized_group", "unmirrored")
 
 
 @pytest.mark.parametrize("mode", sorted(TABLE_MODES))
 @pytest.mark.parametrize("executor", ["vectorized", "parallel"])
 def test_every_table_mode_matches_loop_oracle(mode, executor):
     """Integer keys (on the host's integer phase and on the forced numpy
-    one) and the generic walk are ``np.array_equal`` to the loop oracle,
+    one) and the ablation modes are ``np.array_equal`` to the loop oracle,
     serial and sharded."""
     options = dict(TABLE_MODES[mode], executor=executor)
     if executor == "parallel":
@@ -94,7 +94,7 @@ def test_every_table_mode_matches_loop_oracle(mode, executor):
     a = activations()
     expected = TMACKernel(qw, config.with_options(executor="loop")).matmul(a)
     assert integer_key(TMACKernel(qw, config).precompute(a), config) == (
-        mode in ("quantized_group", "unmirrored"))
+        mode in INTEGER_MODES)
     for path in sorted({native.status().path, "numpy"}):
         # A fresh plan per path: the compiled kernel is cached on it.
         kernel = TMACKernel.from_plan(build_plan(qw, config), config)
@@ -124,19 +124,37 @@ def test_specialized_parity_across_bit_widths(bits, group_size):
         assert kernel.plan._integer_kernel is not None
 
 
-GENERIC_MODES = ("unquantized", "quantized_fine", "fast_aggregation")
+ABLATION_MODES = ("unquantized", "quantized_fine", "fast_aggregation")
 
 
-@pytest.mark.parametrize("mode", GENERIC_MODES)
+@pytest.mark.parametrize("mode", ABLATION_MODES)
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])
-def test_generic_walk_parity_across_bit_widths(mode, bits):
-    """Every table mode the integer kernel declines runs the generic walk,
-    bit-identical to the loop oracle at every bit width."""
+def test_ablation_modes_run_the_oracle_across_bit_widths(mode, bits):
+    """Every table mode the integer kernel declines runs the loop oracle
+    and compiles nothing, at every bit width."""
     kernel = make_kernel(bits=bits, seed=bits + 30, **TABLE_MODES[mode])
     a = activations(seed=bits + 40)
     assert not integer_key(kernel.precompute(a), kernel.config)
     np.testing.assert_array_equal(kernel.matmul(a), loop_oracle(kernel, a))
     assert kernel.plan._integer_kernel is None
+
+
+def test_only_integer_keys_restrict_the_output_span():
+    """Column spans are the integer kernel's: on an ablation mode the
+    vectorized executor runs the oracle, which walks the full width only —
+    why the thread pool shards integer keys alone."""
+    a = activations()
+    for mode in ("quantized_group", "unquantized"):
+        kernel = make_kernel(m=64, **TABLE_MODES[mode])
+        plan, table = kernel.plan, kernel.precompute(a)
+        group_sums = a.reshape(a.shape[0], plan.num_qgroups, -1).sum(axis=2)
+        span = kernel.executor.iter_codes_dot_span(
+            plan, table, kernel.config, group_sums, 0, 32)
+        if mode in INTEGER_MODES:
+            assert next(span)[2].shape == (a.shape[0], 32, plan.num_qgroups)
+        else:
+            with pytest.raises(NotImplementedError):
+                next(span)
 
 
 @pytest.mark.parametrize("threads", [2, 3, 4])
@@ -149,12 +167,15 @@ def test_specialized_parity_under_pools(threads):
     np.testing.assert_array_equal(pooled.matmul(a), serial.matmul(a))
 
 
-@pytest.mark.parametrize("mode", sorted(TABLE_MODES))
-@pytest.mark.parametrize("executor", ["vectorized", "parallel"])
+@pytest.mark.parametrize("executor, mode", [
+    (executor, mode) for executor in ("vectorized", "parallel")
+    for mode in sorted(TABLE_MODES)
+    if executor == "vectorized" or mode in INTEGER_MODES])
 def test_chunk_budget_does_not_change_results(mode, executor):
-    """A tiny raw-gather budget (the spans' ``max_elements``) changes no
-    bit of the codes-dot chunks nor of the recombined output, on the full
-    width and on the thread pool's shards."""
+    """A tiny span budget (the spans' ``max_elements``) changes no bit of
+    the codes-dot chunks nor of the recombined output, on the full width
+    and on the thread pool's shards (integer keys only: the pool never
+    shards an ablation mode)."""
     kernel = make_kernel(m=256, executor=executor, **TABLE_MODES[mode])
     plan, config, ex = kernel.plan, kernel.config, kernel.executor
     a = activations()
@@ -187,7 +208,7 @@ def test_chunk_budget_does_not_change_results(mode, executor):
 @pytest.mark.parametrize("executor", ["vectorized", "parallel"])
 def test_executor_gather_budget_does_not_change_matmul(executor, monkeypatch):
     """A tiny executor-wide budget, split per shard by the thread pool,
-    changes no bit of a matmul on the integer kernel or the generic walk."""
+    changes no bit of a matmul on the integer kernel or the oracle route."""
     from repro.core.executor import VectorizedExecutor
 
     a = activations()
@@ -232,7 +253,7 @@ def test_irrelevant_flags_do_not_fork_kernels():
         config = kernel.config.with_options(**options)
         assert integer_key(table, config)
         assert maybe_specialized(kernel.plan, table, config) is compiled
-    # Nor does a tiny per-call gather budget.
+    # Nor does a tiny per-call span budget.
     builds = specialize_stats()["specialize_builds"]
     group_sums = a.reshape(a.shape[0], kernel.plan.num_qgroups, -1).sum(axis=2)
     kernel.executor._recombine_span(kernel.plan, table, kernel.config,
@@ -356,7 +377,7 @@ def test_generic_table_modes_compile_nothing(monkeypatch):
     compiler = CountingCompiler(delay=0)
     monkeypatch.setattr(spec_mod, "compile_specialized", compiler)
     a = activations()
-    for mode in ("unquantized", "quantized_fine", "fast_aggregation"):
+    for mode in ABLATION_MODES:
         kernel = make_kernel(**TABLE_MODES[mode])
         kernel.matmul(a)
         assert kernel.plan._integer_kernel is None
