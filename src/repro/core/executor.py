@@ -2,7 +2,7 @@
 
 An executor consumes a :class:`~repro.core.plan.KernelPlan` (the offline
 stage) plus a precomputed :class:`~repro.core.lut.LookupTable` and produces
-the mpGEMM result.  Two executors implement the same mathematics:
+the mpGEMM result.  Three executors implement the same mathematics:
 
 * :class:`LoopExecutor` — the reference implementation: explicit Python
   loops over weight-quantization groups and bit planes, mirroring the tile

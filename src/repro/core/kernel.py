@@ -17,11 +17,15 @@ multiplication as
    two and the activation row-sum correction, then apply the weight
    quantization scales and zero points.
 
-Steps 2-4 live in the executor: the default ``"vectorized"`` executor runs
-them as batched numpy operations across all quantization groups and bit
-planes at once; the ``"loop"`` executor keeps the seed implementation's
-explicit per-group/per-bit loops as a numerical reference (select it with
-``TMACConfig(executor="loop")``).
+Steps 2-4 live in the executor (:mod:`repro.core.executor`).  The default
+``"vectorized"`` executor runs the plan's compiled integer LUT kernel
+(:mod:`repro.core.specialize`): the exact integer lookup and aggregation
+in the native AVX2 phase (:mod:`repro.core.native`, else its numpy
+fallback), then the float recombination as a numpy epilogue.  Tables
+without integer keys (the unquantized, fine-granularity and
+fast-aggregation ablation modes) run the ``"loop"`` executor, the
+explicit per-group/per-bit loops kept as the numerical oracle (select it
+for every call with ``TMACConfig(executor="loop")``).
 
 The kernel is a faithful numerical implementation: its output differs from
 ``A @ dequantize(W)^T`` only by the error sources the paper quantifies

@@ -1,4 +1,9 @@
-"""The integer LUT kernel's native phase: ``tlut.c``, built on first use.
+"""The T-MAC kernel's native phases: ``tlut.c``, built on first use.
+
+Three entry points (:data:`ENTRY_POINTS`): the online integer phase of
+the LUT kernel (``tlut_block_sums``) and the offline stage's two passes
+over a weight matrix, symmetric absmax quantization (``tlut_quantize``)
+and packing the codes into the kernel's nibble layout (``tlut_pack``).
 
 The first process that needs it compiles ``tlut.c`` with the host ``cc``
 (``-O2 -fPIC -shared -ffp-contract=off``) into a per-host cache,
@@ -11,15 +16,17 @@ file, then ``os.replace``), so concurrent builds leave one complete
 file.  A cached file that does not load is rebuilt.  The library is
 loaded with :mod:`ctypes`, which releases the GIL for the whole call.
 
-The lookup is AVX2 only.  When there is no compiler, the build or the
-load fails, or the CPU lacks AVX2, :func:`status` records why and
-:func:`backend` returns ``None``: the kernel keeps its numpy integer
-phase.  Command line::
+All three are AVX2 only.  When there is no compiler, the build or the
+load fails, the library lacks an entry point, or the CPU lacks AVX2,
+:func:`status` records why and :func:`backend` returns ``None``: the
+kernel keeps its numpy integer phase, and quantization and packing their
+numpy implementations.  Command line::
 
     python -m repro.core.native [--require-native]
 
-prints the path a kernel would take (``avx2`` / ``numpy``), the reason
-and the cache file; ``--require-native`` exits 1 on ``numpy``.
+prints the path a kernel would take (``avx2`` / ``numpy``), the reason,
+the cache file and the entry points; ``--require-native`` exits 1 on
+``numpy``.
 """
 
 from __future__ import annotations
@@ -39,10 +46,20 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = ["Status", "Backend", "backend", "status", "build", "force",
-           "cache_dirs"]
+           "cache_dirs", "ENTRY_POINTS"]
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "tlut.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+_PTR, _I64, _INT = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
+#: What each entry point does -> ``(symbol, argtypes, restype)``.
+ENTRY_POINTS = {
+    "lookup": ("tlut_block_sums", [_PTR, _I64, _I64, _I64, _PTR, _I64,
+                                   _I64, _I64, _I64, _I64, _PTR, _INT], _INT),
+    "quantize": ("tlut_quantize", [_PTR, _I64, _I64, _I64, _I64, _PTR, _PTR],
+                 _I64),
+    "pack": ("tlut_pack", [_PTR, _I64, _I64, _I64, _PTR], _INT),
+}
 
 
 class BuildError(RuntimeError):
@@ -64,6 +81,8 @@ class Backend:
 
     def __init__(self, lib: ctypes.CDLL):
         self._block_sums = lib.tlut_block_sums
+        self._quantize = lib.tlut_quantize
+        self._pack = lib.tlut_pack
 
     def block_sums(self, nibbles: np.ndarray, values: np.ndarray, gpq: int,
                    m0: int, m1: int, dtype) -> np.ndarray:
@@ -90,6 +109,48 @@ class Backend:
             int(out.itemsize == 4))
         if ran < 0:  # -1 out of memory, -2 no AVX2 on this CPU
             raise RuntimeError(f"tlut_block_sums failed ({ran})")
+        return out
+
+    def quantize(self, weights: np.ndarray, bits: int,
+                 group_size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(codes, scales)`` of symmetric absmax quantization: ``uint8
+        [M, K]`` and ``float32 [M, K / group_size]``, bit-identical to
+        the numpy quantizer's.  Raises ``ValueError`` naming the first
+        ``[row, col]`` of ``weights`` that is not finite."""
+        w = np.ascontiguousarray(weights, dtype=np.float32)
+        if (w.ndim != 2 or not 1 <= bits <= 8 or group_size < 1
+                or w.shape[1] % group_size):
+            raise ValueError(
+                f"tlut_quantize: bad operands weights {w.shape}, "
+                f"bits={bits}, group_size={group_size}")
+        m, k = w.shape
+        codes = np.empty((m, k), dtype=np.uint8)
+        scales = np.empty((m, k // group_size), dtype=np.float32)
+        ran = self._quantize(w.ctypes.data, m, k, group_size,
+                             (1 << bits) - 1, codes.ctypes.data,
+                             scales.ctypes.data)
+        if ran > 0:  # 1 + the flat index of the first non-finite weight
+            row, col = divmod(ran - 1, k)
+            raise ValueError(f"weights[{row}, {col}] = {w[row, col]} is "
+                             f"not finite")
+        if ran < 0:
+            raise RuntimeError(f"tlut_quantize failed ({ran})")
+        return codes, scales
+
+    def pack(self, codes: np.ndarray, bits: int) -> np.ndarray:
+        """The frozen :func:`repro.core.weights.nibble_blocks` layout of
+        ``codes``' ``g = 4`` index planes, equal to
+        :func:`repro.core.weights.pack_codes` ``(codes, bits, 4)``."""
+        c = np.ascontiguousarray(codes, dtype=np.uint8)
+        if c.ndim != 2 or c.shape[1] % 4 or not 1 <= bits <= 8:
+            raise ValueError(f"tlut_pack: bad operands codes {c.shape}, "
+                             f"bits={bits}")
+        m, k = c.shape
+        out = np.empty((bits, k // 4, -(-m // 32) * 16), dtype=np.uint8)
+        ran = self._pack(c.ctypes.data, m, k, bits, out.ctypes.data)
+        if ran < 0:
+            raise RuntimeError(f"tlut_pack failed ({ran})")
+        out.setflags(write=False)
         return out
 
 
@@ -123,14 +184,15 @@ def _compiler() -> Tuple[str, str]:
 
 
 def _bind(path: str) -> ctypes.CDLL:
+    """Load ``path`` and declare every entry point; ``AttributeError``
+    when one is missing."""
     lib = ctypes.CDLL(path)
-    fn = lib.tlut_block_sums
-    ptr, i64, c_int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int
-    fn.argtypes = [ptr, i64, i64, i64, ptr, i64, i64, i64, i64, i64, ptr,
-                   c_int]
-    fn.restype = c_int
+    for symbol, argtypes, restype in ENTRY_POINTS.values():
+        fn = getattr(lib, symbol)
+        fn.argtypes = argtypes
+        fn.restype = restype
     lib.tlut_supported.argtypes = []
-    lib.tlut_supported.restype = c_int
+    lib.tlut_supported.restype = _INT
     return lib
 
 
@@ -236,6 +298,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     path, reason, library = status()
     print(f"path: {path}\nreason: {reason}\ncache: {library or '-'}")
+    for name, (symbol, _, _) in ENTRY_POINTS.items():
+        print(f"{name}: {symbol if path != 'numpy' else 'numpy'}")
     return 1 if args.require_native and path == "numpy" else 0
 
 

@@ -310,8 +310,10 @@ class NativeLutKernel(IntegerLutKernel):
 
 
 def native_phase(g: int):
-    """The native integer phase an integer kernel at ``g`` compiles with,
-    or ``None`` for numpy's (building the library on first use)."""
+    """The native library an integer kernel at ``g`` compiles with (and
+    :func:`~repro.core.weights.preprocess_weights` packs with), or
+    ``None`` for numpy's integer phase (building the library on first
+    use)."""
     if g != 4:
         return None
     from repro.core import native

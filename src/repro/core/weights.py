@@ -13,11 +13,14 @@ The plan stores one layout of those indices, :func:`nibble_blocks`: two
 index column (Section 3.2, "Weight permutation for sequential memory
 access") with the nibbles interleaved so one AND and one shift yield the
 block's indices in row order (Figure 4, "Weight interleaving for fast
-unpacking").  :func:`pack_codes` writes it straight from the codes, never
-materializing the ``[M, K]`` bit planes or the ``[M, K/g]`` index planes;
-the native kernel reads it as it is, and the loop oracle (which runs the
-ablation table modes) and the numpy kernel's compile unpack the
-index-plane slices they need on demand (:meth:`PreprocessedWeights.indices`).
+unpacking").  It is written straight from the codes, never materializing
+the ``[M, K]`` bit planes or the ``[M, K/g]`` index planes: for ``g = 4``
+by the native library's ``tlut_pack`` (:mod:`repro.core.native`), else,
+and without the library or AVX2, by its numpy equivalent
+:func:`pack_codes`.  The native kernel reads the layout as it is, and
+the loop oracle (which runs the ablation table modes) and the numpy
+kernel's compile unpack the index-plane slices they need on demand
+(:meth:`PreprocessedWeights.indices`).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.config import TMACConfig
+from repro.core.specialize import native_phase
 from repro.core.tiling import TileConfig
 from repro.quant.uniform import QuantizedWeight
 
@@ -275,6 +279,11 @@ def preprocess_weights(
         Layout tile recorded on the weights (sharded executors align
         output spans to its ``m_tm``); defaults to ``config.tile_config``
         or a ``[32, 32]`` tile.
+
+    The codes are packed by the native ``tlut_pack`` wherever a kernel
+    would run the native lookup (:func:`~repro.core.specialize.native_phase`:
+    the library loads and ``config.g == 4``), else by :func:`pack_codes`;
+    both write the same bytes.
     """
     if qweight.bits != config.bits:
         raise ValueError(
@@ -287,7 +296,11 @@ def preprocess_weights(
         )
     tile = resolve_tile_config(config, tile_config)
 
-    packed = pack_codes(qweight.codes, qweight.bits, config.g)
+    backend = native_phase(config.g)  # the lookup's rule: the library, g = 4
+    if backend is not None:
+        packed = backend.pack(qweight.codes, qweight.bits)
+    else:
+        packed = pack_codes(qweight.codes, qweight.bits, config.g)
     # The recombination's scale*zero product, once (float32 in, float32
     # out — the oracle's exact per-call product).
     scales = np.asarray(qweight.scales, dtype=np.float32)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.quant.uniform import QuantizedWeight
+from repro.quant.uniform import QuantizedWeight, check_finite
 
 __all__ = ["ternary_codes", "quantize_bitnet"]
 
@@ -62,6 +62,9 @@ def quantize_bitnet(weights: np.ndarray, group_size: int = 128) -> QuantizedWeig
         Group size used only to shape the scale/zero arrays; every group in
         a row shares the same (row-level) scale, matching BitNet's
         per-tensor/per-row scaling.
+
+    Raises ``ValueError`` naming the first ``[row, col]`` that is NaN or
+    infinite (it would corrupt its whole row's scale).
     """
     w = np.asarray(weights, dtype=np.float32)
     if w.ndim != 2:
@@ -69,6 +72,7 @@ def quantize_bitnet(weights: np.ndarray, group_size: int = 128) -> QuantizedWeig
     m, k = w.shape
     if k % group_size != 0:
         raise ValueError(f"K={k} must be a multiple of group_size={group_size}")
+    check_finite(w)
 
     ternary, row_scales = ternary_codes(w)
     codes = (ternary.astype(np.int16) + 1).astype(np.uint8)

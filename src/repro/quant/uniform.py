@@ -14,6 +14,11 @@ block formats store: the real-valued weight is reconstructed as::
 Symmetric quantization (the default) uses ``zero_point = (2**bits - 1) / 2``
 so that codes are centred around zero; asymmetric quantization picks the
 zero point per group from the data range.
+
+Symmetric absmax quantization, the default, runs as one AVX2 pass in the
+native library (:mod:`repro.core.native`), bit-identical to the numpy
+operations below, which run without the library or AVX2 and for the
+asymmetric and ``mse`` variants.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "quantize_weights",
     "dequantize_weights",
     "max_code",
+    "check_finite",
 ]
 
 
@@ -144,6 +150,17 @@ def _validate_inputs(weights: np.ndarray, bits: int, group_size: int) -> None:
         )
 
 
+def check_finite(weights: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first ``[row, col]`` of the 2-D
+    ``weights`` that is NaN or infinite: its group's scale would be NaN, 0
+    or inf and the whole group would quantize to garbage."""
+    finite = np.isfinite(weights)
+    if not finite.all():
+        row, col = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ValueError(f"weights[{row}, {col}] = {weights[row, col]} is "
+                         f"not finite")
+
+
 def _search_mse_scales(
     grouped: np.ndarray, qmax: int, base_scales: np.ndarray,
     zeros: np.ndarray, num_candidates: int = 17,
@@ -206,11 +223,47 @@ def quantize_weights(
     QuantizedWeight
         Codes, scales and zero points reconstructing ``weights`` via
         ``scale * (code - zero)``.
+
+    Raises
+    ------
+    ValueError
+        If a weight is NaN or infinite (the message names the first
+        ``[row, col]``), or on a bad shape, bit width or method.
     """
     _validate_inputs(weights, bits, group_size)
     if method not in ("absmax", "mse"):
         raise ValueError(f"method must be 'absmax' or 'mse', got {method!r}")
+    backend = None
+    if symmetric and method == "absmax":
+        from repro.core import native  # on first use: repro.core imports us
+
+        backend = native.backend()
+    if backend is not None:
+        codes, scales = backend.quantize(weights, bits, group_size)
+        zeros = np.full(scales.shape, max_code(bits) / 2.0, dtype=np.float32)
+    else:
+        codes, scales, zeros = _quantize_numpy(weights, bits, group_size,
+                                               symmetric, method)
+    qw = QuantizedWeight(
+        codes=codes,
+        scales=scales,
+        zeros=zeros,
+        bits=bits,
+        group_size=group_size,
+        symmetric=symmetric,
+    )
+    qw.validate()
+    qw.freeze()
+    return qw
+
+
+def _quantize_numpy(weights: np.ndarray, bits: int, group_size: int,
+                    symmetric: bool, method: str) -> tuple:
+    """``(codes, scales, zeros)`` of :func:`quantize_weights` in numpy: the
+    fallback without the native library, the only path for asymmetric
+    and ``mse`` quantization, and the reference the native pass matches."""
     w = np.asarray(weights, dtype=np.float32)
+    check_finite(w)
     m, k = w.shape
     num_groups = k // group_size
     grouped = w.reshape(m, num_groups, group_size)
@@ -238,18 +291,7 @@ def quantize_weights(
     divisor = np.where(scales > 0, scales, 1.0)
     codes = np.rint(grouped / divisor[:, :, None] + zeros[:, :, None])
     codes = np.clip(codes, 0, qmax).astype(np.uint8)
-
-    qw = QuantizedWeight(
-        codes=codes.reshape(m, k),
-        scales=scales,
-        zeros=zeros,
-        bits=bits,
-        group_size=group_size,
-        symmetric=symmetric,
-    )
-    qw.validate()
-    qw.freeze()
-    return qw
+    return codes.reshape(m, k), scales, zeros
 
 
 def dequantize_weights(qw: QuantizedWeight) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""The native integer phase's loader: build, cache, fallback, frozen layout.
+"""The native library's loader: build, cache, fallback, frozen layout.
 
 Oracle parity of the native AVX2 phase beside the numpy one lives in the
-kernel property of ``tests/properties/test_property_core.py``; these tests
-cover how the shared object is found, built and published, which cache a
-process trusts, and what a kernel does without it.
+kernel property of ``tests/properties/test_property_core.py``, and the
+offline pass's bit-identity to numpy in ``test_property_quant.py``; these
+tests cover how the shared object is found, built and published, which
+cache a process trusts, and what a kernel and the offline stage do
+without it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
 from repro.core.plan import build_plan
 from repro.core.specialize import NativeLutKernel
+from repro.core.weights import preprocess_weights
 from repro.quant.uniform import quantize_weights
 from repro.workloads.generator import gaussian_activation, gaussian_weights
 
@@ -187,4 +190,54 @@ def test_cli_reports_the_path(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"path: {status.path}"
     assert lines[2] == f"cache: {status.library or '-'}"
+    symbols = ["numpy"] * 3 if status.path == "numpy" else [
+        "tlut_block_sums", "tlut_quantize", "tlut_pack"]
+    assert lines[3:] == [f"{name}: {symbol}" for name, symbol in
+                         zip(("lookup", "quantize", "pack"), symbols)]
     assert code == (status.path == "numpy")
+
+
+def test_library_missing_an_entry_point_is_not_used(native_cache,
+                                                    monkeypatch, capsys):
+    monkeypatch.setitem(native.ENTRY_POINTS, "pack",
+                        ("tlut_missing", [], native._INT))
+    status = native.status()
+    assert status.path == "numpy" and "tlut_missing" in status.reason
+    assert native.backend() is None
+    assert native.main(["--require-native"]) == 1
+    assert "pack: numpy" in capsys.readouterr().out
+
+
+@pytest.fixture
+def offline_calls(monkeypatch):
+    """Counts of the native offline entry points' calls."""
+    require_native()
+    calls = {"quantize": 0, "pack": 0}
+    for name in calls:
+        method = getattr(native.Backend, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(native.Backend, name, counted)
+    return calls
+
+
+def test_offline_stage_takes_the_native_pass(offline_calls):
+    qw = quantize_weights(gaussian_weights(40, 64, seed=5), bits=3,
+                          group_size=16)
+    preprocess_weights(qw, TMACConfig(bits=3))
+    assert offline_calls == {"quantize": 1, "pack": 1}
+
+
+def test_offline_stage_falls_back_to_numpy(offline_calls):
+    w = gaussian_weights(40, 64, seed=5)
+    with native.force("numpy"):
+        qw = quantize_weights(w, bits=3, group_size=16)
+        preprocess_weights(qw, TMACConfig(bits=3))
+    # Asymmetric, mse and g != 4 have no native pass.
+    quantize_weights(w, bits=3, group_size=16, symmetric=False)
+    quantize_weights(w, bits=3, group_size=16, method="mse")
+    preprocess_weights(qw, TMACConfig(bits=3, g=2))
+    assert offline_calls == {"quantize": 0, "pack": 0}

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import native
+from repro.quant.bitnet import quantize_bitnet
 from repro.quant.uniform import (
     QuantizedWeight,
     dequantize_weights,
@@ -91,6 +93,56 @@ class TestQuantizeWeights:
             quantize_weights(np.zeros((4, 64), dtype=np.float32), bits=0)
         with pytest.raises(ValueError):
             quantize_weights(np.zeros((4, 64), dtype=np.float32), bits=9)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def quantizer_path(request):
+    """Run the test on the native quantizer and under the numpy fallback."""
+    if request.param == "numpy":
+        with native.force("numpy"):
+            yield request.param
+        return
+    if native.backend() is None:
+        pytest.skip(f"native library unavailable: {native.status().reason}")
+    yield request.param
+
+
+class TestNotFinite:
+    """A NaN or inf weight raises, naming its [row, col], instead of
+    silently turning its group's scale into 0, inf or NaN."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("symmetric,method", [
+        (True, "absmax"), (False, "absmax"), (True, "mse")])
+    def test_raises_naming_the_first_bad_weight(self, quantizer_path, bad,
+                                                symmetric, method):
+        w = np.ones((4, 32), dtype=np.float32)
+        w[1, 3] = bad
+        w[2, 20] = np.nan
+        with pytest.raises(ValueError, match=r"weights\[1, 3\] = .* is not "
+                                             r"finite"):
+            quantize_weights(w, bits=4, group_size=16, symmetric=symmetric,
+                             method=method)
+
+    def test_bad_weight_in_a_partial_vector(self, quantizer_path):
+        # Group size 12: the bad weight sits in the 4-wide tail.
+        w = np.ones((3, 24), dtype=np.float32)
+        w[2, 22] = np.inf
+        with pytest.raises(ValueError, match=r"weights\[2, 22\]"):
+            quantize_weights(w, bits=2, group_size=12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_float64_overflowing_float32_is_not_finite(self, quantizer_path):
+        w = np.ones((2, 8))
+        w[0, 5] = 1e300
+        with pytest.raises(ValueError, match=r"weights\[0, 5\] = inf"):
+            quantize_weights(w, bits=4, group_size=8)
+
+    def test_bitnet_raises(self):
+        w = np.ones((4, 64), dtype=np.float32)
+        w[3, 33] = np.nan
+        with pytest.raises(ValueError, match=r"weights\[3, 33\]"):
+            quantize_bitnet(w, group_size=32)
 
 
 class TestQuantizedWeight:
