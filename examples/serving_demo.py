@@ -7,7 +7,8 @@ pool (``kv_cache_bytes``) until every request completes — printing the
 per-step batch composition and the paging/prefix/batching statistics at
 the end.  The same requests are then replayed one at a time to show that
 batching, paging and prefix sharing do not change a single token.  Exits
-non-zero unless a decode step makes exactly ``4 * layers + 1`` kernel calls
+non-zero if any batched stream differs from its replay (a ``DIFF`` line),
+or unless a decode step makes exactly ``4 * layers + 1`` kernel calls
 (q|k|v and gate|up are one fused operator each).
 
 Run with:  python examples/serving_demo.py
@@ -59,10 +60,12 @@ def main():
     generator = Generator(TransformerModel(
         arch, engine=get_backend("tmac", bits=4, group_size=32),
         weights=weights))
+    diffs = 0
     for session_id, prompt, budget in requests:
         batched = results[session_id].generated_tokens
         sequential = generator.generate(
             prompt, max_new_tokens=budget).generated_tokens
+        diffs += batched != sequential
         marker = "OK " if batched == sequential else "DIFF"
         print(f"  [{marker}] session {session_id}: prompt {prompt} -> {batched}")
 
@@ -85,6 +88,9 @@ def main():
     cache = plan_cache_stats()
     print(f"plan cache: {cache['hits']} hits / {cache['misses']} misses "
           f"(sequential-replay model rebind hit the cache)")
+    if diffs:
+        return (f"{diffs} of {len(requests)} batched streams differ from "
+                "their sequential replay")
     if calls_per_step != expected_calls:
         return (f"expected {expected_calls} kernel calls per decode step, "
                 f"counted {calls_per_step:g}")

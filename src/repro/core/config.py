@@ -243,9 +243,6 @@ class GatewayConfig:
         Floor of the ``Retry-After`` hint on 429 responses (the gateway
         raises it to its moving estimate of one request's service time).
         Env: ``REPRO_GATEWAY_RETRY_AFTER_S``.
-    poll_interval_s:
-        How long the engine-runner thread sleeps waiting for work when
-        the engine is idle.  Env: ``REPRO_GATEWAY_POLL_S``.
     max_body_bytes:
         Largest accepted request body (413 beyond it).
         Env: ``REPRO_GATEWAY_MAX_BODY``.
@@ -264,8 +261,6 @@ class GatewayConfig:
         default_factory=lambda: _env_float("REPRO_GATEWAY_TIMEOUT_S", None))
     retry_after_s: float = field(
         default_factory=lambda: _env_float("REPRO_GATEWAY_RETRY_AFTER_S", 1.0))
-    poll_interval_s: float = field(
-        default_factory=lambda: _env_float("REPRO_GATEWAY_POLL_S", 0.002))
     max_body_bytes: int = field(
         default_factory=lambda: _env_int("REPRO_GATEWAY_MAX_BODY", 1 << 20))
     metrics_namespace: str = field(
@@ -284,9 +279,6 @@ class GatewayConfig:
         if self.retry_after_s <= 0:
             raise ValueError(
                 f"retry_after_s must be > 0, got {self.retry_after_s}")
-        if self.poll_interval_s <= 0:
-            raise ValueError(
-                f"poll_interval_s must be > 0, got {self.poll_interval_s}")
         if self.max_body_bytes < 1:
             raise ValueError(
                 f"max_body_bytes must be >= 1, got {self.max_body_bytes}")

@@ -179,11 +179,9 @@ class TMACKernel:
         np.ndarray
             ``[N, M]`` float32 result (``[M]`` if the input was 1-D).
         """
-        a = np.asarray(activation, dtype=np.float32)
-        squeeze = a.ndim == 1
-        if squeeze:
-            a = a[None, :]
-        table = self.precompute(a)  # validates the shape, once
+        squeeze = np.ndim(activation) == 1
+        a = self._check_activation(activation)
+        table = self.precompute(a)  # traced as the LUT build
         out = self.executor.matmul_with_table(self.plan, table, self.config, a)
         return out[0] if squeeze else out
 
@@ -202,7 +200,7 @@ class TMACKernel:
         activation shape or LUT configuration is rejected.
         """
         a = self._check_activation(activation)
-        squeeze = np.asarray(activation).ndim == 1
+        squeeze = np.ndim(activation) == 1
         self._check_table(table, a)
         out = self.executor.matmul_with_table(self.plan, table, self.config, a)
         return out[0] if squeeze else out
@@ -270,15 +268,22 @@ class TMACKernel:
             )
 
     def _check_activation(self, activation: np.ndarray) -> np.ndarray:
+        """The activation as one C-ordered float32 ``[N, K]`` array.
+
+        The group sums and the table build reduce within each row, and
+        numpy sums a strided view in a different order from a contiguous
+        one: normalizing the layout here makes the output a function of
+        the values alone (a no-op for C-ordered float32 input).
+        """
         a = np.asarray(activation, dtype=np.float32)
         if a.ndim == 1:
             a = a[None, :]
         if a.ndim != 2:
             raise ValueError(
-                f"activation must be 1-D or 2-D, got shape {np.asarray(activation).shape}"
+                f"activation must be 1-D or 2-D, got shape {a.shape}"
             )
         if a.shape[1] != self.in_features:
             raise ValueError(
                 f"activation K={a.shape[1]} does not match weight K={self.in_features}"
             )
-        return a
+        return np.ascontiguousarray(a)

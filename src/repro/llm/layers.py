@@ -136,12 +136,14 @@ def attend(q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray,
     ``[total, kv_heads, head_dim]`` history the queries may attend to;
     ``positions`` gives each query's absolute position (cached positions
     ``0..p`` are visible to a query at position ``p``).  Returns the
-    context as ``[seq, heads * head_dim]``.
+    context as a C-ordered ``[seq, heads * head_dim]`` array.
 
     This is the single float-op sequence shared by the sequential path
     (:meth:`Attention.forward`) and the serving engine's batched decode
     (:mod:`repro.serving.batch`), so the two can never drift apart
-    numerically.
+    numerically.  Both products are BLAS calls whose blocking depends on
+    the query count (one query is a GEMV, several a GEMM), so the same
+    query attended alone or among others can differ in final ulps.
     """
     group = arch.num_heads // arch.num_kv_heads
     if group > 1:
@@ -150,8 +152,10 @@ def attend(q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray,
 
     total = k_all.shape[0]
     scale = 1.0 / np.sqrt(arch.head_dim)
-    # scores[h, i, j] = q[i, h, :] . k[j, h, :]
-    scores = np.einsum("ihd,jhd->hij", q, k_all, optimize=True) * scale
+    # scores[h, i, j] = q[i, h, :] . k[j, h, :]: one batched matmul over
+    # heads on transposed views (the product einsum's optimized path
+    # runs, without its per-call path planning).
+    scores = np.matmul(q.transpose(1, 0, 2), k_all.transpose(1, 2, 0)) * scale
 
     # Causal mask: query at absolute position p attends to cached
     # positions 0..p.
@@ -160,7 +164,7 @@ def attend(q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray,
     scores = np.where(mask[None, :, :], -1e30, scores)
 
     probs = softmax(scores, axis=-1)
-    context = np.einsum("hij,jhd->ihd", probs, v_all, optimize=True)
+    context = np.matmul(probs, v_all.transpose(1, 0, 2)).transpose(1, 0, 2)
     return context.reshape(q.shape[0], arch.num_heads * arch.head_dim)
 
 

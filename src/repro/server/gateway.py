@@ -88,6 +88,9 @@ def _chunk(data: bytes) -> bytes:
 
 _LAST_CHUNK = b"0\r\n\r\n"
 
+#: Put into a stream's event queue when its client's read side ends.
+_DISCONNECTED = object()
+
 
 class _BadRequest(Exception):
     def __init__(self, status: int, message: str):
@@ -373,21 +376,18 @@ class Gateway:
         # makes a disconnect visible *before* the session produces tokens
         # (the disconnect-before-admission path) — write-error detection
         # alone only fires once chunks flow.  The cost: a client that
-        # half-closes (shutdown(SHUT_WR)) is treated as gone.
+        # half-closes (shutdown(SHUT_WR)) is treated as gone.  The
+        # watchdog reports into the event queue itself, so each token
+        # costs one await; events queued before the disconnect drain first.
         watchdog = asyncio.create_task(reader.read(1))
-        getter: Optional[asyncio.Task] = None
+        watchdog.add_done_callback(
+            lambda _: events.put_nowait(_DISCONNECTED))
         try:
             while True:
-                getter = asyncio.create_task(events.get())
-                done, _ = await asyncio.wait(
-                    {getter, watchdog},
-                    return_when=asyncio.FIRST_COMPLETED)
-                if watchdog in done and not getter.done():
-                    getter.cancel()
+                event = await events.get()
+                if event is _DISCONNECTED:
                     await self._abort_stream(ticket)
                     return 499
-                event = await getter
-                getter = None
                 if event.finished:
                     ticket.finish_reason = event.finish_reason
                     self.metrics.completed_requests.inc(
@@ -409,10 +409,7 @@ class Gateway:
             await self._abort_stream(ticket)
             return 499
         finally:
-            if getter is not None and not getter.done():
-                getter.cancel()
-            if not watchdog.done():
-                watchdog.cancel()
+            watchdog.cancel()
 
     async def _abort_stream(self, ticket) -> None:
         """Client went away: cancel the session, reclaiming its pages."""
@@ -472,7 +469,6 @@ def serve_model(model: TransformerModel,
     config = config or GatewayConfig()
     engine = ServingEngine(model, **engine_kwargs)
     metrics = GatewayMetrics(config.metrics_namespace)
-    runner = EngineRunner(engine, metrics=metrics,
-                          poll_interval_s=config.poll_interval_s)
+    runner = EngineRunner(engine, metrics=metrics)
     return Gateway(runner, config=config, metrics=metrics,
                    model_name=model_name)

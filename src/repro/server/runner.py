@@ -38,14 +38,9 @@ class EngineRunner:
     """Drive a :class:`ServingEngine` on a dedicated background thread."""
 
     def __init__(self, engine: ServingEngine,
-                 metrics: Optional[GatewayMetrics] = None,
-                 poll_interval_s: float = 0.002):
-        if poll_interval_s <= 0:
-            raise ValueError(
-                f"poll_interval_s must be > 0, got {poll_interval_s}")
+                 metrics: Optional[GatewayMetrics] = None):
         self.engine = engine
         self.metrics = metrics
-        self.poll_interval_s = poll_interval_s
         self._commands: "queue.Queue" = queue.Queue()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run,
@@ -233,14 +228,9 @@ class EngineRunner:
                     self.last_step_error = exc
                     self._abort_live_sessions()
             elif not executed:
-                # Idle: block briefly on the command queue instead of
-                # spinning; a submit wakes the loop immediately.
-                try:
-                    command = self._commands.get(
-                        timeout=self.poll_interval_s)
-                except queue.Empty:
-                    continue
-                self._execute(command)
+                # Idle: sleep on the command queue until a submit (or
+                # stop()'s sentinel) arrives.
+                self._execute(self._commands.get())
         self._drain_commands()
 
     def _drain_commands(self) -> bool:

@@ -9,8 +9,11 @@ traversal over the whole batch.
 
 Attention remains per-session (each request has its own KV cache, length
 and absolute position) and is computed with exactly the float-op sequence
-of the sequential path.  The per-layer caches are duck-typed: the engine
-passes either plain :class:`repro.llm.layers.KVCache` objects or
+of the sequential path: one query row per session, so its BLAS products
+are the same GEMVs a sequential decode step runs (a multi-row prefill
+runs GEMMs, whose blocking may differ in final ulps).  The per-layer
+caches are duck-typed: the engine passes either plain
+:class:`repro.llm.layers.KVCache` objects or
 :class:`repro.kvcache.paged.PagedKVCache` views over the shared page pool
 — both expose the same ``append`` / ``stacked`` contract, and the gathered
 page contents are bit-identical to the unpaged arrays.  For row-independent kernels (T-MAC: per-row LUT

@@ -46,12 +46,13 @@ latency histograms without wrapping the scheduler.
 
 Determinism: all cross-step state lives in the sessions (KV caches,
 positions, per-session rngs), so batched outputs are identical to running
-each request alone — the serving tests assert token-level equality.  (The
-attention einsum's reduction order varies with the number of query rows,
-so prefix-reuse and chunked prefill can shift *logits* by an ulp relative
-to a whole-prompt prefill; generated tokens still match except at exact
-argmax near-ties, the same caveat :mod:`repro.serving.batch` documents for
-the BLAS reference backend.)
+each request alone — the serving tests assert token-level equality.
+(Attention's two products are BLAS matmuls, a GEMV for one query row and
+a GEMM for several, with different blocking, so prefix-reuse and chunked
+prefill can shift *logits* by an ulp relative to a whole-prompt prefill;
+generated tokens still match except at exact argmax near-ties, the same
+caveat :mod:`repro.serving.batch` documents for the BLAS reference
+backend.)
 """
 
 from __future__ import annotations

@@ -126,8 +126,8 @@ class TestCopyOnWrite:
                                    start_position=6)
         # Divergent tails, intact shared prefix: replay both histories
         # against fresh unpaged caches with the same prefill/decode
-        # schedule (the attention einsum's reduction order depends on the
-        # query count, so a whole-sequence pass differs in final ulps) and
+        # schedule (attention's matmuls are GEMVs for one query and GEMMs
+        # for several, so a whole-sequence pass differs in final ulps) and
         # compare bitwise.
         for branch_token, views in ((7, child_views), (8, parent_views)):
             fresh = model.new_cache()

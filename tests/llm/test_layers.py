@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends import get_backend
 from repro.core.config import TMACConfig
@@ -12,6 +14,7 @@ from repro.llm.layers import (
     KVCache,
     MLP,
     apply_rope,
+    attend,
     build_rope_cache,
     rms_norm,
     silu,
@@ -87,6 +90,52 @@ class TestKVCache:
     def test_empty_cache_rejected(self):
         with pytest.raises(ValueError):
             KVCache().stacked()
+
+
+def einsum_attend(q, k_all, v_all, positions, arch):
+    """The einsum formulation ``attend`` replaced, kept as an oracle."""
+    group = arch.num_heads // arch.num_kv_heads
+    k_all = np.repeat(k_all, group, axis=1)
+    v_all = np.repeat(v_all, group, axis=1)
+    scores = np.einsum("ihd,jhd->hij", q, k_all, optimize=True) * (
+        1.0 / np.sqrt(arch.head_dim))
+    mask = np.arange(k_all.shape[0])[None, :] > positions[:, None]
+    probs = softmax(np.where(mask[None, :, :], -1e30, scores), axis=-1)
+    context = np.einsum("hij,jhd->ihd", probs, v_all, optimize=True)
+    return context.reshape(q.shape[0], arch.num_heads * arch.head_dim)
+
+
+class TestAttend:
+    @given(
+        seq=st.integers(1, 64),
+        history=st.integers(0, 159),
+        heads=st.sampled_from([(4, 2), (8, 4), (8, 8)]),
+        head_dim=st.sampled_from([16, 32, 64]),
+        q_dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_einsum(self, seq, history, heads, head_dim,
+                                     q_dtype, seed):
+        """The matmul form equals the einsum form bit for bit over query
+        counts, windows, GQA groupings and query dtypes (keys and values
+        are float32, as the caches store them), and returns a C-ordered
+        context — the layout the kernel's boundary does not copy."""
+        num_heads, num_kv_heads = heads
+        arch = tiny_arch(hidden_size=num_heads * head_dim,
+                         num_heads=num_heads, num_kv_heads=num_kv_heads)
+        past = history % (161 - seq)  # T = S + past runs from S to 160
+        total = seq + past
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((seq, num_heads, head_dim)).astype(q_dtype)
+        k_all, v_all = rng.standard_normal(
+            (2, total, num_kv_heads, head_dim)).astype(np.float32)
+        positions = np.arange(past, total)
+        context = attend(q, k_all, v_all, positions, arch)
+        expected = einsum_attend(q, k_all, v_all, positions, arch)
+        assert context.dtype == expected.dtype
+        np.testing.assert_array_equal(context, expected)
+        assert context.flags.c_contiguous
 
 
 class TestAttentionAndMLP:

@@ -1,5 +1,7 @@
 """Property-based tests for the T-MAC core invariants."""
 
+import contextlib
+
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -292,3 +294,53 @@ class TestIntegerLutKernelProperties:
             blocked = compiled.recombine_span(table, group_sums, m0, m1,
                                               row_budget)
             np.testing.assert_array_equal(blocked, shard)
+
+
+def activation_layouts(a):
+    """The values of ``a`` as Fortran-ordered, row-sliced and
+    transposed-view arrays, besides the C-ordered original."""
+    n, k = a.shape
+    padded = np.zeros((2 * n, k + 3), dtype=np.float32)
+    padded[::2, 1:k + 1] = a
+    return {"C": a, "F": np.asfortranarray(a),
+            "rows": padded[::2, 1:k + 1],
+            "transposed": np.ascontiguousarray(a.T).T}
+
+
+class TestActivationLayoutProperties:
+    @given(
+        bits=st.integers(1, 4),
+        group_size=st.sampled_from([32, 64, 128]),
+        qgroups=st.integers(1, 3),
+        n=st.integers(1, 33),
+        m=st.integers(1, 48),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_output_independent_of_memory_layout(self, bits, group_size,
+                                                 qgroups, n, m, seed):
+        """The native integer phase, the numpy one and the loop oracle
+        each give the same bits for the same activation values whatever
+        their memory layout, through ``matmul`` and through
+        ``precompute`` + ``matmul_with_table``."""
+        rng = np.random.default_rng(seed)
+        k = group_size * qgroups
+        qw = quantize_weights(
+            rng.standard_normal((m, k)).astype(np.float32), bits=bits,
+            group_size=group_size)
+        a = rng.standard_normal((n, k)).astype(np.float32)
+        runs = [("loop", None)] + [("vectorized", path)
+                                   for path in integer_phases()]
+        for executor, path in runs:
+            config = TMACConfig(bits=bits, executor=executor)
+            with (native.force(path) if path else contextlib.nullcontext()):
+                kernel = TMACKernel.from_plan(build_plan(qw, config), config)
+                expected = kernel.matmul(a)
+                for layout, view in activation_layouts(a).items():
+                    np.testing.assert_array_equal(
+                        kernel.matmul(view), expected,
+                        err_msg=f"{executor}/{path} {layout}")
+                    np.testing.assert_array_equal(
+                        kernel.matmul_with_table(view,
+                                                 kernel.precompute(view)),
+                        expected, err_msg=f"{executor}/{path} {layout}")

@@ -9,13 +9,15 @@ with the stdlib asyncio client:
   temperature-0 :class:`repro.llm.inference.Generator` run — with a
   paged engine, chunked prefill and a shared prompt prefix in the mix.
 * A mid-stream client disconnect cancels the session and returns the KV
-  pool's free-page count to its baseline.
+  pool's free-page count to its baseline; a disconnect before admission
+  cancels the still-queued session.
 * Queue overflow answers 429 with a ``Retry-After`` header and the
   engine loop keeps serving afterwards.
 """
 
 import asyncio
 import contextlib
+import threading
 
 import pytest
 
@@ -289,6 +291,44 @@ class TestDisconnect:
                     host, port, {"prompt": [1, 2], "max_tokens": 2})
                 assert len(response["choices"][0]["tokens"]) == 2
                 assert gateway.metrics.client_disconnects.value() == 1
+
+        asyncio.run(scenario())
+
+
+    def test_disconnect_before_admission_cancels_queued_session(
+            self, model):
+        async def scenario():
+            async with gateway_stack(
+                    model, max_batch_size=1) as (gateway, host, port):
+                # Fill the single slot, then queue a second stream behind
+                # it: its response head is sent, but no token will flow.
+                running = await stream_completion(
+                    host, port, {"prompt": [1, 2], "max_tokens": 250})
+                await running.__anext__()
+                queued = await stream_completion(
+                    host, port, {"prompt": [3, 4], "max_tokens": 4})
+                assert await engine_probe(
+                    gateway, lambda e: e.num_waiting) == 1
+                # Hold the engine thread, so only the read-side watchdog
+                # can see this client leave: no token or step can.
+                gate = threading.Event()
+                held = gateway.runner.call(lambda e: gate.wait(5))
+                try:
+                    await queued.close()
+                    for _ in range(100):
+                        if gateway.metrics.client_disconnects.value():
+                            break
+                        await asyncio.sleep(0.01)
+                    assert gateway.metrics.client_disconnects.value() == 1
+                finally:
+                    gate.set()
+                    await asyncio.wrap_future(held)
+                assert await engine_probe(
+                    gateway, lambda e: e.num_waiting) == 0
+                # The running stream keeps decoding.
+                assert (await running.__anext__())["choices"][0][
+                    "finish_reason"] is None
+                await running.close()
 
         asyncio.run(scenario())
 

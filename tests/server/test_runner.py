@@ -68,6 +68,37 @@ class TestRunnerBasics:
                 future.result(5)
 
 
+class TestIdleRunner:
+    def test_idle_runner_sleeps_until_a_command(self):
+        """An idle runner blocks on its command queue: no loop iteration
+        (and no GIL grab) until a command arrives, which still wakes it."""
+        runner = EngineRunner(ServingEngine(make_model()))
+        iterations = []
+        drain = runner._drain_commands
+
+        def counting_drain():
+            iterations.append(time.monotonic())
+            return drain()
+
+        runner._drain_commands = counting_drain
+        with runner:
+            runner.stats().result(5)
+            time.sleep(0.05)  # let the loop settle into its idle wait
+            before = len(iterations)
+            time.sleep(0.05)
+            assert len(iterations) == before
+            assert runner.call(lambda e: e.num_waiting).result(5) == 0
+            assert len(iterations) > before
+
+    def test_stop_on_idle_runner_returns_promptly(self):
+        runner = EngineRunner(ServingEngine(make_model())).start()
+        runner.stats().result(5)
+        started = time.monotonic()
+        runner.stop()
+        assert time.monotonic() - started < 1.0
+        assert not runner.alive
+
+
 class TestStepFailureContainment:
     def test_step_exception_cancels_sessions_and_loop_survives(self):
         engine = ServingEngine(make_model())
