@@ -1,6 +1,7 @@
 """Per-phase accounting of the integer LUT kernel against host bounds.
 
-Run by hand (it is not collected by pytest and writes nothing itself)::
+Run by hand (it is not collected by pytest and writes nothing itself) on
+a host that builds the native library (:mod:`repro.core.native`)::
 
     PYTHONPATH=src python benchmarks/kernel_phases.py \
         > benchmarks/results/kernel_phases.txt
@@ -8,8 +9,9 @@ Run by hand (it is not collected by pytest and writes nothing itself)::
 For every linear shape of the benchmark's ``bench-medium`` and
 ``bench-small`` models (fused q|k|v and gate|up operators and the single
 projections they replaced) at 1 and 8 activation rows it prints one row per
-phase of an mpGEMM call — LUT build, fused-table expansion, ``take``,
-integer add, widen/scale, bit-sum, recombine — with
+phase of an mpGEMM call on the default path — LUT build, the native
+integer phase (one ``Backend.block_sums`` call), widen/scale, bit-sum,
+recombine — with
 
 * the elements processed and bytes moved, from the shapes alone,
 * the measured time of that phase (minimum of ``repeats`` runs of a
@@ -18,15 +20,17 @@ integer add, widen/scale, bit-sum, recombine — with
 * the achieved bytes per second, to hold against the contiguous-copy
   probe (a phase moving data at the copy rate is memory-bound whatever
   its element count),
-* the host bound: the same element count at the rate an independent
-  micro-probe of that access pattern reaches (``take`` per index, int16
-  add, float64 multiply-add, all cache-resident), and
+* the host bound: the same work at the rate an independent micro-probe
+  of that access pattern reaches (float64 multiply-add, all
+  cache-resident; for the native phase, whose elements are ``pshufb``
+  table shuffles numpy cannot probe, its bytes at the contiguous-copy
+  rate), and
 * ``achieved`` = bound / measured, the fraction of achievable.
 
-A phase near 1.0 is as fast as numpy can run it on this host — only
-doing less work, or leaving numpy, helps; a phase far below 1.0 loses
-its time to constants, strides or temporaries that a rewrite inside
-numpy can recover.
+A phase near 1.0 is as fast as its access pattern runs on this host —
+only doing less work helps; a phase far below 1.0 loses its time to
+constants, strides, temporaries or (the native phase) shuffle and add
+throughput.
 """
 
 from __future__ import annotations
@@ -37,10 +41,9 @@ from typing import Dict, List, NamedTuple
 import numpy as np
 
 from repro.backends.base import pick_group_size
+from repro.core import native
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
-from repro.core.lut import fusion_width
-from repro.core.specialize import reduce_major_planes
 from repro.hardware.calibrate import _best_seconds as best_seconds
 from repro.quant.uniform import quantize_weights
 
@@ -80,24 +83,12 @@ def raise_malloc_thresholds() -> None:
     np.ones(1 << 24, dtype=np.uint8)
 
 
-def host_probes(rows=ROWS, repeats: int = 9) -> Dict[str, float]:
+def host_probes(repeats: int = 9) -> Dict[str, float]:
     """Seconds per element of the access patterns the kernel is made of."""
-    rng = np.random.default_rng(0)
     count = 1 << 16
-    index = rng.integers(0, 4096, count).astype(np.uint16)
-    probes: Dict[str, float] = {}
-    for n in rows:
-        slab = rng.integers(-127, 127, (4096, n)).astype(np.int16)
-        out = np.empty((count, n), dtype=np.int16)
-        probes[f"take_index_n{n}"] = best_seconds(
-            lambda: slab.take(index, axis=0, out=out, mode="clip"),
-            repeats) / count
-    acc = np.zeros(count, dtype=np.int16)
-    inc = np.ones(count, dtype=np.int16)
-    probes["int16_add"] = best_seconds(
-        lambda: np.add(acc, inc, out=acc), repeats) / count
     x = np.ones(count)
     y = np.full(count, 1.0000001)
+    probes: Dict[str, float] = {}
     probes["float64_multiply_add"] = best_seconds(
         lambda: (np.multiply(x, y, out=x), np.add(x, y, out=x)),
         repeats) / (2 * count)
@@ -122,48 +113,27 @@ def measure_phases(m: int, k: int, n: int, probes: Dict[str, float],
     expected = kernel.matmul(a)
     table = kernel.precompute(a)
     spec = kernel.plan.specialized()
-    g, f = config.g, fusion_width(config.g)
-    steps, qgroups = spec.steps, spec.qgroups
-    entries = table.fused_entries  # per activation row
+    if spec is None:
+        raise RuntimeError("the default path runs the loop oracle here: "
+                           f"{native.status().reason}")
+    g, qgroups = config.g, spec.qgroups
     acc_size = spec.acc_dtype.itemsize
-    take_s = probes[f"take_index_n{n}"]
-    add_s = probes["int16_add"]
     fma_s = probes["float64_multiply_add"]
+    copy_s = probes["copy_byte"]
 
-    def expand():
-        table._row_minor = None
-        return table.row_minor()
-
-    # A replica of IntegerLutKernel._codes_dot / recombine_span, statement
-    # by statement, over the whole output span, on the numpy path's planes.
-    lut = expand()
-    planes = reduce_major_planes(
-        [kernel.plan.weights.indices(bit) for bit in range(bits)], g,
-        kernel.plan.groups_per_qgroup)
-    index = planes.reshape(steps, -1)
-    acc = np.empty((index.shape[1], n), dtype=spec.acc_dtype)
-    looked_up = np.empty_like(acc)
+    # A replica of NativeLutKernel._codes_dot / recombine_span, statement
+    # by statement, over the whole output span.
+    values = np.ascontiguousarray(table.values)
     tscale = table.scales.T[:, :, None]
     sums = a.reshape(n, qgroups, -1).sum(axis=2).T[:, :, None]
     state: Dict[str, np.ndarray] = {}
 
-    def take():
-        for s in range(steps):
-            lut[s].take(index[s], axis=0, out=looked_up, mode="clip")
-
-    def integer_add():
-        for _ in range(1, steps):
-            np.add(acc, looked_up, out=acc)
-
-    def gather():  # the kernel's interleaving of the two, for the check
-        lut[0].take(index[0], axis=0, out=acc, mode="clip")
-        for s in range(1, steps):
-            lut[s].take(index[s], axis=0, out=looked_up, mode="clip")
-            np.add(acc, looked_up, out=acc)
+    def block_sums():
+        state["sums"] = spec.native.block_sums(spec.nibbles, values,
+                                               spec.gpq, 0, m, spec.acc_dtype)
 
     def widen_scale():
-        partial = acc.reshape(m, bits, qgroups, n).transpose(
-            1, 2, 3, 0).astype(np.float64, order="C")
+        partial = state["sums"].astype(np.float64)
         if spec.fold_alpha:
             partial *= tscale * (spec.bit_weights * spec.alpha)
         else:
@@ -191,17 +161,18 @@ def measure_phases(m: int, k: int, n: int, probes: Dict[str, float],
 
     # One clean pass for the result check; the timed repeats then re-run
     # the in-place phases on already-processed values (same work).
-    for phase in (gather, widen_scale, bit_sum, recombine):
+    for phase in (block_sums, widen_scale, bit_sum, recombine):
         phase()
     if not np.array_equal(state["out"].astype(np.float32), expected):
         raise AssertionError(
             f"phase replica diverged from the kernel at M={m} K={k} N={n}")
 
     stored = n * (k // g) * table.stored_length  # int8 entries kept
-    fused = n * entries
-    lookups = steps * m * bits * qgroups
+    # One shuffle answers 32 weight rows of one index column for one row.
+    shuffles = n * -(-m // 32) * (k // g) * bits
     block = n * m * bits * qgroups  # integer block sums of the call
     chunk = block // bits
+    native_bytes = spec.nibbles.nbytes + values.nbytes + block * acc_size
 
     def phase(name, elements, bytes_moved, fn, bound_s):
         return Phase(name, elements, bytes_moved, best_seconds(fn, repeats),
@@ -212,18 +183,11 @@ def measure_phases(m: int, k: int, n: int, probes: Dict[str, float],
         # round) per stored entry.
         phase("lut_build", stored, n * k * 4 + stored * 9,
               lambda: kernel.precompute(a), stored * (g + 3) * fma_s),
-        # f takes over constant index vectors, f - 1 table-sized adds.
-        phase("fused_expand", fused,
-              f * (entries * 8 + fused * acc_size)
-              + (f - 1) * fused * acc_size * 3,
-              expand, f * entries * take_s + (f - 1) * fused * add_s),
-        phase("take", lookups,
-              lookups * (planes.itemsize + 2 * n * acc_size),
-              take, lookups * take_s),
-        phase("integer_add", (steps - 1) * block,
-              (steps - 1) * block * acc_size * 3,
-              integer_add, (steps - 1) * block * add_s),
-        # Transposing widen, multiply by the table scales, add beta * sums.
+        # Nibbles and tables read, block sums written, at the copy rate
+        # (each copied byte is read and written).
+        phase("block_sums", shuffles, native_bytes, block_sums,
+              native_bytes * copy_s / 2),
+        # Widen, multiply by the table scales, add beta * sums.
         phase("widen_scale", 3 * block, block * (acc_size + 40),
               widen_scale, 3 * block * fma_s),
         phase("bit_sum", (bits - 1) * chunk, (bits - 1) * chunk * 24,
@@ -253,7 +217,7 @@ def format_phases(phases: List[Phase]) -> List[str]:
 def format_layer_summary(measured) -> List[str]:
     """One transformer layer as seven separate projections and as the four
     operators the model binds: calls, summed phase time and the share of
-    it spent on the per-activation phases (``lut_build`` + ``fused_expand``)."""
+    it spent on the per-activation phase (``lut_build``)."""
     lines = ["", "per layer: 7 separate projections vs 4 fused operators",
              f"  {'model':<14}{'N':>3}{'calls':>7}{'total us':>10}"
              f"{'per-activation us':>19}{'share':>7}"]
@@ -268,7 +232,7 @@ def format_layer_summary(measured) -> List[str]:
                           for p in measured[model, m, k, n]]
                 total = sum(p.measured_s for p in phases)
                 shared = sum(p.measured_s for p in phases
-                             if p.name in ("lut_build", "fused_expand"))
+                             if p.name == "lut_build")
                 lines.append(
                     f"  {model:<14}{n:>3}{calls:>7}{total * 1e6:>10.1f}"
                     f"{shared * 1e6:>19.1f}{shared / total:>7.2f}")

@@ -7,7 +7,9 @@ Figure 7 mpGEMM regime (N=256) on the paper's weight shapes:
   loop executor (same float path: both accumulate the same elementwise
   operations in the same order, only batched).
 * **Speed** — on the fig6 mpGEMV shapes the vectorized executor must beat
-  the loop path wall-clock (min over repetitions).
+  the loop path wall-clock (min over repetitions) wherever the native
+  library loads; elsewhere the vectorized executor runs the loop oracle
+  itself, so both columns time the same code.
 * **Thread-pool parity** — the parallel executor must be bit-identical to
   the serial vectorized executor on every shape at 1/2/4 threads.
 
@@ -28,6 +30,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
 from repro.core.plan import build_plan
@@ -134,10 +137,11 @@ def test_fig6_gemv_parity_and_speed(shape, record_table_rows):
          f"{t_vec * 1e3:.1f}", f"{t_loop * 1e3:.1f}",
          f"{t_loop / t_vec:.2f}x"]
     )
-    assert t_vec < t_loop, (
-        f"vectorized executor ({t_vec * 1e3:.1f} ms) is not faster than the "
-        f"loop path ({t_loop * 1e3:.1f} ms) on {shape.label}"
-    )
+    if native.status().path != "numpy":
+        assert t_vec < t_loop, (
+            f"vectorized executor ({t_vec * 1e3:.1f} ms) is not faster than "
+            f"the loop path ({t_loop * 1e3:.1f} ms) on {shape.label}"
+        )
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: s.label)

@@ -73,7 +73,7 @@ CONSTRUCTOR_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 #: must be frozen (``setflags(write=False)``) in the same function.
 PLAN_ARTIFACT_CONSTRUCTORS = frozenset({
     "PreprocessedWeights",  # core/weights.py — offline weight operand
-    "IntegerLutKernel",     # core/specialize.py — compiled integer LUT kernel
+    "NativeLutKernel",      # core/specialize.py — compiled integer LUT kernel
 })
 
 #: Parameter/variable names the attribute-write check treats as plan

@@ -15,12 +15,10 @@ cannot participate in a deadlock cycle (this also keeps
 
 **Plan-mutation canary.**  :func:`plan_canary` checksums a plan's
 published artifacts (the packed weight indices, the scales and
-scale*zero products, the numpy integer kernel's lazily built planes)
-around an executor dispatch and raises :class:`PlanMutationError` if any
-existing artifact's bytes drift —
-plans are frozen and content-addressed, so drift means corruption.
-Artifacts that *appear* during the dispatch (the lazy kernel compile) are
-merged into the baseline, not flagged.
+scale*zero products — the compiled kernel reads these and owns no array
+of its own) around an executor dispatch and raises
+:class:`PlanMutationError` if any artifact's bytes drift — plans are
+frozen and content-addressed, so drift means corruption.
 
 Environment knobs:
 
@@ -317,14 +315,6 @@ def _plan_checksums(plan) -> Dict[str, int]:
             arr = getattr(weights, name, None)
             if arr is not None:
                 sums[f"weights.{name}"] = _array_checksum(arr)
-    kernel = getattr(plan, "_integer_kernel", None)
-    if kernel is not None:
-        # The compiled kernel reads the weights' arrays checksummed above;
-        # the numpy kernel also owns its reduce-major planes, and a
-        # mutation there would corrupt every call.
-        arr = vars(kernel).get("planes")
-        if arr is not None:
-            sums["kernel.planes"] = _array_checksum(arr)
     return sums
 
 
@@ -364,19 +354,11 @@ class PlanCanaryRegistry:
             yield
         finally:
             current = _plan_checksums(plan)
-            drifted = []
-            with self._mu:
-                for name, crc in current.items():
-                    before = baseline.get(name)
-                    if before is None:
-                        # Lazily built mid-dispatch (kernel planes):
-                        # publication, not mutation — extend the baseline.
-                        baseline[name] = crc
-                    elif before != crc:
-                        drifted.append(name)
-                if drifted:
-                    self.trips += 1
+            drifted = [name for name, crc in current.items()
+                       if baseline.get(name) != crc]
             if drifted:
+                with self._mu:
+                    self.trips += 1
                 raise PlanMutationError(
                     "plan artifact(s) mutated across an executor dispatch: "
                     + ", ".join(sorted(drifted))

@@ -8,14 +8,14 @@ the mpGEMM result.  Three executors implement the same mathematics:
   loops over weight-quantization groups and bit planes, mirroring the tile
   walk of Algorithm 1 line by line.  Slow, obviously correct, kept as the
   numerical oracle.
-* :class:`VectorizedExecutor` — the production implementation: the integer
-  kernel, else the oracle.  Integer-key tables (group-granularity
+* :class:`VectorizedExecutor` — the production implementation: the native
+  integer kernel, else the oracle.  Integer-key tables (group-granularity
   quantized tables with exact aggregation — the default config) run the
-  plan's compiled integer LUT kernel (:mod:`repro.core.specialize`), the
-  native ``pshufb`` phase or its numpy fallback.  The ablation table modes
-  (unquantized, fine scale granularity, fast aggregation) run the loop
-  oracle.
-* :class:`ParallelExecutor` — the multi-core implementation: an
+  plan's compiled native ``pshufb`` kernel (:mod:`repro.core.specialize`)
+  where the library loads and ``g = 4``.  Every other case — no compiler,
+  no AVX2, another ``g``, and the ablation table modes (unquantized, fine
+  scale granularity, fast aggregation) — runs the loop oracle.
+* :class:`ParallelExecutor` — the multi-core implementation: a native
   integer-key call's output columns are sharded into contiguous spans
   aligned to the plan's ``m_tm`` layout tile
   (:meth:`KernelPlan.output_tiles`) and executed on a persistent worker
@@ -24,7 +24,7 @@ the mpGEMM result.  Three executors implement the same mathematics:
   is no cross-tile accumulation and the per-element float-op sequence is
   exactly the serial one — results are bit-identical at any thread count.
   Calls whose work falls below ``TMACConfig.parallel_threshold``, and
-  every ablation table mode, take the serial path, so tiny decode-regime
+  every call the oracle runs, take the serial path, so tiny decode-regime
   kernels never pay fork/join overhead.
 
 All executors run the same elementwise float operations in the same order,
@@ -50,6 +50,7 @@ from repro.core.specialize import (
     _StatsBlock,
     integer_key,
     maybe_specialized,
+    native_phase,
     reset_specialize_stats,
     specialize_stats,
 )
@@ -256,21 +257,22 @@ class LoopExecutor(KernelExecutor):
 
 
 class VectorizedExecutor(LoopExecutor):
-    """Production executor: the compiled integer kernel, else the oracle.
+    """Production executor: the native integer kernel, else the oracle.
 
-    Integer-key tables run the plan's compiled integer LUT kernel
+    Integer-key tables run the plan's compiled native LUT kernel
     (:func:`~repro.core.specialize.maybe_specialized`) over any output
-    span.  The ablation table modes (unquantized, fine scale granularity,
-    fast aggregation) compile nothing and run the loop oracle it inherits,
-    so they are bit-identical to it by construction.
+    span.  A host without the native phase for the plan's ``g`` and the
+    ablation table modes (unquantized, fine scale granularity, fast
+    aggregation) compile nothing and run the loop oracle it inherits, so
+    they are bit-identical to it by construction.
     """
 
     name = "vectorized"
 
     #: Upper bound on the elements of one integer-kernel span temporary
     #: (float64).  Decode-regime calls (small N) fit in one block;
-    #: prefill-style mpGEMM over large N is split along the activation
-    #: rows and the output columns.
+    #: prefill-style mpGEMM over large N is split along the output
+    #: columns.
     max_gather_elements = 1 << 24
 
     def iter_codes_dot_span(
@@ -322,9 +324,9 @@ def get_worker_pool(num_threads: int) -> ThreadPoolExecutor:
     Pools are created lazily and kept for the life of the process (thread
     startup costs far more than an mpGEMM shard), so every kernel, every
     layer and every serving step sharing a thread count also shares one
-    pool.  numpy releases the GIL inside the gather/reduce kernels the
-    shards spend their time in, so the workers genuinely overlap on
-    multi-core hosts.
+    pool.  The native integer phase (a ctypes call) and numpy's epilogue
+    release the GIL, so the workers genuinely overlap on multi-core
+    hosts.
     """
     if num_threads < 1:
         raise ValueError(f"num_threads must be >= 1, got {num_threads}")
@@ -351,7 +353,7 @@ def shutdown_worker_pools() -> None:
 _PARALLEL_STATS = _StatsBlock((
     "parallel_calls",  # matmuls routed through the parallel executor
     "parallel_sharded_calls",  # calls that actually sharded across workers
-    "parallel_serial_fallbacks",  # below the threshold, or not integer-key
+    "parallel_serial_fallbacks",  # below the threshold, or the oracle runs
     "parallel_shards_executed",  # total output-span shards run on workers
 ))
 
@@ -369,11 +371,11 @@ def reset_parallel_executor_stats() -> None:
 class ParallelExecutor(VectorizedExecutor):
     """Multi-core executor: output-column shards on a persistent thread pool.
 
-    For integer-key tables the output (M) axis is partitioned into at most
-    ``num_threads`` contiguous spans aligned to the plan's ``m_tm`` layout
-    tile (:meth:`KernelPlan.output_tiles`); each shard runs the compiled
-    kernel's span against the *shared* per-call lookup table and writes a
-    disjoint slice of the output.  The reduction over K happens entirely
+    For calls the native integer kernel runs, the output (M) axis is
+    partitioned into at most ``num_threads`` contiguous spans aligned to
+    the plan's ``m_tm`` layout tile (:meth:`KernelPlan.output_tiles`);
+    each shard runs the compiled kernel's span against the *shared*
+    per-call lookup table and writes a disjoint slice of the output.  The reduction over K happens entirely
     inside a shard in the serial order, and no accumulator crosses a shard
     boundary, so results are bit-identical to the serial vectorized
     executor at every thread count.
@@ -386,7 +388,9 @@ class ParallelExecutor(VectorizedExecutor):
       elements) before sharding pays; smaller calls (tiny decode-regime
       kernels) take the serial path unchanged.
 
-    The ablation table modes run the serial oracle at any thread count.
+    Every call the loop oracle runs (no native phase for the plan's
+    ``g``, or an ablation table mode) runs it serially at any thread
+    count.
     """
 
     name = "parallel"
@@ -409,18 +413,16 @@ class ParallelExecutor(VectorizedExecutor):
         work = n * plan.out_features * plan.num_groups
         shards: List = []
         if (threads > 1 and work >= config.parallel_threshold
-                and integer_key(table, config)):
+                and integer_key(table, config)
+                and native_phase(plan.g) is not None):
             shards = plan.output_tiles(threads)
         if len(shards) <= 1:
             _PARALLEL_STATS.add(parallel_calls=1, parallel_serial_fallbacks=1)
             return super().matmul_with_table(plan, table, config, activation)
 
         # Split the span-temporary element budget across the concurrent
-        # shards so total transient memory matches the serial bound, and
-        # build the shared state (the compiled kernel and what it warms)
-        # in the calling thread, so pool workers only ever read it.
+        # shards so total transient memory matches the serial bound.
         span_budget = max(1, self.max_gather_elements // len(shards))
-        plan.specialized().warm(table, span_budget)
         group_sums = activation.reshape(n, plan.num_qgroups, -1).sum(axis=2)
         out = np.empty((n, plan.out_features), dtype=np.float32)
 

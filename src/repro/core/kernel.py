@@ -20,12 +20,13 @@ multiplication as
 Steps 2-4 live in the executor (:mod:`repro.core.executor`).  The default
 ``"vectorized"`` executor runs the plan's compiled integer LUT kernel
 (:mod:`repro.core.specialize`): the exact integer lookup and aggregation
-in the native AVX2 phase (:mod:`repro.core.native`, else its numpy
-fallback), then the float recombination as a numpy epilogue.  Tables
-without integer keys (the unquantized, fine-granularity and
-fast-aggregation ablation modes) run the ``"loop"`` executor, the
-explicit per-group/per-bit loops kept as the numerical oracle (select it
-for every call with ``TMACConfig(executor="loop")``).
+in the native AVX2 phase (:mod:`repro.core.native`), then the float
+recombination as a numpy epilogue.  Everything else — a host without the
+library or AVX2, ``g != 4``, and tables without integer keys (the
+unquantized, fine-granularity and fast-aggregation ablation modes) — runs
+the ``"loop"`` executor, the explicit per-group/per-bit loops kept as the
+numerical oracle (select it for every call with
+``TMACConfig(executor="loop")``).
 
 The kernel is a faithful numerical implementation: its output differs from
 ``A @ dequantize(W)^T`` only by the error sources the paper quantifies

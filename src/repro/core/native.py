@@ -18,14 +18,16 @@ loaded with :mod:`ctypes`, which releases the GIL for the whole call.
 
 All three are AVX2 only.  When there is no compiler, the build or the
 load fails, the library lacks an entry point, or the CPU lacks AVX2,
-:func:`status` records why and :func:`backend` returns ``None``: the
-kernel keeps its numpy integer phase, and quantization and packing their
-numpy implementations.  Command line::
+:func:`status` records why and :func:`backend` returns ``None``: integer
+kernels run the loop oracle (:class:`~repro.core.executor.LoopExecutor`),
+and quantization and packing their numpy implementations.  Command
+line::
 
     python -m repro.core.native [--require-native]
 
-prints the path a kernel would take (``avx2`` / ``numpy``), the reason,
-the cache file and the entry points; ``--require-native`` exits 1 on
+prints the path (``avx2``, or ``numpy`` without the library), the reason,
+the cache file and what runs each entry point's work (``lookup: loop
+oracle`` without the library); ``--require-native`` exits 1 on
 ``numpy``.
 """
 
@@ -256,6 +258,11 @@ _FORCED: Optional[str] = None
 
 def _state() -> Tuple[Optional[Backend], Status]:
     global _STATE
+    # Set once and never changed: every kernel dispatch reads it, so a
+    # loaded state costs no lock.
+    state = _STATE
+    if state is not None:
+        return state
     with _LOCK:
         if _STATE is None:
             _STATE = _load()
@@ -269,7 +276,8 @@ def status() -> Status:
 
 
 def backend() -> Optional[Backend]:
-    """The native integer phase, or ``None`` for the numpy fallback."""
+    """The loaded library, or ``None``: integer kernels run the loop
+    oracle, and quantization and packing their numpy code."""
     if _FORCED == "numpy":
         return None
     return _state()[0]
@@ -277,8 +285,9 @@ def backend() -> Optional[Backend]:
 
 @contextmanager
 def force(path: str):
-    """Test hook: kernels compiled inside take ``path`` (``"avx2"``, the
-    host's path when it builds the library, or ``"numpy"``)."""
+    """Test hook: code inside takes ``path`` — ``"avx2"``, the host's
+    path when it builds the library, or ``"numpy"``: integer kernels run
+    the loop oracle, and quantization and packing their numpy code."""
     global _FORCED
     if path not in (Backend.path, "numpy"):
         raise ValueError(f"unknown path {path!r}")
@@ -294,12 +303,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Build (if needed) and report the native LUT kernel")
     parser.add_argument("--require-native", action="store_true",
-                        help="exit 1 when kernels would run the numpy path")
+                        help="exit 1 when the library does not serve")
     args = parser.parse_args(argv)
     path, reason, library = status()
     print(f"path: {path}\nreason: {reason}\ncache: {library or '-'}")
     for name, (symbol, _, _) in ENTRY_POINTS.items():
-        print(f"{name}: {symbol if path != 'numpy' else 'numpy'}")
+        if path == "numpy":
+            symbol = "loop oracle" if name == "lookup" else "numpy"
+        print(f"{name}: {symbol}")
     return 1 if args.require_native and path == "numpy" else 0
 
 

@@ -129,16 +129,18 @@ class KernelPlan:
     fingerprint:
         Content hash of the source quantized weights.
 
-    Online, integer-key tables run the integer kernel the plan compiles on
-    first use (:meth:`specialized`), else the loop oracle, which reads the
-    packed weights and adds nothing to the plan.
+    Online, integer-key tables run the native integer kernel the plan
+    compiles on first use (:meth:`specialized`) where the library serves
+    the plan's ``g``; everything else runs the loop oracle, which reads
+    the packed weights and adds nothing to the plan.
     """
 
     config: TMACConfig
     weights: PreprocessedWeights
     transform: BitSerialTransform
     fingerprint: str
-    #: The compiled integer LUT kernel (:mod:`repro.core.specialize`).
+    #: The compiled native integer LUT kernel
+    #: (:mod:`repro.core.specialize`); stays ``None`` where none compiles.
     #: Lazily built under ``_build_lock`` and owned by the plan: evicting
     #: the plan from the :class:`PlanCache` releases the kernel with it (it
     #: holds no reference back).
@@ -230,12 +232,15 @@ class KernelPlan:
             act_dtype=cfg.act_dtype,
         )
 
-    def specialized(self) -> object:
-        """The compiled integer LUT kernel (lazily built).
+    def specialized(self) -> Optional[object]:
+        """The compiled native integer LUT kernel (lazily built), or
+        ``None`` on a host without the native phase for the plan's ``g``.
 
         Thread-safe and single-flight: concurrent executor workers racing
         on one plan compile it exactly once and all receive the same kernel
-        object.
+        object.  ``None`` counts as not built; callers that must not retry
+        per call check :func:`~repro.core.specialize.native_phase` first,
+        as :func:`~repro.core.specialize.maybe_specialized` does.
         """
         # Benign double-checked read: the attribute is set once and never
         # changed, so a stale miss just falls through to the locked build.

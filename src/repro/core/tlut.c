@@ -31,8 +31,8 @@
  * per call and one PSHUFB against it answers 32 weight rows.
  *
  * All three are AVX2 only.  tlut_supported() reports whether this CPU has
- * it; without it the caller keeps its numpy path (for the lookup, a scalar
- * C loop did not beat numpy on any bench shape).
+ * it; without it the caller runs the loop oracle for the lookup and its
+ * numpy code for quantize and pack.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off tlut.c -o tlut.so
  */

@@ -18,8 +18,8 @@ the ``[M, K]`` bit planes or the ``[M, K/g]`` index planes: for ``g = 4``
 by the native library's ``tlut_pack`` (:mod:`repro.core.native`), else,
 and without the library or AVX2, by its numpy equivalent
 :func:`pack_codes`.  The native kernel reads the layout as it is, and
-the loop oracle (which runs the ablation table modes) and the numpy
-kernel's compile unpack the index-plane slices they need on demand
+the loop oracle (which runs wherever the native kernel does not) unpacks
+the index-plane slices it needs on demand
 (:meth:`PreprocessedWeights.indices`).
 """
 
@@ -215,8 +215,8 @@ class PreprocessedWeights:
     packed:
         The :func:`nibble_blocks` layout of all bit planes, built by
         :func:`pack_codes` — the native kernel's operand.  The loop
-        oracle and the numpy kernel's compile unpack the ``[M, K/g]``
-        index planes they need on demand (:meth:`indices`).
+        oracle unpacks the ``[M, K/g]`` index planes it needs on demand
+        (:meth:`indices`).
     scales_t / sz_t:
         ``float32 [QG, M]``: the per-quantization-group scales and the
         ``scales * zeros`` products, in the orientation the recombination

@@ -7,15 +7,11 @@ mpGEMV/mpGEMM probes with the real kernels, times the pipeline phases, and
 fits one linear coefficient per cost term —
 
 * **LUT build** — ``precompute`` seconds vs. table elements built,
-* **gather** — codes-dot seconds vs. table indices fetched:
-  ``M * QG * steps * bits`` lookups with ``steps = ceil(gpq / f)`` (one
-  index looks up ``f = fusion_width(g)`` groups) plus the
-  ``f * QG * steps * 2**(g*f)`` fetches that expand the byte-wide table
-  once per activation — *not* times ``N``: the row-minor table returns
-  all ``N`` activation rows per index, so the lookup cost is amortised
-  over rows.  On the native path (``g = 4``, :mod:`repro.core.native`)
-  the term counts shuffles instead, ``N * ceil(M / 32) * K/g * bits``:
-  one per 32 lookups of one row, with no table expansion,
+* **gather** — codes-dot seconds vs. table shuffles of the native
+  integer phase (:mod:`repro.core.native`),
+  ``N * ceil(M / 32) * K/g * bits``: one per 32 lookups of one row.  A
+  host without the library runs the loop oracle, whose lookups scale
+  with the same product (32 per shuffle), so the fit still separates it,
 * **aggregate** — vs. per-quantization-group block sums carried through
   the float epilogue (``N * M * QG * bits``),
 * **recombine** — vs. scale/zero recombination iterations
@@ -37,7 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -220,22 +216,11 @@ class CalibrationProfile:
 
 def _features(shape: ProbeShape, config) -> Tuple[int, int, int, int]:
     """(lut_elems, gather_elems, aggregate_elems, recombine_iters)."""
-    from repro.core.lut import fusion_width
-    from repro.core.specialize import runs_native
-
     groups = shape.k // config.g
     qgroups = shape.k // shape.group_size
-    f = fusion_width(config.g)
-    fused = qgroups * -(-(shape.group_size // config.g) // f)  # QG * steps
     lut_elems = shape.n * groups * config.table_length
-    if runs_native(config, shape.group_size):
-        # The native phase: one shuffle per row answers 32 lookups, and
-        # no table is expanded.
-        gather_elems = shape.n * -(-shape.m // 32) * groups * shape.bits
-    else:
-        # One fetch serves N rows, in the lookups and in the expansion.
-        gather_elems = (shape.m * fused * shape.bits
-                        + f * (fused << (config.g * f)))
+    # One shuffle per row answers 32 lookups.
+    gather_elems = shape.n * -(-shape.m // 32) * groups * shape.bits
     aggregate_elems = shape.n * shape.m * qgroups * shape.bits
     recombine_iters = shape.n * shape.m * qgroups
     return lut_elems, gather_elems, aggregate_elems, recombine_iters
@@ -301,10 +286,8 @@ def _run_probes(shapes: Sequence[ProbeShape],
         table = kernel.precompute(a)
         phases.append((
             lambda kernel=kernel, a=a: kernel.precompute(a),
-            # A fresh memo per call: the span pays the table expansion,
-            # as the first kernel consuming an activation's table does.
             lambda kernel=kernel, a=a, table=table: kernel.matmul_with_table(
-                a, replace(table, _row_minor=None))))
+                a, table)))
     best = [[float("inf")] * 2 for _ in shapes]
     for _ in range(repeats * _ROUNDS_PER_REPEAT):
         for timings, probe in zip(best, phases):

@@ -7,8 +7,8 @@ This package substitutes two things for that:
 * :mod:`repro.simd.machine` — a small register machine that numerically
   executes the T-MAC basic block (unpack, table lookup, aggregate) using the
   modeled instructions, while counting every instruction issued.  Unit tests
-  check that the machine's numeric result equals the numpy kernel's, which
-  ties the instruction counts to the real algorithm.
+  check that the machine's numeric result equals the kernel's, which ties
+  the instruction counts to the real algorithm.
 * :mod:`repro.simd.profile` — closed-form instruction-count profiles for the
   full kernels (too large to execute instruction-by-instruction in Python),
   validated against the machine on small tiles.  These profiles feed the

@@ -26,7 +26,7 @@ class TestFrozenPlan:
     def test_unfrozen_artifact_constructor_fires(self):
         bad = """
             def build(planes):
-                return IntegerLutKernel(bits=2, planes=planes)
+                return NativeLutKernel(gpq=2, nibbles=planes)
         """
         assert len(run("x.py", bad, "frozen-plan")) == 1
 
@@ -35,7 +35,7 @@ class TestFrozenPlan:
             def build(planes):
                 for arr in planes:
                     arr.setflags(write=False)
-                return IntegerLutKernel(bits=2, planes=planes)
+                return NativeLutKernel(gpq=2, nibbles=planes)
         """
         assert run("x.py", good, "frozen-plan") == []
 
@@ -61,7 +61,7 @@ class TestFrozenPlan:
         bad = """
             def rebuild(buf, spec):
                 arr = _view(buf, spec)
-                return IntegerLutKernel(bits=2, planes=arr)
+                return NativeLutKernel(gpq=2, nibbles=arr)
         """
         assert len(run("x.py", bad, "frozen-plan")) == 1
 

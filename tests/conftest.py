@@ -96,6 +96,17 @@ def clean_tree_gate(request):
 
 
 @pytest.fixture
+def requires_native():
+    """Skip unless this host builds the native integer kernel: elsewhere
+    every integer key runs the loop oracle and nothing is compiled."""
+    from repro.core import native
+
+    status = native.status()
+    if status.path == "numpy":
+        pytest.skip(f"native kernel unavailable: {status.reason}")
+
+
+@pytest.fixture
 def rng():
     """Deterministic random generator."""
     return np.random.default_rng(1234)

@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
-from repro.core.lut import _fusion_selectors, fusion_width
 from repro.core.plan import build_plan
 from repro.core.weights import preprocess_weights
 from repro.quant.uniform import quantize_weights
@@ -46,11 +45,11 @@ class TestPreprocessedWeightsFrozen:
 
 
 class TestIntegerKernelFrozen:
-    def test_default_matmul_publishes_only_frozen_integer_artifacts(self):
-        """The default config compiles the integer LUT kernel: its arrays
-        (nibble blocks on the native path, planes on numpy's), the table's
-        fused row-minor slabs and the cached index vectors that build them
-        are read-only."""
+    def test_default_matmul_publishes_only_frozen_integer_artifacts(
+            self, requires_native):
+        """The default config compiles the native integer LUT kernel: the
+        arrays it holds (the plan's nibble blocks, scales and scale*zero
+        products, no copy of its own) are read-only."""
         plan, config = make_plan()
         kernel = TMACKernel.from_plan(plan, config)
         activation = np.random.default_rng(5).standard_normal(
@@ -59,18 +58,8 @@ class TestIntegerKernelFrozen:
         kernel.matmul_with_table(activation, table)
 
         compiled = plan._integer_kernel
-        selectors = _fusion_selectors(table.g, plan.num_qgroups)
-        assert len(selectors) == fusion_width(table.g)
-        assert selectors is _fusion_selectors(table.g, plan.num_qgroups)
-        index = compiled.planes if compiled.path == "numpy" else (
-            compiled.nibbles)
-        for arr in (index, compiled.scales_t, compiled.sz_t,
-                    table.row_minor(), table.row_minor(1, 3), *selectors):
+        assert compiled.nibbles is plan.weights.packed
+        for arr in (compiled.nibbles, compiled.scales_t, compiled.sz_t):
             assert not arr.flags.writeable
-        assert table.row_minor() is table.row_minor()
         with pytest.raises(ValueError):
-            index[0, 0, 0] = 1
-        with pytest.raises(ValueError):
-            table.row_minor()[0, 0, 0] = 1
-        with pytest.raises(ValueError):
-            selectors[0][0] = 1
+            compiled.nibbles[0, 0, 0] = 1

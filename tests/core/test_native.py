@@ -1,11 +1,11 @@
 """The native library's loader: build, cache, fallback, frozen layout.
 
-Oracle parity of the native AVX2 phase beside the numpy one lives in the
-kernel property of ``tests/properties/test_property_core.py``, and the
-offline pass's bit-identity to numpy in ``test_property_quant.py``; these
-tests cover how the shared object is found, built and published, which
-cache a process trusts, and what a kernel and the offline stage do
-without it.
+Oracle parity of the native AVX2 phase lives in the kernel property of
+``tests/properties/test_property_core.py``, and the offline pass's
+bit-identity to numpy in ``test_property_quant.py``; these tests cover
+how the shared object is found, built and published, which cache a
+process trusts, and what a kernel (the loop oracle) and the offline stage
+(numpy) do without it.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def native_cache(tmp_path, monkeypatch):
 
 
 def compiled_kernel(bits=4):
-    """A fresh plan's compiled integer kernel, its output and the oracle's."""
+    """A fresh plan's compiled integer kernel (``None`` without the
+    library), its output and the oracle's."""
     qw = quantize_weights(gaussian_weights(70, 128, seed=3), bits=bits,
                           group_size=32)
     config = TMACConfig(bits=bits)
@@ -68,16 +69,15 @@ def compiled_kernel(bits=4):
     return plan, compiled, out, oracle
 
 
-def test_no_compiler_falls_back_to_numpy_and_records_why(cache, tmp_path,
-                                                         monkeypatch):
+def test_no_compiler_runs_the_oracle_and_records_why(cache, tmp_path,
+                                                      monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path / "empty"))
     status = native.status()
     assert status.path == "numpy"
     assert "no C compiler" in status.reason
     assert status.library is None
-    _, compiled, out, oracle = compiled_kernel()
-    assert compiled.path == "numpy"
-    assert not isinstance(compiled, NativeLutKernel)
+    plan, compiled, out, oracle = compiled_kernel()
+    assert compiled is None and plan._integer_kernel is None
     np.testing.assert_array_equal(out, oracle)
     assert not cache.exists()
 
@@ -150,19 +150,17 @@ def test_cached_library_writable_by_others_is_rebuilt(native_cache):
     assert not info.st_mode & 0o022
 
 
-def test_zero_row_table_gives_an_empty_span():
+def test_zero_row_table_gives_an_empty_span(requires_native):
     qw = quantize_weights(gaussian_weights(70, 128, seed=3), bits=4,
                           group_size=32)
     config = TMACConfig(bits=4)
     a = np.zeros((0, 128), dtype=np.float32)
-    for path in {native.status().path, "numpy"}:
-        kernel = TMACKernel.from_plan(build_plan(qw, config), config)
-        with native.force(path):
-            table = kernel.precompute(a)
-            compiled = kernel.plan.specialized()
-        assert compiled.path == path
-        assert compiled.recombine_span(
-            table, np.zeros((0, 4)), 5, 70, 1 << 24).shape == (0, 65)
+    kernel = TMACKernel.from_plan(build_plan(qw, config), config)
+    table = kernel.precompute(a)
+    compiled = kernel.plan.specialized()
+    assert compiled.path == native.status().path
+    assert compiled.recombine_span(
+        table, np.zeros((0, 4)), 5, 70, 1 << 24).shape == (0, 65)
 
 
 def test_nibbles_are_frozen_and_canaried():
@@ -180,8 +178,6 @@ def test_nibbles_are_frozen_and_canaried():
         with registry.canary(plan):
             compiled.nibbles.setflags(write=True)
             compiled.nibbles[0, 0, 0] ^= 1
-    # The native kernel holds no numpy-path planes.
-    assert "planes" not in vars(compiled)
 
 
 def test_cli_reports_the_path(capsys):
@@ -190,8 +186,8 @@ def test_cli_reports_the_path(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"path: {status.path}"
     assert lines[2] == f"cache: {status.library or '-'}"
-    symbols = ["numpy"] * 3 if status.path == "numpy" else [
-        "tlut_block_sums", "tlut_quantize", "tlut_pack"]
+    symbols = ["loop oracle", "numpy", "numpy"] if status.path == "numpy" \
+        else ["tlut_block_sums", "tlut_quantize", "tlut_pack"]
     assert lines[3:] == [f"{name}: {symbol}" for name, symbol in
                          zip(("lookup", "quantize", "pack"), symbols)]
     assert code == (status.path == "numpy")
@@ -205,7 +201,8 @@ def test_library_missing_an_entry_point_is_not_used(native_cache,
     assert status.path == "numpy" and "tlut_missing" in status.reason
     assert native.backend() is None
     assert native.main(["--require-native"]) == 1
-    assert "pack: numpy" in capsys.readouterr().out
+    report = capsys.readouterr().out
+    assert "lookup: loop oracle" in report and "pack: numpy" in report
 
 
 @pytest.fixture

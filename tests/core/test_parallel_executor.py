@@ -14,7 +14,6 @@ from repro.core.executor import (
 )
 from repro.core.kernel import TMACKernel
 from repro.core.plan import build_plan
-from repro.core.specialize import IntegerLutKernel
 from repro.quant.uniform import quantize_weights
 from repro.workloads.generator import gaussian_activation, gaussian_weights
 
@@ -112,22 +111,25 @@ class TestBitIdentity:
         np.testing.assert_array_equal(serial, parallel)
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 4])
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_numpy_integer_phase_parity_across_bits_and_threads(
-            self, bits, threads):
-        """The numpy fallback of the integer kernel shards bit-identically
-        too (the host's native phase is covered above)."""
+    def test_forced_oracle_is_a_counted_serial_fallback(self, bits):
+        """Without the native phase (forced here) there is no kernel to
+        shard: 2 threads run the loop oracle serially, bit-identically, and
+        the call counts as a serial fallback."""
         qw = quantize_weights(gaussian_weights(96, 128, seed=bits + 60),
                               bits=bits, group_size=32)
         a = gaussian_activation(3, 128, seed=bits + 70)
         loop = TMACKernel(qw, TMACConfig(bits=bits,
                                          executor="loop")).matmul(a)
-        config = TMACConfig(bits=bits, executor="parallel",
-                            num_threads=threads, parallel_threshold=0)
+        config = TMACConfig(bits=bits, executor="parallel", num_threads=2,
+                            parallel_threshold=0)
+        reset_parallel_executor_stats()
         with native.force("numpy"):
             kernel = TMACKernel(qw, config)
             np.testing.assert_array_equal(kernel.matmul(a), loop)
-        assert type(kernel.plan.specialized()) is IntegerLutKernel
+        stats = parallel_executor_stats()
+        assert stats["parallel_serial_fallbacks"] == 1
+        assert stats["parallel_sharded_calls"] == 0
+        assert kernel.plan._integer_kernel is None
 
     def test_parity_single_thread_is_serial_path(self):
         kernel, qw = make_kernel(seed=18, executor="parallel", num_threads=1,
@@ -157,7 +159,7 @@ class TestShardingPolicy:
         assert stats["parallel_serial_fallbacks"] == 1
         assert stats["parallel_sharded_calls"] == 0
 
-    def test_large_calls_shard(self):
+    def test_large_calls_shard(self, requires_native):
         reset_parallel_executor_stats()
         kernel, _ = make_kernel(executor="parallel", num_threads=3,
                                 parallel_threshold=0)
@@ -174,9 +176,9 @@ class TestShardingPolicy:
     ], ids=["unquantized", "quantized_fine", "fast_aggregation",
             "unmirrored_float"])
     def test_ablation_modes_run_serial_oracle(self, options):
-        """The pool shards only integer keys: an ablation table mode takes
-        the serial fallback whatever the thread count and threshold, and
-        equals the loop oracle bitwise."""
+        """The pool shards only the native kernel: an ablation table mode
+        takes the serial fallback whatever the thread count and threshold,
+        and equals the loop oracle bitwise."""
         reset_parallel_executor_stats()
         kernel, qw = make_kernel(seed=4, executor="parallel", num_threads=3,
                                  parallel_threshold=0, **options)
@@ -213,7 +215,7 @@ class TestShardingPolicy:
 
 
 class TestStats:
-    def test_snapshot_and_reset(self):
+    def test_snapshot_and_reset(self, requires_native):
         reset_parallel_executor_stats()
         stats = parallel_executor_stats()
         for key in ("parallel_calls", "parallel_sharded_calls",
@@ -227,7 +229,7 @@ class TestStats:
         assert after["parallel_shards_executed"] == 2
         assert not any(key.startswith("process") for key in after)
 
-    def test_parallel_stats_reset_is_atomic(self):
+    def test_parallel_stats_reset_is_atomic(self, requires_native):
         reset_parallel_executor_stats()
         kernel, _ = make_kernel(seed=32, executor="parallel", num_threads=2,
                                 parallel_threshold=0)

@@ -1,10 +1,13 @@
 """The compiled integer kernel: bit-exactness, cache behaviour, lifetimes.
 
 Integer-key tables (group-granularity quantized tables with exact
-aggregation — the default config) run the kernel compiled behind
-``plan.specialized()``; every other table mode (the ablations) runs the
-loop oracle.  Oracle parity of the integer kernel over its whole shape
-space lives in ``tests/properties/test_property_core.py``.
+aggregation — the default config) run the native kernel compiled behind
+``plan.specialized()`` where the library loads; every other table mode
+(the ablations), and every call on a host without the library or under
+``native.force("numpy")``, runs the loop oracle.  Oracle parity of the
+native kernel over its whole shape space lives in
+``tests/properties/test_property_core.py``.  Tests that need a compiled
+kernel take the ``requires_native`` fixture.
 
 The compiled kernel lives on the plan, so the properties that matter are
 the plan cache's, one level down: exactly one compile per plan no matter
@@ -30,11 +33,10 @@ from repro.core.executor import get_executor, get_worker_pool
 from repro.core.kernel import TMACKernel
 from repro.core.plan import PlanCache, build_plan
 from repro.core.specialize import (
-    IntegerLutKernel,
+    NativeLutKernel,
     compile_specialized,
     integer_key,
     maybe_specialized,
-    reduce_major_planes,
     reset_specialize_stats,
     specialize_stats,
 )
@@ -82,9 +84,9 @@ INTEGER_MODES = ("quantized_group", "unmirrored")
 @pytest.mark.parametrize("mode", sorted(TABLE_MODES))
 @pytest.mark.parametrize("executor", ["vectorized", "parallel"])
 def test_every_table_mode_matches_loop_oracle(mode, executor):
-    """Integer keys (on the host's integer phase and on the forced numpy
-    one) and the ablation modes are ``np.array_equal`` to the loop oracle,
-    serial and sharded."""
+    """Integer keys (on the host's kernel and forced to the oracle) and the
+    ablation modes are ``np.array_equal`` to the loop oracle, serial and
+    sharded."""
     options = dict(TABLE_MODES[mode], executor=executor)
     if executor == "parallel":
         options.update(num_threads=3, parallel_threshold=0)
@@ -103,15 +105,17 @@ def test_every_table_mode_matches_loop_oracle(mode, executor):
 
 
 def integer_paths():
-    """The integer phases this host can run: its own and forced numpy."""
+    """The paths an integer key can take here: the host's own and the
+    forced oracle."""
     return sorted({native.status().path, "numpy"})
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])
 @pytest.mark.parametrize("group_size", [32, 64])
 def test_specialized_parity_across_bit_widths(bits, group_size):
-    """The compiled integer kernel, on every integer phase, matches the
-    loop oracle at every bit width the paper evaluates."""
+    """The compiled integer kernel matches the loop oracle at every bit
+    width the paper evaluates; forced to the oracle, a plan compiles
+    nothing."""
     qw = quantize_weights(gaussian_weights(64, 128, seed=bits), bits=bits,
                           group_size=group_size)
     config = TMACConfig(bits=bits, executor="vectorized")
@@ -121,7 +125,8 @@ def test_specialized_parity_across_bit_widths(bits, group_size):
         kernel = TMACKernel.from_plan(build_plan(qw, config), config)
         with native.force(path):
             np.testing.assert_array_equal(kernel.matmul(a), expected)
-        assert kernel.plan._integer_kernel is not None
+        assert (kernel.plan._integer_kernel is not None) == (
+            path != "numpy")
 
 
 ABLATION_MODES = ("unquantized", "quantized_fine", "fast_aggregation")
@@ -139,7 +144,7 @@ def test_ablation_modes_run_the_oracle_across_bit_widths(mode, bits):
     assert kernel.plan._integer_kernel is None
 
 
-def test_only_integer_keys_restrict_the_output_span():
+def test_only_integer_keys_restrict_the_output_span(requires_native):
     """Column spans are the integer kernel's: on an ablation mode the
     vectorized executor runs the oracle, which walks the full width only —
     why the thread pool shards integer keys alone."""
@@ -158,7 +163,7 @@ def test_only_integer_keys_restrict_the_output_span():
 
 
 @pytest.mark.parametrize("threads", [2, 3, 4])
-def test_specialized_parity_under_pools(threads):
+def test_specialized_parity_under_pools(threads, requires_native):
     """The thread pool consumes the same compiled kernel, bit-identically."""
     serial = make_kernel(m=128, k=256)
     pooled = make_kernel(m=128, k=256, executor="parallel",
@@ -171,7 +176,8 @@ def test_specialized_parity_under_pools(threads):
     (executor, mode) for executor in ("vectorized", "parallel")
     for mode in sorted(TABLE_MODES)
     if executor == "vectorized" or mode in INTEGER_MODES])
-def test_chunk_budget_does_not_change_results(mode, executor):
+def test_chunk_budget_does_not_change_results(mode, executor,
+                                              requires_native):
     """A tiny span budget (the spans' ``max_elements``) changes no bit of
     the codes-dot chunks nor of the recombined output, on the full width
     and on the thread pool's shards (integer keys only: the pool never
@@ -240,7 +246,7 @@ def test_integer_key_requires_exact_group_granularity():
     assert integer_key(table, group.config)
 
 
-def test_irrelevant_flags_do_not_fork_kernels():
+def test_irrelevant_flags_do_not_fork_kernels(requires_native):
     """Execution-layer flags never change which tables compile the kernel,
     nor which kernel a plan hands out."""
     kernel = make_kernel()
@@ -263,49 +269,17 @@ def test_irrelevant_flags_do_not_fork_kernels():
     assert specialize_stats()["specialize_builds"] == builds
 
 
-def test_integer_kernel_is_shared_across_mirror_settings():
+def test_integer_kernel_is_shared_across_mirror_settings(requires_native):
     """One compiled kernel serves mirrored and unmirrored tables: the
-    table expansion absorbs the mirror."""
+    native phase rebuilds the full 16-entry table per call."""
     kernel = make_kernel()
     a = activations()
-    kernels = set()
+    kernels = []
     for mirrored in (True, False):
         config = kernel.config.with_options(mirror_consolidation=mirrored)
         table = kernel.plan.precompute(a, config)
-        kernels.add(id(maybe_specialized(kernel.plan, table, config)))
-    assert len(kernels) == 1
-
-
-@pytest.mark.parametrize("g", [1, 2, 4, 8])
-@pytest.mark.parametrize("qgroups", [1, 16, 17, 300])
-@pytest.mark.parametrize("gpq", [8, 3])
-def test_fused_planes_never_outgrow_one_index_per_group(g, qgroups, gpq):
-    """The byte-wide layout stores one index per ``f`` groups in at most
-    ``f`` times the bytes, so a plan never grows over the unfused layout
-    (``planes[p, m, bit, qg] = qg * 2**g + idx``, narrowest dtype) — counting
-    a ragged last step (``gpq % f != 0``) as the whole step it is stored
-    as."""
-    m, bits = 2, 2
-    rng = np.random.default_rng(qgroups)
-    index_planes = [rng.integers(0, 1 << g, (m, qgroups * gpq)).astype(
-        np.uint8) for _ in range(bits)]
-    planes = reduce_major_planes(index_planes, g, gpq)
-    f = max(1, 8 // g)
-    steps = -(-gpq // f)
-    assert planes.shape == (steps, m, bits, qgroups)
-    unfused_itemsize = next(size for size in (1, 2, 4)
-                            if (qgroups << g) <= 1 << (8 * size))
-    assert planes.nbytes <= (steps * f * m * bits * qgroups
-                             * unfused_itemsize)
-    # Every field of every address decodes back to the index it fused.
-    code = planes.astype(np.int64) & ((1 << (g * f)) - 1)
-    assert np.array_equal(planes >> (g * f), np.broadcast_to(
-        np.arange(qgroups), planes.shape))
-    for p in range(gpq):
-        for bit, plane in enumerate(index_planes):
-            np.testing.assert_array_equal(
-                (code[p // f, :, bit, :] >> (g * (p % f))) & ((1 << g) - 1),
-                plane.reshape(m, qgroups, gpq)[:, :, p])
+        kernels.append(maybe_specialized(kernel.plan, table, config))
+    assert kernels[0] is not None and kernels[0] is kernels[1]
 
 
 # --------------------------------------------------------------------- #
@@ -330,7 +304,8 @@ class CountingCompiler:
         return compile_specialized(plan)
 
 
-def test_concurrent_dispatch_compiles_exactly_once(monkeypatch):
+def test_concurrent_dispatch_compiles_exactly_once(monkeypatch,
+                                                   requires_native):
     compiler = CountingCompiler()
     monkeypatch.setattr(spec_mod, "compile_specialized", compiler)
     kernel = make_kernel()
@@ -348,10 +323,11 @@ def test_concurrent_dispatch_compiles_exactly_once(monkeypatch):
 
     assert compiler.calls == 1
     assert all(built is kernels[0] for built in kernels)
-    assert isinstance(kernels[0], IntegerLutKernel)
+    assert isinstance(kernels[0], NativeLutKernel)
 
 
-def test_concurrent_matmul_through_thread_pool_compiles_once(monkeypatch):
+def test_concurrent_matmul_through_thread_pool_compiles_once(
+        monkeypatch, requires_native):
     """End to end: racing matmuls on a cold plan share one compile."""
     compiler = CountingCompiler()
     monkeypatch.setattr(spec_mod, "compile_specialized", compiler)
@@ -384,7 +360,8 @@ def test_generic_table_modes_compile_nothing(monkeypatch):
     assert compiler.calls == 0
 
 
-def test_distinct_plans_compile_distinct_kernels(monkeypatch):
+def test_distinct_plans_compile_distinct_kernels(monkeypatch,
+                                                 requires_native):
     """One compile per plan: a second plan compiles its own kernel, and a
     repeat request on either plan is a cache hit."""
     compiler = CountingCompiler(delay=0)
@@ -399,7 +376,7 @@ def test_distinct_plans_compile_distinct_kernels(monkeypatch):
     assert compiler.calls == 2
 
 
-def test_specialize_stats_counters():
+def test_specialize_stats_counters(requires_native):
     reset_specialize_stats()
     kernel = make_kernel()
     a = activations()
@@ -443,7 +420,7 @@ def _plan_with_specialized(cache, seed):
     return plan, plan.specialized()
 
 
-def test_plan_eviction_releases_specialized_kernels():
+def test_plan_eviction_releases_specialized_kernels(requires_native):
     """Evicting a plan frees its compiled kernel.
 
     The kernel holds plan artifacts only by reference (never the plan
@@ -464,7 +441,7 @@ def test_plan_eviction_releases_specialized_kernels():
     assert spec_ref() is None, "specialized kernel leaked past eviction"
 
 
-def test_cache_clear_releases_specialized_kernels():
+def test_cache_clear_releases_specialized_kernels(requires_native):
     cache = PlanCache()
     plan, specialized = _plan_with_specialized(cache, seed=13)
     plan_ref = weakref.ref(plan)
@@ -478,7 +455,8 @@ def test_cache_clear_releases_specialized_kernels():
 
 @pytest.mark.parametrize("path", ["host", "numpy"])
 def test_specialized_kernel_does_not_reference_plan(path):
-    """The compiled kernel, native or numpy, must never hold the plan."""
+    """The compiled kernel must never hold the plan; forced to the oracle,
+    there is no kernel to hold it."""
     config = TMACConfig(bits=4, executor="vectorized")
     plan = build_plan(
         quantize_weights(gaussian_weights(64, 128, seed=3), bits=4,
@@ -487,8 +465,10 @@ def test_specialized_kernel_does_not_reference_plan(path):
     )
     with native.force(native.status().path if path == "host" else path):
         kernel = plan.specialized()
-    if path == "numpy":
-        assert type(kernel) is IntegerLutKernel
+    if path == "numpy" or native.status().path == "numpy":
+        assert kernel is None and plan._integer_kernel is None
+        return
+    assert type(kernel) is NativeLutKernel
     seen = {id(kernel)}
     frontier = [kernel.__dict__]
     while frontier:
@@ -510,7 +490,8 @@ def test_specialized_kernel_does_not_reference_plan(path):
 # --------------------------------------------------------------------- #
 
 
-def test_vectorized_executor_uses_specialized_kernel(monkeypatch):
+def test_vectorized_executor_uses_specialized_kernel(monkeypatch,
+                                                     requires_native):
     """The vectorized executor routes integer-key spans through the
     compiled kernel."""
     kernel = make_kernel()

@@ -1,5 +1,6 @@
 """Unit tests for the offline weight-preprocessing pipeline."""
 
+import contextlib
 import gc
 import tracemalloc
 
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import get_backend
+from repro.core import native
 from repro.core.bitserial import decompose_bits
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
 from repro.core.plan import clear_plan_cache
+from repro.core.specialize import specialize_stats
 from repro.core.weights import (
     PreprocessedWeights,
     group_bits,
@@ -232,39 +235,51 @@ def _plan_arrays(plan):
 
 
 class TestResidentBytes:
-    def test_bench_medium_shape_holds_one_packed_layout(self):
+    @pytest.mark.parametrize("path", ["host", "numpy"])
+    def test_bench_medium_shape_holds_one_packed_layout(self, path):
         """A model of bench-medium's shape, every operator run once on the
         default executor and once on the loop oracle, keeps at most 1.5x
         its quantized weight bytes resident, and no plan holds an
-        ``[M, K/g]`` index array afterwards."""
+        ``[M, K/g]`` index array afterwards — on the host's path and with
+        the native phase forced off (the no-library host: the oracle
+        runs, and no plan compiles a kernel, however often it is
+        called)."""
+        forced = path == "numpy"
         arch = tiny_arch(512, 1376, num_layers=4, num_heads=8,
                          vocab_size=1024)
         weights = generate_random_weights(arch, seed=3)
         clear_plan_cache()
         gc.collect()
-        tracemalloc.start()
-        try:
-            model = TransformerModel(
-                arch, engine=get_backend("tmac", bits=4, group_size=64),
-                weights=weights)
-            rng = np.random.default_rng(0)
-            for op in model.linears():
-                x = rng.standard_normal((1, op.in_features)).astype(
-                    np.float32)
-                oracle = TMACKernel.from_plan(
-                    op.kernel.plan,
-                    op.kernel.config.with_options(executor="loop"))
-                np.testing.assert_array_equal(op(x), oracle.matmul(x))
-            gc.collect()
-            resident, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with native.force("numpy") if forced else contextlib.nullcontext():
+            tracemalloc.start()
+            try:
+                model = TransformerModel(
+                    arch, engine=get_backend("tmac", bits=4, group_size=64),
+                    weights=weights)
+                rng = np.random.default_rng(0)
+                inputs = [rng.standard_normal((1, op.in_features)).astype(
+                    np.float32) for op in model.linears()]
+                for op, x in zip(model.linears(), inputs):
+                    oracle = TMACKernel.from_plan(
+                        op.kernel.plan,
+                        op.kernel.config.with_options(executor="loop"))
+                    np.testing.assert_array_equal(op(x), oracle.matmul(x))
+                gc.collect()
+                resident, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            builds = specialize_stats()["specialize_builds"]
+            for op, x in zip(model.linears(), inputs):
+                op(x)
+            assert specialize_stats()["specialize_builds"] == builds
         quantized = model.quantized_weight_bytes()
         assert resident <= 1.5 * quantized, (resident, quantized)
 
         for op in model.linears():
             plan = op.kernel.plan
+            if forced:
+                assert plan._integer_kernel is None
             planes = (plan.out_features, plan.num_groups)
-            for path, arr in _plan_arrays(plan):
-                assert arr.shape[-2:] != planes, path
+            for where, arr in _plan_arrays(plan):
+                assert arr.shape[-2:] != planes, where
         clear_plan_cache()

@@ -1,8 +1,7 @@
 """Property-based tests for the T-MAC core invariants."""
 
-import contextlib
-
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -14,7 +13,7 @@ from repro.core.kernel import TMACKernel
 from repro.core.lut import build_lut, lookup, precompute_lut
 from repro.core import native
 from repro.core.plan import build_plan
-from repro.core.specialize import IntegerLutKernel
+from repro.core.specialize import NativeLutKernel
 from repro.core.weights import (
     group_bits,
     nibble_blocks,
@@ -190,27 +189,14 @@ class TestRowConcatenationProperties:
                             for qw in parts], axis=1))
 
 
-def integer_phases():
-    """The integer phases a ``g = 4`` kernel can run here: the native one
-    when this host builds it, and the numpy fallback."""
-    host = native.status().path
-    return (host, "numpy") if host != "numpy" else ("numpy",)
-
-
-class TestIntegerLutKernelProperties:
+class TestNativeLutKernelProperties:
     @given(
         bits=st.integers(1, 4),
-        # One byte-wide lookup fuses f = max(1, 8 // g) indices: g=1 -> 8,
-        # g=2 -> 4, g=4 -> 2 (the packed uint4[2] byte), g=8 -> 1.  g=4,
-        # the native kernel's, is drawn twice as often.
-        g=st.sampled_from([1, 2, 4, 4, 8]),
         # Groups per quantization group: 258 is the last block length whose
         # sums fit the int16 accumulator (258 * 127 = 32766), 259 the first
-        # that needs int32; g=1 with gpq=512 is group_size=512.  3 and 259
-        # (and 2, 3 at g=1) leave a short last step, padded with pattern 0.
-        # (gpq=1 is per-table scales, i.e. the fine-granularity float
-        # closures.)
-        gpq=st.sampled_from([2, 3, 16, 258, 259, 512]),
+        # that needs int32.  (gpq=1 is per-table scales, i.e. the
+        # fine-granularity ablation, which runs the oracle.)
+        gpq=st.sampled_from([2, 3, 16, 258, 259]),
         qgroups=st.integers(1, 3),
         mirrored=st.booleans(),
         # alpha = 1 / (2 * s1): 0.5 folds into the epilogue's scale
@@ -220,80 +206,54 @@ class TestIntegerLutKernelProperties:
         # 97 and 688 end in a partial 32-row nibble block.
         m=st.one_of(st.integers(1, 40), st.sampled_from([97, 688])),
         span=st.tuples(st.integers(0, 687), st.integers(1, 688)),
+        # The span budget: 1 and 1 << 10 split the output columns.
         budget=st.sampled_from([1, 1 << 10, 1 << 24]),
-        # Rows per expanded-table block: at n=33, 5 leaves a short last
-        # block, 32 a one-row one.
-        block_rows=st.sampled_from([1, 5, 32]),
         seed=st.integers(0, 1000),
     )
     # Native corners: int32 sums over a partial last block, int16 sums of
     # 33 rows on 97 rows, 8 rows at the int16 bound.
-    @example(bits=4, g=4, gpq=259, qgroups=1, mirrored=True, s1=1.0, n=1,
-             m=688, span=(45, 600), budget=1 << 24, block_rows=5, seed=1)
-    @example(bits=3, g=4, gpq=16, qgroups=2, mirrored=False, s1=1.5, n=33,
-             m=97, span=(5, 70), budget=1 << 10, block_rows=32, seed=2)
-    @example(bits=1, g=4, gpq=258, qgroups=2, mirrored=False, s1=1.0, n=8,
-             m=97, span=(33, 64), budget=1, block_rows=1, seed=3)
+    @example(bits=4, gpq=259, qgroups=1, mirrored=True, s1=1.0, n=1,
+             m=688, span=(45, 600), budget=1 << 24, seed=1)
+    @example(bits=3, gpq=16, qgroups=2, mirrored=False, s1=1.5, n=33,
+             m=97, span=(5, 70), budget=1 << 10, seed=2)
+    @example(bits=1, gpq=258, qgroups=2, mirrored=False, s1=1.0, n=8,
+             m=97, span=(33, 64), budget=1, seed=3)
     @settings(max_examples=60, deadline=None)
-    def test_bit_identical_to_loop_oracle(self, bits, g, gpq, qgroups,
-                                          mirrored, s1, n, m, span, budget,
-                                          block_rows, seed):
-        """Every integer phase — at ``g = 4`` the native AVX2 one and
-        the numpy one, at other ``g`` numpy — makes the
-        kernel ``np.array_equal`` the loop oracle on full calls and on
-        output spans not aligned to 32 rows under any budget, whether or
-        not the budget splits the activation rows."""
-        assume(g * gpq <= 1040)  # keeps the tables small
-        assume(n * m * gpq <= 1 << 20)  # and the oracle's temporaries
-        group_size = g * gpq
+    def test_bit_identical_to_loop_oracle(self, bits, gpq, qgroups, mirrored,
+                                          s1, n, m, span, budget, seed):
+        """The native kernel (``g = 4``) is ``np.array_equal`` to the loop
+        oracle on full calls and on output spans not aligned to 32 rows
+        under any span budget."""
+        status = native.status()
+        if status.path == "numpy":
+            pytest.skip(f"native kernel unavailable: {status.reason}")
+        assume(n * m * gpq <= 1 << 20)  # keeps the oracle's temporaries small
+        group_size = 4 * gpq
         k = group_size * qgroups
         rng = np.random.default_rng(seed)
         qw = quantize_weights(
             rng.standard_normal((m, k)).astype(np.float32), bits=bits,
             group_size=group_size)
         a = rng.standard_normal((n, k)).astype(np.float32)
-        config = TMACConfig(bits=bits, g=g, mirror_consolidation=mirrored,
+        config = TMACConfig(bits=bits, mirror_consolidation=mirrored,
                             s0=-s1, s1=s1, executor="vectorized")
         oracle = TMACKernel(qw, config.with_options(executor="loop")).matmul(
             a)
+        kernel = TMACKernel(qw, config)
+        np.testing.assert_array_equal(kernel.matmul(a), oracle)
+        compiled = kernel.plan.specialized()
+        assert isinstance(compiled, NativeLutKernel)
+        assert compiled.path == status.path
+        assert not compiled.nibbles.flags.writeable
+        assert compiled.acc_dtype == (
+            np.int16 if gpq * 127 <= 32767 else np.int32)
         m0 = span[0] % m
         m1 = m0 + 1 + (span[1] - 1) % (m - m0)
         group_sums = a.reshape(n, qgroups, -1).sum(axis=2)
-        for path in integer_phases() if g == 4 else ("numpy",):
-            # A fresh plan per path: the compiled kernel is cached on it.
-            kernel = TMACKernel.from_plan(build_plan(qw, config), config)
-            with native.force(path):
-                np.testing.assert_array_equal(kernel.matmul(a), oracle)
-            table = kernel.precompute(a)
-            compiled = kernel.plan.specialized()
-            assert isinstance(compiled, IntegerLutKernel)
-            assert compiled.path == path
-            assert compiled.acc_dtype == (
-                np.int16 if gpq * 127 <= 32767 else np.int32)
-            shard = compiled.recombine_span(table, group_sums, m0, m1,
-                                            budget)
-            np.testing.assert_array_equal(shard.astype(np.float32),
-                                          oracle[:, m0:m1])
-            if path != "numpy":
-                assert not compiled.nibbles.flags.writeable
-                continue
-            f = {1: 8, 2: 4, 4: 2, 8: 1}[g]
-            assert compiled.steps == -(-gpq // f)
-            assert compiled.planes.shape == (compiled.steps, m, bits,
-                                             qgroups)
-            # QG * 256 addresses per slab at every one of these widths.
-            assert compiled.planes.dtype == (
-                np.uint8 if qgroups == 1 else np.uint16)
-            assert table.fused_entries == compiled.steps * qgroups * 256
-            # The budget bounds the expanded table: rows are split into
-            # blocks that each fit it, and the result does not change by
-            # a bit.
-            row_budget = block_rows * table.fused_entries
-            assert compiled.block_rows(table, row_budget) == block_rows
-            assert table.row_minor(0, min(block_rows, n)).size <= row_budget
-            blocked = compiled.recombine_span(table, group_sums, m0, m1,
-                                              row_budget)
-            np.testing.assert_array_equal(blocked, shard)
+        shard = compiled.recombine_span(kernel.precompute(a), group_sums, m0,
+                                        m1, budget)
+        np.testing.assert_array_equal(shard.astype(np.float32),
+                                      oracle[:, m0:m1])
 
 
 def activation_layouts(a):
@@ -319,9 +279,9 @@ class TestActivationLayoutProperties:
     @settings(max_examples=30, deadline=None)
     def test_output_independent_of_memory_layout(self, bits, group_size,
                                                  qgroups, n, m, seed):
-        """The native integer phase, the numpy one and the loop oracle
-        each give the same bits for the same activation values whatever
-        their memory layout, through ``matmul`` and through
+        """The default kernel (native where the library loads) and the
+        loop oracle each give the same bits for the same activation values
+        whatever their memory layout, through ``matmul`` and through
         ``precompute`` + ``matmul_with_table``."""
         rng = np.random.default_rng(seed)
         k = group_size * qgroups
@@ -329,18 +289,14 @@ class TestActivationLayoutProperties:
             rng.standard_normal((m, k)).astype(np.float32), bits=bits,
             group_size=group_size)
         a = rng.standard_normal((n, k)).astype(np.float32)
-        runs = [("loop", None)] + [("vectorized", path)
-                                   for path in integer_phases()]
-        for executor, path in runs:
+        for executor in ("loop", "vectorized"):
             config = TMACConfig(bits=bits, executor=executor)
-            with (native.force(path) if path else contextlib.nullcontext()):
-                kernel = TMACKernel.from_plan(build_plan(qw, config), config)
-                expected = kernel.matmul(a)
-                for layout, view in activation_layouts(a).items():
-                    np.testing.assert_array_equal(
-                        kernel.matmul(view), expected,
-                        err_msg=f"{executor}/{path} {layout}")
-                    np.testing.assert_array_equal(
-                        kernel.matmul_with_table(view,
-                                                 kernel.precompute(view)),
-                        expected, err_msg=f"{executor}/{path} {layout}")
+            kernel = TMACKernel.from_plan(build_plan(qw, config), config)
+            expected = kernel.matmul(a)
+            for layout, view in activation_layouts(a).items():
+                np.testing.assert_array_equal(
+                    kernel.matmul(view), expected,
+                    err_msg=f"{executor} {layout}")
+                np.testing.assert_array_equal(
+                    kernel.matmul_with_table(view, kernel.precompute(view)),
+                    expected, err_msg=f"{executor} {layout}")

@@ -5,8 +5,8 @@ import pytest
 
 from repro.backends import get_backend
 from repro.core.config import TMACConfig
+from repro.core.executor import VectorizedExecutor
 from repro.core.plan import clear_plan_cache, plan_cache_stats
-from repro.core.specialize import specialize_stats
 from repro.llm import Generator, TransformerModel, tiny_arch
 from repro.llm.model import generate_random_weights
 from repro.serving import (
@@ -244,19 +244,30 @@ class TestLUTReuse:
         assert len(model.linears()) == 9
         assert (stats.lut_precomputes, stats.lut_reuses) == (tables, reuses)
 
-    def test_kernel_calls_per_forward(self, arch, shared_weights):
+    def test_kernel_calls_per_forward(self, arch, shared_weights,
+                                      monkeypatch):
         """Sequential forward and batched step both make 4 * L + 1 kernel
-        calls: no projection sharing an activation is a call of its own."""
+        calls: no projection sharing an activation is a call of its own.
+        Counted at the executor, which every call reaches whether the
+        native kernel or the loop oracle runs it."""
         model = TransformerModel(
             arch, weights=shared_weights,
             engine=get_backend("tmac", group_size=32, config=TMACConfig(
                 executor="vectorized")))
         expected = 4 * arch.num_layers + 1
+        dispatched = []
+        dispatch = VectorizedExecutor.matmul_with_table
+
+        def counted(self, *args):
+            dispatched.append(args[0])
+            return dispatch(self, *args)
+
+        monkeypatch.setattr(VectorizedExecutor, "matmul_with_table", counted)
 
         def calls(run):
-            before = specialize_stats()["specialize_calls"]
+            before = len(dispatched)
             run()
-            return specialize_stats()["specialize_calls"] - before
+            return len(dispatched) - before
 
         assert calls(lambda: model.forward(np.array([1, 2, 3]))) == expected
         assert calls(lambda: batched_decode_step(
