@@ -19,8 +19,10 @@ from repro.analysis.sanitizer import (
     LockOrderInversionError,
     PlanCanaryRegistry,
     PlanMutationError,
+    _plan_checksums,
     _SanitizedLock,
 )
+from repro.core import native
 from repro.core.config import TMACConfig
 from repro.core.executor import get_executor
 from repro.core.plan import build_plan
@@ -216,6 +218,30 @@ class TestPlanCanary:
                 plan.weights.sz_t[0, 0] = 42.0
                 raise RuntimeError("worker died")
         assert registry.trips == 1
+
+    def test_lazy_kernel_compile_is_not_a_mutation(self):
+        """A cold plan's first dispatch compiles its integer kernel inside
+        the canary (on a host with the native phase): the kernel reads the
+        weights' arrays and publishes none of its own, so the canary sees
+        the same artifacts, unchanged, and does not trip."""
+        registry = PlanCanaryRegistry()
+        qw = quantize_weights(gaussian_weights(32, 128, seed=15), bits=2,
+                              group_size=32)
+        cfg = TMACConfig(bits=2)
+        plan = build_plan(qw, cfg)
+        executor = get_executor("vectorized")
+        activation = gaussian_activation(2, 128, seed=16)
+        table = plan.precompute(activation, cfg)
+        before = _plan_checksums(plan)
+        assert plan._integer_kernel is None
+        with registry.canary(plan):
+            executor.matmul_with_table(plan, table, cfg, activation)
+        assert registry.trips == 0
+        assert (plan._integer_kernel is not None) == (
+            native.status().path != "numpy")
+        assert _plan_checksums(plan) == before
+        assert sorted(before) == ["weights.packed", "weights.scales_t",
+                                  "weights.sz_t"]
 
     def test_real_plan_mutation_trips_through_executor(self):
         """End-to-end: a real KernelPlan, a real executor dispatch, and a

@@ -111,17 +111,18 @@ class TestBitIdentity:
         np.testing.assert_array_equal(serial, parallel)
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 4])
-    def test_forced_oracle_is_a_counted_serial_fallback(self, bits):
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_forced_oracle_is_a_counted_serial_fallback(self, bits, threads):
         """Without the native phase (forced here) there is no kernel to
-        shard: 2 threads run the loop oracle serially, bit-identically, and
-        the call counts as a serial fallback."""
+        shard: 2 or 4 threads run the loop oracle serially, bit-identically,
+        and the call counts as a serial fallback."""
         qw = quantize_weights(gaussian_weights(96, 128, seed=bits + 60),
                               bits=bits, group_size=32)
         a = gaussian_activation(3, 128, seed=bits + 70)
         loop = TMACKernel(qw, TMACConfig(bits=bits,
                                          executor="loop")).matmul(a)
-        config = TMACConfig(bits=bits, executor="parallel", num_threads=2,
-                            parallel_threshold=0)
+        config = TMACConfig(bits=bits, executor="parallel",
+                            num_threads=threads, parallel_threshold=0)
         reset_parallel_executor_stats()
         with native.force("numpy"):
             kernel = TMACKernel(qw, config)

@@ -28,6 +28,7 @@ import pytest
 
 import repro.core.specialize as spec_mod
 from repro.core import native
+from repro.core.bitserial import decompose_bits
 from repro.core.config import TMACConfig
 from repro.core.executor import get_executor, get_worker_pool
 from repro.core.kernel import TMACKernel
@@ -40,6 +41,7 @@ from repro.core.specialize import (
     reset_specialize_stats,
     specialize_stats,
 )
+from repro.core.weights import group_bits
 from repro.quant.uniform import quantize_weights
 from repro.workloads.generator import gaussian_activation, gaussian_weights
 
@@ -280,6 +282,46 @@ def test_integer_kernel_is_shared_across_mirror_settings(requires_native):
         table = kernel.plan.precompute(a, config)
         kernels.append(maybe_specialized(kernel.plan, table, config))
     assert kernels[0] is not None and kernels[0] is kernels[1]
+
+
+@pytest.mark.parametrize("gpq", [8, 3])
+@pytest.mark.parametrize("m", [1, 16, 17, 300])
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_compiled_kernel_holds_one_index_per_group(bits, m, gpq):
+    """An integer key answers bit-identically to the loop oracle, and the
+    kernel it compiles keeps the plan's packed layout as it is: one nibble
+    per weight index, each decoding back to the bits of its codes, and no
+    array of its own beyond the epilogue's bit weights — a second weight
+    layout would show here as resident bytes.  Without the native phase
+    nothing is compiled."""
+    g, qgroups = 4, 2
+    k = qgroups * gpq * g
+    qw = quantize_weights(gaussian_weights(m, k, seed=m + gpq), bits=bits,
+                          group_size=gpq * g)
+    config = TMACConfig(bits=bits, executor="vectorized")
+    plan = build_plan(qw, config)
+    a = activations(k=k, seed=bits)
+    np.testing.assert_array_equal(
+        TMACKernel.from_plan(plan, config).matmul(a),
+        TMACKernel.from_plan(
+            plan, config.with_options(executor="loop")).matmul(a))
+    compiled = plan._integer_kernel
+    if native.status().path == "numpy":
+        assert compiled is None
+        return
+    weights = plan.weights
+    assert compiled.nibbles is weights.packed
+    assert weights.packed.shape == (bits, k // g, -(-m // 32) * 16)
+    shared = (weights.packed, weights.scales_t, weights.sz_t)
+    owned = [arr for arr in vars(compiled).values()
+             if isinstance(arr, np.ndarray)
+             and not any(arr is held for held in shared)]
+    assert sum(arr.nbytes for arr in owned) == compiled.bit_weights.nbytes
+    body = compiled.nibbles.reshape(bits, k // g, -1, 16)
+    rows = np.concatenate([body & 0x0F, body >> 4], axis=3).reshape(
+        bits, k // g, -1)[:, :, :m]
+    for bit, plane in enumerate(decompose_bits(qw.codes, bits)):
+        np.testing.assert_array_equal(rows[bit].T, group_bits(plane, g))
 
 
 # --------------------------------------------------------------------- #
