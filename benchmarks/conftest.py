@@ -141,6 +141,18 @@ def write_bench_json(name: str, series, params: Optional[dict] = None,
     return path
 
 
+@pytest.fixture
+def requires_native():
+    """Skip unless this host builds the native integer kernel.  Elsewhere
+    every executor runs the loop oracle, so an executor-parity run would
+    compare the oracle with itself on full-size shapes."""
+    from repro.core import native
+
+    status = native.status()
+    if status.path == "numpy":
+        pytest.skip(f"native kernel unavailable: {status.reason}")
+
+
 @pytest.fixture(scope="session")
 def record_table():
     """Fixture returning a helper that formats and persists a result table.

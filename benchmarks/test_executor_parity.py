@@ -7,11 +7,12 @@ Figure 7 mpGEMM regime (N=256) on the paper's weight shapes:
   loop executor (same float path: both accumulate the same elementwise
   operations in the same order, only batched).
 * **Speed** — on the fig6 mpGEMV shapes the vectorized executor must beat
-  the loop path wall-clock (min over repetitions) wherever the native
-  library loads; elsewhere the vectorized executor runs the loop oracle
-  itself, so both columns time the same code.
+  the loop path wall-clock (min over repetitions).
 * **Thread-pool parity** — the parallel executor must be bit-identical to
   the serial vectorized executor on every shape at 1/2/4 threads.
+
+Every test needs the native library: without it each executor runs the
+loop oracle, and the module would compare the oracle with itself.
 
 Weights use synthetic random codes (uniform over the bit range, Gaussian
 scales): kernel parity is a property of the code path, not of how codes
@@ -30,7 +31,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import native
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
 from repro.core.plan import build_plan
@@ -42,6 +42,8 @@ THREAD_COUNTS = (1, 2, 4)
 #: Bit width exercised per shape — covers every width the paper evaluates
 #: while keeping one (shape, bits) build per shape.
 SHAPE_BITS = {"S0": 4, "S1": 2, "S2": 3, "S3": 1, "S4": 2, "S5": 4}
+
+pytestmark = pytest.mark.usefixtures("requires_native")
 
 
 def synthetic_qweight(m: int, k: int, bits: int, group_size: int = 128,
@@ -137,11 +139,10 @@ def test_fig6_gemv_parity_and_speed(shape, record_table_rows):
          f"{t_vec * 1e3:.1f}", f"{t_loop * 1e3:.1f}",
          f"{t_loop / t_vec:.2f}x"]
     )
-    if native.status().path != "numpy":
-        assert t_vec < t_loop, (
-            f"vectorized executor ({t_vec * 1e3:.1f} ms) is not faster than "
-            f"the loop path ({t_loop * 1e3:.1f} ms) on {shape.label}"
-        )
+    assert t_vec < t_loop, (
+        f"vectorized executor ({t_vec * 1e3:.1f} ms) is not faster than "
+        f"the loop path ({t_loop * 1e3:.1f} ms) on {shape.label}"
+    )
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: s.label)

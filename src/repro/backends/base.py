@@ -7,10 +7,6 @@ repository — the transformer substrate (:mod:`repro.llm`), the serving
 engine (:mod:`repro.serving`), examples and benchmarks — obtains backends
 through the registry (:mod:`repro.backends.registry`) so new kernels plug in
 by registration instead of by editing call sites.
-
-``MatmulEngine`` (the pre-registry name of this base class) remains
-available as an alias via :mod:`repro.llm.engine` for backward
-compatibility.
 """
 
 from __future__ import annotations

@@ -159,7 +159,8 @@ class KernelExecutor:
         groups.
         """
         n = activation.shape[0]
-        group_sums = activation.reshape(n, plan.num_qgroups, -1).sum(axis=2)
+        group_sums = activation.reshape(
+            n, plan.num_qgroups, plan.group_size).sum(axis=2)
         with plan_canary(plan):
             out = self._recombine_span(plan, table, config, group_sums,
                                        0, plan.out_features)
@@ -423,7 +424,8 @@ class ParallelExecutor(VectorizedExecutor):
         # Split the span-temporary element budget across the concurrent
         # shards so total transient memory matches the serial bound.
         span_budget = max(1, self.max_gather_elements // len(shards))
-        group_sums = activation.reshape(n, plan.num_qgroups, -1).sum(axis=2)
+        group_sums = activation.reshape(
+            n, plan.num_qgroups, plan.group_size).sum(axis=2)
         out = np.empty((n, plan.out_features), dtype=np.float32)
 
         def run_shard(span) -> None:

@@ -215,7 +215,8 @@ class TMACKernel:
         """
         a = self._check_activation(activation)
         table = self.precompute(a)
-        group_sums = a.reshape(a.shape[0], self.plan.num_qgroups, -1).sum(axis=2)
+        group_sums = a.reshape(a.shape[0], self.plan.num_qgroups,
+                               self.plan.group_size).sum(axis=2)
         total = np.zeros((a.shape[0], self.out_features), dtype=np.float64)
         for _, _, chunk in self.executor.iter_codes_dot(
             self.plan, table, self.config, group_sums

@@ -19,9 +19,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.backends import Backend
 from repro.eval.tasks import SyntheticBinaryChoiceTask, SyntheticLMTask
 from repro.llm.architecture import TransformerArch
-from repro.llm.engine import MatmulEngine
 from repro.llm.layers import softmax
 from repro.llm.model import TransformerModel
 
@@ -87,7 +87,7 @@ class QualityResult:
 
 def evaluate_engines(
     arch: TransformerArch,
-    engines: Sequence[MatmulEngine],
+    engines: Sequence[Backend],
     lm_task: SyntheticLMTask,
     choice_task: Optional[SyntheticBinaryChoiceTask] = None,
     weights: Optional[dict] = None,

@@ -6,9 +6,8 @@ Two complementary paths are provided, mirroring how the paper evaluates:
 * **Numerical path** — :mod:`repro.llm.model` builds a real (randomly
   initialized or user-provided) transformer whose linear layers run through
   a selectable mpGEMM backend from the registry (:mod:`repro.backends`:
-  full-precision reference, llama.cpp-style dequantization, or T-MAC;
-  :mod:`repro.llm.engine` keeps the historical names as aliases).  This is
-  what the quality/error experiments (Tables 3 and 4) use, at
+  full-precision reference, llama.cpp-style dequantization, or T-MAC).
+  This is what the quality/error experiments (Tables 3 and 4) use, at
   laptop-friendly sizes.  Batched multi-request serving on top of this
   path lives in :mod:`repro.serving`.
 * **Analytic path** — :mod:`repro.llm.throughput` walks the *real* layer
@@ -25,13 +24,6 @@ from repro.llm.architecture import (
     TransformerArch,
     tiny_arch,
 )
-from repro.llm.engine import (
-    DequantEngine,
-    MatmulEngine,
-    ReferenceEngine,
-    TMACEngine,
-    create_engine,
-)
 from repro.llm.inference import GenerationResult, Generator
 from repro.llm.model import TransformerModel
 from repro.llm.throughput import ThroughputEstimate, estimate_token_throughput
@@ -42,11 +34,6 @@ __all__ = [
     "LLAMA_2_13B",
     "BITNET_3B",
     "tiny_arch",
-    "MatmulEngine",
-    "ReferenceEngine",
-    "DequantEngine",
-    "TMACEngine",
-    "create_engine",
     "TransformerModel",
     "Generator",
     "GenerationResult",

@@ -3,21 +3,30 @@
 The layer zoo matches the Llama architecture the paper deploys: RMSNorm,
 rotary position embeddings, multi-head (or grouped-query) attention with a
 KV cache, and a SwiGLU MLP.  Every weight-bearing projection goes through a
-:class:`~repro.llm.engine.LinearOperator` created by the active engine, so
+:class:`~repro.backends.LinearOperator` created by the active backend, so
 the same model can run un-quantized, through the dequantization baseline, or
 through T-MAC — which is how the model-quality comparison of Table 4 is
 produced.
+
+A block runs over **row segments**: the ``[T, hidden]`` activation holds
+the rows of one or more requests, each a :data:`Segment` ``(row0, row1,
+cache)`` with its own KV cache and per-row absolute positions.  The
+linear operators and the row-wise non-linear work run once over all ``T``
+rows — one mpGEMM per operator, whatever the number of requests — and
+only attention runs per segment, against that segment's cache.  A
+prefill is one segment of many rows; a batched decode step is ``B``
+segments of one row each (:meth:`repro.llm.model.TransformerModel.decode`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends import Backend, LinearOperator
 from repro.llm.architecture import TransformerArch
-from repro.llm.engine import LinearOperator, MatmulEngine
 
 __all__ = [
     "rms_norm",
@@ -27,6 +36,7 @@ __all__ = [
     "build_rope_cache",
     "apply_rope",
     "KVCache",
+    "Segment",
     "attend",
     "Attention",
     "MLP",
@@ -93,10 +103,10 @@ def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
 class KVCache:
     """Per-layer key/value cache for incremental decoding.
 
-    The cache contract consumed by :meth:`Attention.forward` and the
-    batched serving path is duck-typed: ``append(k, v)`` stores new
-    ``[seq, kv_heads, head_dim]`` rows, ``stacked()`` returns the full
-    history as two contiguous ``[total, kv_heads, head_dim]`` arrays, and
+    The cache contract consumed by :meth:`Attention.forward` is duck-typed:
+    ``append(k, v)`` stores new ``[seq, kv_heads, head_dim]`` rows,
+    ``stacked()`` returns the full history as two contiguous
+    ``[total, kv_heads, head_dim]`` arrays, and
     ``length`` / ``memory_bytes()`` report fill state.  This class is the
     simple append-only implementation;
     :class:`repro.kvcache.paged.PagedKVCache` implements the same contract
@@ -128,6 +138,12 @@ class KVCache:
                        for k, v in zip(self.keys, self.values)))
 
 
+#: One request's rows ``row0:row1`` of a ``[T, hidden]`` activation and the
+#: KV cache its attention appends to and reads (``None``: the segment
+#: attends over its own keys only, a stateless pass).
+Segment = Tuple[int, int, Optional[KVCache]]
+
+
 def attend(q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray,
            positions: np.ndarray, arch: TransformerArch) -> np.ndarray:
     """Causal attention of queries over a cached key/value window.
@@ -138,12 +154,11 @@ def attend(q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray,
     ``0..p`` are visible to a query at position ``p``).  Returns the
     context as a C-ordered ``[seq, heads * head_dim]`` array.
 
-    This is the single float-op sequence shared by the sequential path
-    (:meth:`Attention.forward`) and the serving engine's batched decode
-    (:mod:`repro.serving.batch`), so the two can never drift apart
-    numerically.  Both products are BLAS calls whose blocking depends on
-    the query count (one query is a GEMV, several a GEMM), so the same
-    query attended alone or among others can differ in final ulps.
+    :meth:`Attention.forward` calls it once per segment.  Both products
+    are BLAS calls whose blocking depends on the query count (one query
+    is a GEMV, several a GEMM), so the same query attended alone or among
+    others can differ in final ulps: a decode step's one-row segments run
+    exactly the GEMVs a one-token forward runs.
     """
     group = arch.num_heads // arch.num_kv_heads
     if group > 1:
@@ -171,7 +186,7 @@ def attend(q: np.ndarray, k_all: np.ndarray, v_all: np.ndarray,
 class Attention:
     """Multi-head / grouped-query attention with RoPE and a KV cache."""
 
-    def __init__(self, arch: TransformerArch, engine: MatmulEngine,
+    def __init__(self, arch: TransformerArch, engine: Backend,
                  weights: dict, layer_index: int = 0):
         self.arch = arch
         self.layer_index = layer_index
@@ -211,21 +226,24 @@ class Attention:
                 apply_rope(k, self._cos, self._sin, positions), v)
 
     def forward(self, x: np.ndarray, positions: np.ndarray,
-                cache: Optional[KVCache] = None) -> np.ndarray:
-        """Attention over ``x`` of shape ``[seq, hidden]``.
+                segments: Sequence[Segment]) -> np.ndarray:
+        """Attention over ``x`` of shape ``[T, hidden]``.
 
-        When ``cache`` is provided, the new keys/values are appended and
-        attention spans the whole cached history (incremental decoding).
+        The projections run once over all rows; each segment's keys and
+        values are appended to its cache (when it has one) and its
+        queries attend over that cache's whole history (incremental
+        decoding).  The contexts are concatenated in row order.
         """
         q, k, v = self.split_qkv(self.qkv_proj(x), positions)
-
-        if cache is not None:
-            cache.append(k, v)
-            k_all, v_all = cache.stacked()
-        else:
-            k_all, v_all = k, v
-
-        return self.o_proj(attend(q, k_all, v_all, positions, self.arch))
+        contexts = []
+        for row0, row1, cache in segments:
+            k_all, v_all = k[row0:row1], v[row0:row1]
+            if cache is not None:
+                cache.append(k_all, v_all)
+                k_all, v_all = cache.stacked()
+            contexts.append(attend(q[row0:row1], k_all, v_all,
+                                   positions[row0:row1], self.arch))
+        return self.o_proj(np.concatenate(contexts, axis=0))
 
 
 class MLP:
@@ -234,7 +252,7 @@ class MLP:
     ``gate`` and ``up`` are one fused operator (see :class:`Attention`).
     """
 
-    def __init__(self, arch: TransformerArch, engine: MatmulEngine,
+    def __init__(self, arch: TransformerArch, engine: Backend,
                  weights: dict, layer_index: int = 0):
         prefix = f"layers.{layer_index}.mlp"
         self.gate_up_proj: LinearOperator = engine.make_linear(
@@ -252,7 +270,11 @@ class MLP:
 class TransformerBlock:
     """One decoder block: RMSNorm -> attention -> RMSNorm -> MLP, residual."""
 
-    def __init__(self, arch: TransformerArch, engine: MatmulEngine,
+    #: How many projections each operator of :meth:`linears` fuses (q|k|v,
+    #: o, gate|up, down): one lookup table serves all of an operator's.
+    PROJECTIONS = (3, 1, 2, 1)
+
+    def __init__(self, arch: TransformerArch, engine: Backend,
                  weights: dict, layer_index: int = 0):
         self.arch = arch
         self.layer_index = layer_index
@@ -265,10 +287,10 @@ class TransformerBlock:
         self.mlp = MLP(arch, engine, weights["mlp"], layer_index)
 
     def forward(self, x: np.ndarray, positions: np.ndarray,
-                cache: Optional[KVCache] = None) -> np.ndarray:
-        """Run the block over ``[seq, hidden]`` activations."""
+                segments: Sequence[Segment]) -> np.ndarray:
+        """Run the block over the ``[T, hidden]`` rows of ``segments``."""
         attn_out = self.attention.forward(
-            rms_norm(x, self.input_norm_weight), positions, cache
+            rms_norm(x, self.input_norm_weight), positions, segments
         )
         x = x + attn_out
         mlp_out = self.mlp.forward(rms_norm(x, self.post_attn_norm_weight))

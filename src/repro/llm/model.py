@@ -1,9 +1,12 @@
-"""A runnable decoder-only transformer backed by a selectable mpGEMM engine.
+"""A runnable decoder-only transformer backed by a selectable mpGEMM backend.
 
 :class:`TransformerModel` is the numerical end-to-end substrate: a Llama-
 style model (token embedding, N transformer blocks, final RMSNorm, LM head)
-whose every linear layer is executed by the chosen engine (reference /
-dequantization / T-MAC).  Weights can be supplied or generated; the
+whose every linear layer is executed by the chosen backend (reference /
+dequantization / T-MAC).  One forward runs them all: :meth:`~TransformerModel.
+forward` is one request's rows, :meth:`~TransformerModel.decode` the current
+token of many requests, both through the same row-segment blocks
+(:mod:`repro.llm.layers`).  Weights can be supplied or generated; the
 generated weights follow the scaled-Gaussian initialization that makes the
 activations statistically similar to a trained checkpoint's, which is all
 the kernel-error experiments need (the paper's accuracy claims are about
@@ -12,12 +15,12 @@ the kernel-error experiments need (the paper's accuracy claims are about
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.backends import Backend, LinearOperator, ReferenceBackend
 from repro.llm.architecture import TransformerArch
-from repro.llm.engine import LinearOperator, MatmulEngine, ReferenceEngine
 from repro.llm.layers import KVCache, TransformerBlock, rms_norm
 
 __all__ = ["TransformerModel", "generate_random_weights"]
@@ -84,12 +87,12 @@ class TransformerModel:
     def __init__(
         self,
         arch: TransformerArch,
-        engine: Optional[MatmulEngine] = None,
+        engine: Optional[Backend] = None,
         weights: Optional[Dict] = None,
         seed: int = 0,
     ):
         self.arch = arch
-        self.engine = engine or ReferenceEngine()
+        self.engine = engine or ReferenceBackend()
         self.weights = weights or generate_random_weights(arch, seed=seed)
 
         self.embedding = np.asarray(self.weights["embedding"], dtype=np.float32)
@@ -139,23 +142,55 @@ class TransformerModel:
             Logits of shape ``[len(tokens), vocab_size]``.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1:
-            raise ValueError(f"tokens must be 1-D, got shape {tokens.shape}")
-        if tokens.size == 0:
-            raise ValueError("tokens must be non-empty")
+        positions = np.arange(start_position, start_position + tokens.size)
+        return self._run(tokens, positions, [(0, tokens.size, caches)])
+
+    def decode(
+        self,
+        tokens: Sequence[int],
+        positions: Sequence[int],
+        caches: Sequence[List[KVCache]],
+    ) -> np.ndarray:
+        """One decode step for ``B`` requests: ``[B]`` tokens -> ``[B, vocab]``.
+
+        Row ``i`` is request ``i``'s current token at absolute position
+        ``positions[i]``, attending over (and appended to) its own
+        per-layer ``caches[i]`` — plain :class:`KVCache` lists or
+        :class:`repro.kvcache.paged.PagedKVCache` views alike.  Every
+        linear operator runs one ``[B, hidden]`` mpGEMM; attention runs
+        per request, so for row-independent kernels (T-MAC) row ``i``'s
+        logits equal those of request ``i``'s own one-token
+        :meth:`forward`.
+        """
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if len(caches) != tokens.size:
+            raise ValueError("one KV-cache list per request is required")
+        return self._run(tokens, np.asarray(positions, dtype=np.int64),
+                         [(i, i + 1, request_caches)
+                          for i, request_caches in enumerate(caches)])
+
+    def _run(self, tokens: np.ndarray, positions: np.ndarray,
+             segments) -> np.ndarray:
+        """Logits of ``tokens`` over row segments ``(row0, row1, caches)``,
+        ``caches`` being a request's per-layer KV caches or ``None``."""
+        if tokens.ndim != 1 or tokens.size == 0:
+            raise ValueError(
+                f"tokens must be a non-empty 1-D sequence, got shape "
+                f"{tokens.shape}")
+        if tokens.shape != positions.shape:
+            raise ValueError("tokens and positions must have matching lengths")
         if tokens.max() >= self.arch.vocab_size or tokens.min() < 0:
             raise ValueError("token id out of range")
-        positions = np.arange(start_position, start_position + tokens.size)
-        if positions[-1] >= self.arch.max_seq_len:
+        if positions.max() >= self.arch.max_seq_len:
             raise ValueError(
-                f"sequence position {positions[-1]} exceeds max_seq_len "
-                f"{self.arch.max_seq_len}"
-            )
+                f"sequence position {positions.max()} exceeds max_seq_len "
+                f"{self.arch.max_seq_len}")
 
         x = self.embedding[tokens]
         for i, block in enumerate(self.blocks):
-            cache = caches[i] if caches is not None else None
-            x = block.forward(x, positions, cache)
+            x = block.forward(x, positions, [
+                (row0, row1, None if caches is None else caches[i])
+                for row0, row1, caches in segments])
         x = rms_norm(x, self.final_norm_weight)
         return self.lm_head(x)
 

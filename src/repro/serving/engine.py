@@ -4,7 +4,8 @@
 (:meth:`~ServingEngine.submit`), admits them into a bounded running batch,
 and advances every active session by one token per :meth:`~ServingEngine.step`
 — a single batched forward pass in which each linear layer executes one
-mpGEMM over all sessions' current tokens (:mod:`repro.serving.batch`).
+mpGEMM over all sessions' current tokens
+(:meth:`repro.llm.model.TransformerModel.decode`).
 Sessions join mid-flight as slots free up and leave the moment they finish
 (continuous batching, vLLM-style scheduling at token granularity), so the
 batch never drains to refill.
@@ -50,9 +51,9 @@ each request alone — the serving tests assert token-level equality.
 (Attention's two products are BLAS matmuls, a GEMV for one query row and
 a GEMM for several, with different blocking, so prefix-reuse and chunked
 prefill can shift *logits* by an ulp relative to a whole-prompt prefill;
-generated tokens still match except at exact argmax near-ties, the same
-caveat :mod:`repro.serving.batch` documents for the BLAS reference
-backend.)
+generated tokens still match except at exact argmax near-ties.  The BLAS
+reference backend's linear layers carry the same caveat between a batched
+step and one-row calls.)
 """
 
 from __future__ import annotations
@@ -64,12 +65,13 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.executor import parallel_executor_stats, specialize_stats
+from repro.core.kernel import TMACKernel
 from repro.core.plan import plan_cache_stats
 from repro.kvcache import OutOfBlocks, PagePool
 from repro.kvcache.pool import DEFAULT_BLOCK_SIZE
 from repro.llm.inference import GenerationResult
+from repro.llm.layers import TransformerBlock
 from repro.llm.model import TransformerModel
-from repro.serving.batch import BatchStats, batched_decode_step
 from repro.serving.session import (
     InferenceSession,
     SamplingParams,
@@ -139,7 +141,19 @@ class ServingEngine:
         self._waiting: List[int] = []
         self._prefilling: List[int] = []
         self._active: List[int] = []
-        self.stats = BatchStats()
+        #: Batched decode steps run, the tokens they decoded and the
+        #: largest batch one step coalesced.
+        self.decode_steps = 0
+        self.batched_tokens = 0
+        self.peak_batch_size = 0
+        # Every decode step calls each linear operator once, and a T-MAC
+        # call builds one lookup table that serves all the projections
+        # its operator fuses.
+        parts = TransformerBlock.PROJECTIONS * len(model.blocks) + (1,)
+        tmac_parts = [p for op, p in zip(model.linears(), parts)
+                      if isinstance(op.kernel, TMACKernel)]
+        self._tables_per_step = len(tmac_parts)
+        self._reuses_per_step = sum(tmac_parts) - len(tmac_parts)
         self._prefills = 0
         self._prefill_chunks = 0
         self.preemptions = 0
@@ -640,9 +654,10 @@ class ServingEngine:
             tokens = [session.pending_token for session in batch]
             positions = [session.position for session in batch]
             caches = [session.caches for session in batch]
-            logits = batched_decode_step(
-                self.model, tokens, positions, caches, self.stats
-            )
+            logits = self.model.decode(tokens, positions, caches)
+            self.decode_steps += 1
+            self.batched_tokens += len(batch)
+            self.peak_batch_size = max(self.peak_batch_size, len(batch))
             for row, session in enumerate(batch):
                 session.pending_token = None
                 session.position += 1
@@ -787,11 +802,12 @@ class ServingEngine:
             "deadline_expirations": self.deadline_expirations,
             "stream_hook_errors": self.stream_hook_errors,
             "queue_depth": self.num_waiting,
-            "decode_steps": self.stats.decode_steps,
-            "batched_tokens": self.stats.batched_tokens,
-            "mean_batch_size": self.stats.mean_batch_size,
-            "lut_precomputes": self.stats.lut_precomputes,
-            "lut_reuses": self.stats.lut_reuses,
+            "decode_steps": self.decode_steps,
+            "batched_tokens": self.batched_tokens,
+            "mean_batch_size": (self.batched_tokens / self.decode_steps
+                                if self.decode_steps else 0.0),
+            "lut_precomputes": self.decode_steps * self._tables_per_step,
+            "lut_reuses": self.decode_steps * self._reuses_per_step,
             "ttft_count": self._ttft_count,
             "ttft_mean_s": (self._ttft_sum / self._ttft_count
                             if self._ttft_count else 0.0),

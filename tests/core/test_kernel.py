@@ -1,9 +1,12 @@
 """Unit tests for the T-MAC kernel: correctness against references."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.baselines.reference import quantized_reference_gemm
+from repro.core import native
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
 from repro.quant.bitnet import quantize_bitnet
@@ -138,6 +141,24 @@ class TestInterface:
         assert kernel.out_features == 48
         assert kernel.in_features == 256
         assert kernel.bits == 4
+
+    @pytest.mark.parametrize("path", ["host", "numpy", "loop", "parallel"])
+    def test_zero_row_activation_gives_an_empty_result(self, small_qweight,
+                                                       path):
+        """A ``[0, K]`` activation is a valid (empty) batch on every path."""
+        options = {"loop": {"executor": "loop"},
+                   "parallel": {"executor": "parallel", "num_threads": 2,
+                                "parallel_threshold": 0}}.get(path, {})
+        kernel = TMACKernel(small_qweight, TMACConfig(bits=4, **options))
+        empty = np.zeros((0, 256), dtype=np.float32)
+        forced = native.force("numpy") if path == "numpy" \
+            else contextlib.nullcontext()
+        with forced:
+            outs = [kernel.matmul(empty),
+                    kernel.matmul_with_table(empty, kernel.precompute(empty))]
+        for out in outs:
+            assert out.shape == (0, 48)
+            assert out.dtype == np.float32
 
     def test_wrong_activation_width_rejected(self, small_qweight):
         kernel = TMACKernel(small_qweight, TMACConfig(bits=4))

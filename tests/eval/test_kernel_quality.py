@@ -10,14 +10,13 @@ under the numpy transformer), so a change that makes the kernel lossy
 fails loudly instead of silently degrading quality.
 """
 
-from repro.backends import TMACBackend
+from repro.backends import TMACBackend, get_backend
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
 from repro.eval.nmse import nmse
 from repro.eval.perplexity import evaluate_engines
 from repro.eval.tasks import make_lm_task
 from repro.llm.architecture import tiny_arch
-from repro.llm.engine import create_engine
 from repro.llm.model import TransformerModel, generate_random_weights
 from repro.workloads.generator import make_gemv_case
 
@@ -46,7 +45,7 @@ def test_model_perplexity_stays_in_the_reference_regime():
     teacher = TransformerModel(arch, weights=weights)
     lm_task = make_lm_task(teacher, num_sequences=3, seq_len=12, seed=1)
     engines = [
-        create_engine("reference"),
+        get_backend("reference"),
         TMACBackend(bits=4, group_size=32, config=TMACConfig(bits=4)),
     ]
     reference, tmac = evaluate_engines(arch, engines, lm_task,

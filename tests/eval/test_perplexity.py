@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.eval.perplexity import (
     binary_choice_accuracy,
     evaluate_engines,
@@ -11,7 +12,6 @@ from repro.eval.perplexity import (
 )
 from repro.eval.tasks import make_binary_choice_task, make_lm_task
 from repro.llm.architecture import tiny_arch
-from repro.llm.engine import create_engine
 from repro.llm.model import TransformerModel, generate_random_weights
 
 
@@ -56,10 +56,10 @@ class TestTable4Reproduction:
     def test_engine_comparison_structure(self, setup):
         arch, weights, _, lm_task, choice_task = setup
         engines = [
-            create_engine("reference"),
-            create_engine("dequant", bits=4, group_size=32),
-            create_engine("tmac", bits=4, group_size=32),
-            create_engine("tmac", bits=4, group_size=32,
+            get_backend("reference"),
+            get_backend("dequant", bits=4, group_size=32),
+            get_backend("tmac", bits=4, group_size=32),
+            get_backend("tmac", bits=4, group_size=32,
                           fast_aggregation=True),
         ]
         results = evaluate_engines(arch, engines, lm_task, choice_task,
@@ -87,7 +87,7 @@ class TestTable4Reproduction:
         second = make_lm_task(teacher, num_sequences=2, seq_len=10, seed=9,
                               temperature=0.5)
         second.name = "synthetic-lambada"
-        results = evaluate_engines(arch, [create_engine("reference")],
+        results = evaluate_engines(arch, [get_backend("reference")],
                                    lm_task, weights=weights,
                                    extra_lm_tasks=[second])
         assert "synthetic-lambada" in results[0].extra_perplexities

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.core.config import TMACConfig
 from repro.core.kernel import TMACKernel
 from repro.eval.nmse import nmse
 from repro.llm.architecture import tiny_arch
-from repro.llm.engine import create_engine
 from repro.llm.inference import Generator
 from repro.llm.model import TransformerModel, generate_random_weights
 from repro.quant.bitnet import quantize_bitnet
@@ -65,7 +65,7 @@ class TestModelPipeline:
                          num_heads=4, vocab_size=71, max_seq_len=48)
         weights = generate_random_weights(arch, seed=8)
         model = TransformerModel(
-            arch, engine=create_engine("tmac", bitnet=True, group_size=32),
+            arch, engine=get_backend("tmac", bitnet=True, group_size=32),
             weights=weights)
         result = Generator(model).generate([1, 2, 3], max_new_tokens=5)
         assert len(result.generated_tokens) == 5
@@ -80,7 +80,7 @@ class TestModelPipeline:
 
         logits = {}
         for kind in ("reference", "dequant", "tmac"):
-            engine = create_engine(kind, bits=4, group_size=32)
+            engine = get_backend(kind, bits=4, group_size=32)
             model = TransformerModel(arch, engine=engine, weights=weights)
             logits[kind] = model.forward(tokens)
 
@@ -95,9 +95,9 @@ class TestModelPipeline:
         weights = generate_random_weights(arch, seed=10)
         sizes = {}
         for label, engine in (
-            ("fp", create_engine("reference")),
-            ("4bit", create_engine("tmac", bits=4, group_size=32)),
-            ("2bit", create_engine("tmac", bits=2, group_size=32)),
+            ("fp", get_backend("reference")),
+            ("4bit", get_backend("tmac", bits=4, group_size=32)),
+            ("2bit", get_backend("tmac", bits=2, group_size=32)),
         ):
             model = TransformerModel(arch, engine=engine, weights=weights)
             sizes[label] = model.quantized_weight_bytes()

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.llm.architecture import tiny_arch
-from repro.llm.engine import create_engine
 from repro.llm.inference import Generator
 from repro.llm.model import TransformerModel, generate_random_weights
 
@@ -86,7 +86,7 @@ class TestQuantizedGeneration:
                          num_heads=4, vocab_size=61, max_seq_len=64)
         weights = generate_random_weights(arch, seed=6)
         reference = TransformerModel(arch, weights=weights)
-        tmac = TransformerModel(arch, engine=create_engine("tmac", bits=4,
+        tmac = TransformerModel(arch, engine=get_backend("tmac", bits=4,
                                                            group_size=32),
                                 weights=weights)
         ref_tokens = Generator(reference).generate([5, 6, 7],

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import get_backend
+from repro.backends import ReferenceBackend, get_backend
 from repro.core.config import TMACConfig
 from repro.llm.architecture import tiny_arch
-from repro.llm.engine import ReferenceEngine
 from repro.llm.layers import (
     Attention,
     KVCache,
@@ -144,16 +143,16 @@ class TestAttentionAndMLP:
         arch = tiny_arch(hidden_size=32, intermediate_size=64, num_layers=1,
                          num_heads=4, vocab_size=50)
         weights = generate_random_weights(arch, seed=3)["layers"][0]
-        attention = Attention(arch, ReferenceEngine(), weights["attention"])
+        attention = Attention(arch, ReferenceBackend(), weights["attention"])
 
         x = rng.standard_normal((6, 32)).astype(np.float32)
-        full = attention.forward(x, np.arange(6), cache=None)
+        full = attention.forward(x, np.arange(6), [(0, 6, None)])
 
         cache = KVCache()
         incremental = []
         for position in range(6):
             out = attention.forward(x[position:position + 1],
-                                    np.array([position]), cache=cache)
+                                    np.array([position]), [(0, 1, cache)])
             incremental.append(out[0])
         np.testing.assert_allclose(np.stack(incremental), full, atol=1e-4)
 
@@ -162,19 +161,19 @@ class TestAttentionAndMLP:
         arch = tiny_arch(hidden_size=32, intermediate_size=64, num_layers=1,
                          num_heads=4, vocab_size=50)
         weights = generate_random_weights(arch, seed=4)["layers"][0]
-        attention = Attention(arch, ReferenceEngine(), weights["attention"])
+        attention = Attention(arch, ReferenceBackend(), weights["attention"])
         x = rng.standard_normal((5, 32)).astype(np.float32)
-        out_a = attention.forward(x, np.arange(5))
+        out_a = attention.forward(x, np.arange(5), [(0, 5, None)])
         x_modified = x.copy()
         x_modified[4] += 10.0
-        out_b = attention.forward(x_modified, np.arange(5))
+        out_b = attention.forward(x_modified, np.arange(5), [(0, 5, None)])
         np.testing.assert_allclose(out_a[:4], out_b[:4], atol=1e-4)
 
     def test_mlp_shapes(self, rng):
         arch = tiny_arch(hidden_size=32, intermediate_size=96, num_layers=1,
                          num_heads=4, vocab_size=50)
         weights = generate_random_weights(arch, seed=5)["layers"][0]
-        mlp = MLP(arch, ReferenceEngine(), weights["mlp"])
+        mlp = MLP(arch, ReferenceBackend(), weights["mlp"])
         out = mlp.forward(rng.standard_normal((3, 32)).astype(np.float32))
         assert out.shape == (3, 32)
 

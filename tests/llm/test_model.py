@@ -1,10 +1,15 @@
 """Unit tests for the numpy transformer model."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.backends import get_backend
+from repro.core import native
 from repro.llm.architecture import tiny_arch
-from repro.llm.engine import create_engine
 from repro.llm.model import TransformerModel, generate_random_weights
 
 
@@ -64,6 +69,44 @@ class TestForward:
             model.forward(np.array([], dtype=np.int64))
 
 
+class TestDecode:
+    @pytest.fixture(scope="class")
+    def tmac_model(self, arch, shared_weights):
+        return TransformerModel(
+            arch, engine=get_backend("tmac", bits=4, group_size=32),
+            weights=shared_weights)
+
+    @pytest.mark.parametrize("path", ["host", "numpy"])
+    @settings(max_examples=15, deadline=None)
+    @given(requests=st.lists(
+        st.tuples(st.lists(st.integers(0, 96), min_size=1, max_size=9),
+                  st.integers(0, 96)),
+        min_size=1, max_size=5))
+    def test_rows_equal_each_requests_own_forward(self, tmac_model, path,
+                                                  requests):
+        """Row ``i`` of one decode step is exactly the logits of request
+        ``i``'s one-token forward over an identically prefilled cache:
+        T-MAC is row-independent, and one-row segments attend through
+        the GEMVs a one-token forward runs."""
+        model = tmac_model
+        with native.force("numpy") if path == "numpy" \
+                else contextlib.nullcontext():
+            batched, alone = [], []
+            for prompt, _ in requests:
+                for caches in (batched, alone):
+                    caches.append(model.new_cache())
+                    model.forward(np.array(prompt), caches=caches[-1])
+            logits = model.decode([token for _, token in requests],
+                                  [len(prompt) for prompt, _ in requests],
+                                  batched)
+            assert logits.shape == (len(requests), model.arch.vocab_size)
+            for row, ((prompt, token), caches) in enumerate(
+                    zip(requests, alone)):
+                expected = model.forward(np.array([token]), caches=caches,
+                                         start_position=len(prompt))
+                assert np.array_equal(logits[row], expected[0])
+
+
 class TestEngines:
     def test_quantized_engines_approximate_reference(self, arch,
                                                      shared_weights):
@@ -71,7 +114,7 @@ class TestEngines:
         reference = TransformerModel(arch, weights=shared_weights)
         ref_logits = reference.forward(tokens)
         for kind in ("dequant", "tmac"):
-            engine = create_engine(kind, bits=4, group_size=32)
+            engine = get_backend(kind, bits=4, group_size=32)
             model = TransformerModel(arch, engine=engine,
                                      weights=shared_weights)
             logits = model.forward(tokens)
@@ -88,10 +131,10 @@ class TestEngines:
 
     def test_quantized_weight_bytes_smaller_at_low_bits(self, arch,
                                                         shared_weights):
-        m4 = TransformerModel(arch, engine=create_engine("tmac", bits=4,
+        m4 = TransformerModel(arch, engine=get_backend("tmac", bits=4,
                                                          group_size=32),
                               weights=shared_weights)
-        m2 = TransformerModel(arch, engine=create_engine("tmac", bits=2,
+        m2 = TransformerModel(arch, engine=get_backend("tmac", bits=2,
                                                          group_size=32),
                               weights=shared_weights)
         assert m2.quantized_weight_bytes() < m4.quantized_weight_bytes()

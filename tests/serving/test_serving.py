@@ -10,12 +10,10 @@ from repro.core.plan import clear_plan_cache, plan_cache_stats
 from repro.llm import Generator, TransformerModel, tiny_arch
 from repro.llm.model import generate_random_weights
 from repro.serving import (
-    BatchStats,
     InferenceSession,
     SamplingParams,
     ServingEngine,
     SessionState,
-    batched_decode_step,
 )
 
 
@@ -203,7 +201,7 @@ class TestContinuousBatching:
         while serving.has_work:
             summary = serving.step()
             assert summary["batch_size"] <= 3
-        assert serving.stats.max_batch_size <= 3
+        assert serving.peak_batch_size <= 3
 
     def test_stats_accumulate(self, arch, shared_weights):
         model = build_model(arch, shared_weights)
@@ -238,15 +236,19 @@ class TestLUTReuse:
         """4 operators per layer + lm_head; q|k|v and gate|up tables serve
         2 + 1 projections beyond the first.  Non-T-MAC calls build none."""
         model = build_model(arch, shared_weights, kind)
-        stats = BatchStats()
-        batched_decode_step(model, [1, 2], [0, 0],
-                            [model.new_cache(), model.new_cache()], stats)
+        serving = ServingEngine(model, max_batch_size=2)
+        serving.submit([1], max_new_tokens=2)
+        serving.submit([2], max_new_tokens=2)
+        serving.run()
+        stats = serving.serving_stats()
         assert len(model.linears()) == 9
-        assert (stats.lut_precomputes, stats.lut_reuses) == (tables, reuses)
+        assert (stats["decode_steps"], stats["batched_tokens"]) == (1, 2)
+        assert (stats["lut_precomputes"], stats["lut_reuses"]) == (tables,
+                                                                   reuses)
 
     def test_kernel_calls_per_forward(self, arch, shared_weights,
                                       monkeypatch):
-        """Sequential forward and batched step both make 4 * L + 1 kernel
+        """Sequential forward and batched decode both make 4 * L + 1 kernel
         calls: no projection sharing an activation is a call of its own.
         Counted at the executor, which every call reaches whether the
         native kernel or the loop oracle runs it."""
@@ -270,9 +272,29 @@ class TestLUTReuse:
             return len(dispatched) - before
 
         assert calls(lambda: model.forward(np.array([1, 2, 3]))) == expected
-        assert calls(lambda: batched_decode_step(
-            model, [1, 2], [0, 0],
-            [model.new_cache(), model.new_cache()])) == expected
+        assert calls(lambda: model.decode(
+            [1, 2], [0, 0], [model.new_cache(), model.new_cache()])) == expected
+
+    def test_prefill_calls_forward_and_decode_calls_decode(
+            self, arch, shared_weights, monkeypatch):
+        """A profiler wrapping ``model.forward`` sees prefill only: the
+        engine's decode steps go through ``model.decode``."""
+        model = build_model(arch, shared_weights)
+        calls = {"forward": 0, "decode": 0}
+        for name in calls:
+            def counted(*args, _inner=getattr(model, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(model, name, counted)
+        serving = ServingEngine(model, max_batch_size=2)
+        serving.submit([1, 2], max_new_tokens=3)
+        serving.submit([3], max_new_tokens=4)
+        serving.run()
+        stats = serving.serving_stats()
+        assert calls == {"forward": stats["prefill_chunks"],
+                         "decode": stats["decode_steps"]}
+        assert stats["decode_steps"] == 3
 
     def test_serving_reports_lut_and_plan_cache_stats(self, arch):
         clear_plan_cache()
@@ -327,10 +349,10 @@ class TestBatchedDecodeValidation:
         model = build_model(arch, shared_weights)
         caches = [model.new_cache()]
         with pytest.raises(ValueError):
-            batched_decode_step(model, [], [], [])
+            model.decode([], [], [])
         with pytest.raises(ValueError):
-            batched_decode_step(model, [1, 2], [0], [caches[0], caches[0]])
+            model.decode([1, 2], [0], [caches[0], caches[0]])
         with pytest.raises(ValueError):
-            batched_decode_step(model, [1], [0], [])
+            model.decode([1], [0], [])
         with pytest.raises(ValueError):
-            batched_decode_step(model, [10 ** 6], [0], caches)
+            model.decode([10 ** 6], [0], caches)
