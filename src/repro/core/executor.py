@@ -9,12 +9,14 @@ the mpGEMM result.  Three executors implement the same mathematics:
   walk of Algorithm 1 line by line.  Slow, obviously correct, kept as the
   numerical oracle.
 * :class:`VectorizedExecutor` — the production implementation: the native
-  integer kernel, else the oracle.  Integer-key tables (group-granularity
-  quantized tables with exact aggregation — the default config) run the
-  plan's compiled native ``pshufb`` kernel (:mod:`repro.core.specialize`)
-  where the library loads and ``g = 4``.  Every other case — no compiler,
-  no AVX2, another ``g``, and the ablation table modes (unquantized, fine
-  scale granularity, fast aggregation) — runs the loop oracle.
+  table build and integer kernel, else the oracle.  Integer-key tables
+  (group-granularity quantized tables with exact aggregation — the default
+  config) are built by the native ``tlut_table`` and run the plan's
+  compiled native ``pshufb`` kernel (:mod:`repro.core.specialize`) where
+  the library loads and ``g = 4``.  Every other case — no compiler, no
+  AVX2, another ``g``, and the ablation table modes (unquantized, fine
+  scale granularity, fast aggregation) — builds its tables with numpy
+  (:func:`~repro.core.lut.precompute_lut`) and runs the loop oracle.
 * :class:`ParallelExecutor` — the multi-core implementation: a native
   integer-key call's output columns are sharded into contiguous spans
   aligned to the plan's ``m_tm`` layout tile
@@ -75,6 +77,14 @@ class KernelExecutor:
     """Base class: lookup + aggregate + bit-serial recombination."""
 
     name = "base"
+
+    def precompute(
+        self, plan: KernelPlan, activation: np.ndarray, config: TMACConfig
+    ) -> LookupTable:
+        """The lookup tables of a checked ``[N, K]`` float32 activation
+        (Algorithm 1, ``Precompute``): numpy's
+        :func:`~repro.core.lut.precompute_lut`."""
+        return plan.precompute(activation, config)
 
     def iter_codes_dot(
         self,
@@ -269,6 +279,30 @@ class VectorizedExecutor(LoopExecutor):
     """
 
     name = "vectorized"
+
+    def precompute(
+        self, plan: KernelPlan, activation: np.ndarray, config: TMACConfig
+    ) -> LookupTable:
+        """The native table build (``tlut_table``) for the default table
+        — quantized at group granularity for exact aggregation, the
+        ``{-1, +1}`` transform, mirrored or not, either ``act_dtype`` —
+        where the library serves ``g = 4``; bit-identical to the numpy
+        build every other case takes."""
+        backend = native_phase(plan.g)
+        if (backend is None or not config.table_quantization
+                or config.lut_scale_granularity != "group"
+                or config.fast_aggregation
+                or (config.g, config.s0, config.s1) != (plan.g, -1.0, 1.0)
+                or (plan.transform.s0, plan.transform.s1) != (-1.0, 1.0)):
+            return super().precompute(plan, activation, config)
+        gpq = plan.groups_per_qgroup
+        values, scales = backend.table(
+            activation, gpq, 8 if config.mirror_consolidation else 16,
+            config.act_dtype == "float16")
+        return LookupTable(
+            values=values, g=plan.g, mirrored=config.mirror_consolidation,
+            quantized=True, scales=scales, scale_block=gpq, s0=-1.0, s1=1.0,
+            act_dtype=config.act_dtype)
 
     #: Upper bound on the elements of one integer-kernel span temporary
     #: (float64).  Decode-regime calls (small N) fit in one block;

@@ -6,9 +6,10 @@ content-addressed and cacheable) to an online *executor*
 (:mod:`repro.core.executor`) and executes mixed-precision matrix
 multiplication as
 
-1. **Precompute** — build the per-activation-group lookup tables
-   (:func:`repro.core.lut.precompute_lut`), with mirror consolidation and
-   table quantization as configured.
+1. **Precompute** — build the per-activation-group lookup tables, with
+   mirror consolidation and table quantization as configured: the native
+   ``tlut_table`` for the default table where the library serves
+   (:mod:`repro.core.native`), else :func:`repro.core.lut.precompute_lut`.
 2. **Lookup** — for every weight bit plane, gather the precomputed partial
    sums addressed by the ``g``-bit weight indices.
 3. **Aggregate** — sum the looked-up values along the reduction axis, either
@@ -163,9 +164,11 @@ class TMACKernel:
     # ------------------------------------------------------------------ #
 
     def precompute(self, activation: np.ndarray) -> LookupTable:
-        """Build the lookup tables for an activation matrix (online stage)."""
+        """Build the lookup tables for an activation matrix (online stage):
+        the executor's build, native for the default table where the
+        library serves, else :func:`repro.core.lut.precompute_lut`."""
         a = self._check_activation(activation)
-        return self.plan.precompute(a, self.config)
+        return self.executor.precompute(self.plan, a, self.config)
 
     def matmul(self, activation: np.ndarray) -> np.ndarray:
         """Compute ``activation @ W_dequantized^T`` without dequantizing W.
@@ -182,7 +185,9 @@ class TMACKernel:
         """
         squeeze = np.ndim(activation) == 1
         a = self._check_activation(activation)
-        table = self.precompute(a)  # traced as the LUT build
+        # Through the public method, which tracers time as the LUT build;
+        # its check passes the already-checked ``a`` straight through.
+        table = self.precompute(a)
         out = self.executor.matmul_with_table(self.plan, table, self.config, a)
         return out[0] if squeeze else out
 
@@ -277,6 +282,11 @@ class TMACKernel:
         one: normalizing the layout here makes the output a function of
         the values alone (a no-op for C-ordered float32 input).
         """
+        if (type(activation) is np.ndarray and activation.ndim == 2
+                and activation.dtype == np.float32
+                and activation.shape[1] == self.in_features
+                and activation.flags.c_contiguous):
+            return activation
         a = np.asarray(activation, dtype=np.float32)
         if a.ndim == 1:
             a = a[None, :]

@@ -34,6 +34,7 @@ __all__ = [
     "precompute_lut",
     "lookup",
     "lut_storage_bytes",
+    "nonfinite_table",
 ]
 
 _INT8_MAX = 127.0
@@ -187,11 +188,22 @@ def _quantize_table(
         )
     blocks = groups // scale_block
     blocked = lut.reshape(n, blocks, scale_block, length)
-    amax = np.abs(blocked).max(axis=(2, 3))
-    scales = np.where(amax > 0, amax / _INT8_MAX, 1.0).astype(np.float32)
+    scales = np.abs(blocked).max(axis=(2, 3)) / _INT8_MAX
+    # Test the quotient, not amax: below about 9e-44 it underflows to 0.
+    scales = np.where(scales > 0, scales, 1.0).astype(np.float32)
     q = np.rint(blocked / scales[:, :, None, None])
     q = np.clip(q, -127, 127).astype(np.int8)
     return q.reshape(n, groups, length), scales
+
+
+def nonfinite_table(activation: np.ndarray, row: int, group: int, g: int,
+                    act_dtype: str) -> ValueError:
+    """The error for a table entry that is not finite: a NaN or inf
+    activation, or signed sums past the ``act_dtype`` range."""
+    values = activation[row, group * g:(group + 1) * g]
+    return ValueError(
+        f"table[{row}, {group}] is not finite in {act_dtype}: "
+        f"activation[{row}, {group * g}:{(group + 1) * g}] = {values}")
 
 
 def precompute_lut(
@@ -212,13 +224,22 @@ def precompute_lut(
     -----
     Mirror consolidation requires a sign-symmetric transform
     (``s0 == -s1``); the function raises otherwise, since the negation
-    reconstruction would be incorrect.
+    reconstruction would be incorrect.  A table entry that is not finite
+    (a NaN or inf activation, or sums that overflow ``act_dtype``) raises
+    ``ValueError`` naming the first such ``[row, group]``.
     """
     if mirror_consolidation and transform.s0 != -transform.s1:
         raise ValueError(
             "mirror consolidation requires a symmetric transform (s0 == -s1)"
         )
-    lut = build_lut(activation, g=g, transform=transform, dtype=act_dtype)
+    # The check below reports what these would only warn about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lut = build_lut(activation, g=g, transform=transform, dtype=act_dtype)
+    finite = np.isfinite(lut).all(axis=2)
+    if not finite.all():
+        row, group = np.argwhere(~finite)[0]
+        raise nonfinite_table(np.asarray(activation, dtype=np.float32),
+                              int(row), int(group), g, act_dtype)
     if mirror_consolidation:
         lut = _consolidate(lut, g)
 

@@ -1,7 +1,9 @@
 """The T-MAC kernel's native phases: ``tlut.c``, built on first use.
 
-Three entry points (:data:`ENTRY_POINTS`): the online integer phase of
-the LUT kernel (``tlut_block_sums``) and the offline stage's two passes
+Four entry points (:data:`ENTRY_POINTS`): the online stage's two phases
+of the LUT kernel, the table build (``tlut_table``, bit-identical to
+:func:`~repro.core.lut.precompute_lut` for the default table) and the
+integer lookup (``tlut_block_sums``), and the offline stage's two passes
 over a weight matrix, symmetric absmax quantization (``tlut_quantize``)
 and packing the codes into the kernel's nibble layout (``tlut_pack``).
 
@@ -16,11 +18,12 @@ file, then ``os.replace``), so concurrent builds leave one complete
 file.  A cached file that does not load is rebuilt.  The library is
 loaded with :mod:`ctypes`, which releases the GIL for the whole call.
 
-All three are AVX2 only.  When there is no compiler, the build or the
-load fails, the library lacks an entry point, or the CPU lacks AVX2,
-:func:`status` records why and :func:`backend` returns ``None``: integer
-kernels run the loop oracle (:class:`~repro.core.executor.LoopExecutor`),
-and quantization and packing their numpy implementations.  Command
+All four are AVX2 (and F16C) only.  When there is no compiler, the build
+or the load fails, the library lacks an entry point, or the CPU lacks
+AVX2 or F16C, :func:`status` records why and :func:`backend` returns
+``None``: integer kernels run the loop oracle
+(:class:`~repro.core.executor.LoopExecutor`), and the table build,
+quantization and packing their numpy implementations.  Command
 line::
 
     python -m repro.core.native [--require-native]
@@ -47,6 +50,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.lut import nonfinite_table
+
 __all__ = ["Status", "Backend", "backend", "status", "build", "force",
            "cache_dirs", "ENTRY_POINTS"]
 
@@ -61,6 +66,8 @@ ENTRY_POINTS = {
     "quantize": ("tlut_quantize", [_PTR, _I64, _I64, _I64, _I64, _PTR, _PTR],
                  _I64),
     "pack": ("tlut_pack", [_PTR, _I64, _I64, _I64, _PTR], _INT),
+    "table": ("tlut_table", [_PTR, _I64, _I64, _I64, _I64, _INT, _PTR, _PTR],
+              _I64),
 }
 
 
@@ -85,6 +92,7 @@ class Backend:
         self._block_sums = lib.tlut_block_sums
         self._quantize = lib.tlut_quantize
         self._pack = lib.tlut_pack
+        self._table = lib.tlut_table
 
     def block_sums(self, nibbles: np.ndarray, values: np.ndarray, gpq: int,
                    m0: int, m1: int, dtype) -> np.ndarray:
@@ -154,6 +162,34 @@ class Backend:
             raise RuntimeError(f"tlut_pack failed ({ran})")
         out.setflags(write=False)
         return out
+
+    def table(self, activation: np.ndarray, gpq: int, stored: int,
+              half: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """``(values, scales)`` of the quantized ``g = 4`` lookup tables of
+        a C-contiguous float32 ``[N, K]`` activation: ``int8 [N, K / 4,
+        stored]`` (``stored`` 8 when mirror-consolidated, else 16) and
+        ``float32 [N, K / (4 * gpq)]``, one scale per ``gpq`` groups,
+        entries rounded through fp16 when ``half``.  Bit-identical to
+        :func:`~repro.core.lut.precompute_lut`'s.  Raises ``ValueError``
+        naming the first ``[row, group]`` whose table is not finite."""
+        a = activation
+        if (a.dtype != np.float32 or a.ndim != 2 or not a.flags.c_contiguous
+                or gpq < 1 or a.shape[1] % (4 * gpq) or stored not in (8, 16)):
+            raise ValueError(
+                f"tlut_table: bad operands activation {a.dtype}{a.shape}, "
+                f"gpq={gpq}, stored={stored}")
+        n, k = a.shape
+        values = np.empty((n, k // 4, stored), dtype=np.int8)
+        scales = np.empty((n, k // (4 * gpq)), dtype=np.float32)
+        ran = self._table(a.ctypes.data, n, k, gpq, stored, int(half),
+                          values.ctypes.data, scales.ctypes.data)
+        if ran > 0:  # 1 + row * (K / 4) + group of the first bad table
+            row, group = divmod(ran - 1, k // 4)
+            raise nonfinite_table(a, row, group, 4,
+                                  "float16" if half else "float32")
+        if ran < 0:  # -1 out of memory, -2 no AVX2 or F16C on this CPU
+            raise RuntimeError(f"tlut_table failed ({ran})")
+        return values, scales
 
 
 def cache_dirs() -> List[str]:
@@ -277,7 +313,8 @@ def status() -> Status:
 
 def backend() -> Optional[Backend]:
     """The loaded library, or ``None``: integer kernels run the loop
-    oracle, and quantization and packing their numpy code."""
+    oracle, and the table build, quantization and packing their numpy
+    code."""
     if _FORCED == "numpy":
         return None
     return _state()[0]
@@ -287,7 +324,8 @@ def backend() -> Optional[Backend]:
 def force(path: str):
     """Test hook: code inside takes ``path`` — ``"avx2"``, the host's
     path when it builds the library, or ``"numpy"``: integer kernels run
-    the loop oracle, and quantization and packing their numpy code."""
+    the loop oracle, and the table build, quantization and packing their
+    numpy code."""
     global _FORCED
     if path not in (Backend.path, "numpy"):
         raise ValueError(f"unknown path {path!r}")

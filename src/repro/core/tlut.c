@@ -1,5 +1,5 @@
-/* The T-MAC kernel's native phases: the offline weight pass and the
- * online table lookup, both in registers.
+/* The T-MAC kernel's native phases: the offline weight pass, the online
+ * table build and the online table lookup, all in registers.
  *
  * tlut_quantize and tlut_pack are the offline stage (Algorithm 1's
  * PreprocessWeights), one pass each over a weight matrix:
@@ -13,6 +13,21 @@
  *     weight is finite.
  *   - tlut_pack: the codes' g = 4 index planes, written straight into the
  *     packed-nibble layout below (any bit width).
+ *
+ * tlut_table is the online stage's Precompute for the default table: per
+ * activation row and 4-wide group the signed sums
+ *
+ *     T[n, j, p] = sum_t (bit t of p ? +a[n, 4j + t] : -a[n, 4j + t])
+ *
+ * for p < stored (8 when mirror-consolidated, else 16), summed in the
+ * plain order ((0 +- a0) +- a1) +- a2) +- a3 that np.matmul uses over the
+ * group axis, rounded to fp16 and back when `half` is set (F16C, nearest
+ * even), then quantized to int8 per scale block of gpq groups:
+ * scale = amax / 127 (1 when that is 0) and rint(T / scale) clipped to
+ * +-127.  Those are repro.core.lut.precompute_lut's float32 operations in
+ * its order, so values and scales are its own bit for bit.  A table entry
+ * that is not finite (a NaN or inf activation, or sums past the fp16 or
+ * float32 range) stops the build.
  *
  * tlut_block_sums computes the exact integer block sums
  *
@@ -30,9 +45,9 @@
  * (entry p >= 8 is -T[15 - p]); the full 16-entry table is rebuilt once
  * per call and one PSHUFB against it answers 32 weight rows.
  *
- * All three are AVX2 only.  tlut_supported() reports whether this CPU has
- * it; without it the caller runs the loop oracle for the lookup and its
- * numpy code for quantize and pack.
+ * All four are AVX2 (and F16C) only.  tlut_supported() reports whether
+ * this CPU has both; without them the caller runs the loop oracle for the
+ * lookup and its numpy code for the table build, quantize and pack.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off tlut.c -o tlut.so
  */
@@ -63,7 +78,7 @@ int tlut_supported(void)
 {
 #ifdef TLUT_X86
     __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
 #else
     return 0;
 #endif
@@ -310,6 +325,112 @@ int64_t tlut_quantize(const float *w, int64_t rows, int64_t cols,
         return -2;
 #ifdef TLUT_X86
     return quantize_avx2(w, rows, cols, group, qmax, codes, scales);
+#else
+    return -2;
+#endif
+}
+
+#ifdef TLUT_X86
+/* Builds the tables of one flat run of `count` scale blocks (every row's
+ * blocks in order; x, values and scales at their first block) through
+ * `buf`, gpq * stored floats.  Returns 0, or 1 + the flat index, from the
+ * run's first group, of the first group with a non-finite entry. */
+__attribute__((target("avx2,f16c")))
+static int64_t table_avx2(const float *x, int64_t count, int64_t gpq,
+                          int64_t stored, int half, int8_t *values,
+                          float *scales, __m256 *buf)
+{
+    const __m256 sign = _mm256_set1_ps(-0.0f);
+    const __m256 huge = _mm256_set1_ps(FLT_MAX);
+    const __m256 lim = _mm256_set1_ps(127.0f);
+    const __m256 nlim = _mm256_set1_ps(-127.0f);
+    const int64_t vecs = stored / 8;
+    /* neg[h][t]: the sign bit in lane p where bit t of pattern 8h + p is
+     * clear, i.e. where that entry subtracts a_t. */
+    __m256 neg[2][4];
+    for (int h = 0; h < 2; h++)
+        for (int t = 0; t < 4; t++) {
+            float m[8];
+            for (int p = 0; p < 8; p++)
+                m[p] = ((8 * h + p) >> t) & 1 ? 0.0f : -0.0f;
+            neg[h][t] = _mm256_loadu_ps(m);
+        }
+    for (int64_t blk = 0; blk < count; blk++) {
+        const float *a = x + blk * gpq * 4;
+        __m256 amax = _mm256_setzero_ps();
+        __m256 finite = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+        for (int64_t j = 0; j < gpq; j++)
+            for (int64_t h = 0; h < vecs; h++) {
+                __m256 v = _mm256_setzero_ps();
+                for (int t = 0; t < 4; t++)
+                    v = _mm256_add_ps(v, _mm256_xor_ps(
+                        _mm256_broadcast_ss(a + 4 * j + t), neg[h][t]));
+                if (half)
+                    v = _mm256_cvtph_ps(_mm256_cvtps_ph(
+                        v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+                __m256 m = _mm256_andnot_ps(sign, v);
+                amax = _mm256_max_ps(amax, m);
+                /* |v| <= FLT_MAX is false for NaN and +-inf. */
+                finite = _mm256_and_ps(finite,
+                                       _mm256_cmp_ps(m, huge, _CMP_LE_OQ));
+                buf[j * vecs + h] = v;
+            }
+        if (_mm256_movemask_ps(finite) != 0xFF) {
+            for (int64_t i = 0; i < gpq * vecs; i++) {
+                __m256 m = _mm256_andnot_ps(sign, buf[i]);
+                if (_mm256_movemask_ps(_mm256_cmp_ps(m, huge, _CMP_LE_OQ))
+                    != 0xFF)
+                    return 1 + blk * gpq + i / vecs;
+            }
+        }
+        __m128 m4 = _mm_max_ps(_mm256_castps256_ps128(amax),
+                               _mm256_extractf128_ps(amax, 1));
+        m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+        m4 = _mm_max_ss(m4, _mm_shuffle_ps(m4, m4, 1));
+        /* numpy: amax / 127, then a unit scale where that is 0 -- an
+         * all-zero block, or an amax below about 9e-44 whose quotient
+         * underflows. */
+        float scale = _mm_cvtss_f32(m4) / 127.0f;
+        if (!(scale > 0.0f))
+            scale = 1.0f;
+        scales[blk] = scale;
+        const __m256 d = _mm256_set1_ps(scale);
+        int8_t *dst = values + blk * gpq * stored;
+        for (int64_t i = 0; i < gpq * vecs; i++) {
+            __m256 q = _mm256_round_ps(
+                _mm256_div_ps(buf[i], d),
+                _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+            q = _mm256_min_ps(_mm256_max_ps(q, nlim), lim);
+            __m256i w = _mm256_cvtps_epi32(q);
+            __m128i s16 = _mm_packs_epi32(_mm256_castsi256_si128(w),
+                                          _mm256_extracti128_si256(w, 1));
+            _mm_storel_epi64((__m128i *)(dst + 8 * i),
+                             _mm_packs_epi16(s16, s16));
+        }
+    }
+    return 0;
+}
+#endif
+
+/* x: C-contiguous float32 [rows, k], k a multiple of 4 * gpq; stored 8 or
+ * 16; values: int8 [rows, k / 4, stored]; scales: float32
+ * [rows, k / (4 * gpq)].  Returns 0; -1 when out of memory; -2 when this
+ * CPU lacks AVX2 or F16C; 1 + row * (k / 4) + group for the first group
+ * whose table holds an entry that is not finite (values and scales are
+ * then incomplete). */
+int64_t tlut_table(const float *x, int64_t rows, int64_t k, int64_t gpq,
+                   int64_t stored, int half, int8_t *values, float *scales)
+{
+    if (!tlut_supported())
+        return -2;
+#ifdef TLUT_X86
+    __m256 *buf = aligned_alloc(32, (size_t)(gpq * stored) * sizeof(float));
+    if (buf == NULL)
+        return -1;
+    int64_t ran = table_avx2(x, rows * (k / (4 * gpq)), gpq, stored, half,
+                             values, scales, buf);
+    free(buf);
+    return ran;
 #else
     return -2;
 #endif

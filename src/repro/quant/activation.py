@@ -69,8 +69,9 @@ def quantize_activation(
 
     num_blocks = k // block_size
     blocked = a.reshape(n, num_blocks, block_size)
-    amax = np.abs(blocked).max(axis=2)
-    scales = np.where(amax > 0, amax / _INT8_MAX, 1.0).astype(np.float32)
+    scales = np.abs(blocked).max(axis=2) / _INT8_MAX
+    # Test the quotient, not amax: below about 9e-44 it underflows to 0.
+    scales = np.where(scales > 0, scales, 1.0).astype(np.float32)
     codes = np.rint(blocked / scales[:, :, None])
     codes = np.clip(codes, -127, 127).astype(np.int8)
     return QuantizedActivation(

@@ -160,6 +160,23 @@ class TestInterface:
             assert out.shape == (0, 48)
             assert out.dtype == np.float32
 
+    @pytest.mark.parametrize("path", ["host", "numpy"])
+    def test_fp16_overflowing_activation_is_rejected(self, path):
+        """A finite activation whose fp16 table overflows raises
+        ``ValueError`` naming the first ``[row, group]`` where it used to
+        return all NaN (``a @ w.T`` itself is finite)."""
+        w = gaussian_weights(64, 128, seed=1)
+        kernel = TMACKernel(quantize_weights(w, bits=4, group_size=32),
+                            TMACConfig(bits=4))
+        a = gaussian_activation(2, 128, seed=2)
+        a[1] = 3e4
+        assert np.isfinite(a @ w.T).all()
+        forced = native.force("numpy") if path == "numpy" \
+            else contextlib.nullcontext()
+        with forced, pytest.raises(
+                ValueError, match=r"table\[1, 0\] is not finite in float16"):
+            kernel.matmul(a)
+
     def test_wrong_activation_width_rejected(self, small_qweight):
         kernel = TMACKernel(small_qweight, TMACConfig(bits=4))
         with pytest.raises(ValueError):

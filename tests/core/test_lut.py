@@ -136,6 +136,34 @@ class TestTableQuantization:
         rel = np.abs(exact_vals - quant_vals).max() / np.abs(exact_vals).max()
         assert rel < 0.02
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_scale_quantizes_to_zero(self):
+        """A float32 table whose block absmax is nonzero but whose
+        ``amax / 127`` underflows takes the unit scale of an all-zero
+        block: no zero scale, no +-127 codes, no warning."""
+        a = np.zeros((2, 32), dtype=np.float32)
+        a[1, 5] = 1e-44
+        table = precompute_lut(a, g=4, scale_block=2, act_dtype="float32")
+        np.testing.assert_array_equal(table.scales, np.ones((2, 4)))
+        np.testing.assert_array_equal(table.values, np.zeros((2, 8, 8)))
+
+    @pytest.mark.parametrize("act_dtype", ["float16", "float32"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
+    def test_nonfinite_table_names_the_group(self, bad, act_dtype):
+        """A NaN or inf activation, or finite ones whose signed sums pass
+        the ``act_dtype`` range, raises ``ValueError`` naming the first
+        ``[row, group]`` instead of building a NaN table."""
+        a = np.ones((3, 32), dtype=np.float32)
+        if bad == "overflow":
+            big = 3e4 if act_dtype == "float16" else 3e38
+            a[1, 20:24] = big
+            a[2, :] = big
+        else:
+            a[1, 22] = bad
+            a[2, 0] = bad
+        with pytest.raises(ValueError, match=r"table\[1, 5\] is not finite"):
+            precompute_lut(a, g=4, scale_block=2, act_dtype=act_dtype)
+
     def test_scale_block_must_divide_groups(self, rng):
         a = rng.standard_normal((1, 12)).astype(np.float32)
         with pytest.raises(ValueError):

@@ -186,23 +186,26 @@ def test_cli_reports_the_path(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"path: {status.path}"
     assert lines[2] == f"cache: {status.library or '-'}"
-    symbols = ["loop oracle", "numpy", "numpy"] if status.path == "numpy" \
-        else ["tlut_block_sums", "tlut_quantize", "tlut_pack"]
+    symbols = ["loop oracle", "numpy", "numpy", "numpy"] \
+        if status.path == "numpy" \
+        else ["tlut_block_sums", "tlut_quantize", "tlut_pack", "tlut_table"]
     assert lines[3:] == [f"{name}: {symbol}" for name, symbol in
-                         zip(("lookup", "quantize", "pack"), symbols)]
+                         zip(("lookup", "quantize", "pack", "table"),
+                             symbols)]
     assert code == (status.path == "numpy")
 
 
-def test_library_missing_an_entry_point_is_not_used(native_cache,
+@pytest.mark.parametrize("entry", ["pack", "table"])
+def test_library_missing_an_entry_point_is_not_used(native_cache, entry,
                                                     monkeypatch, capsys):
-    monkeypatch.setitem(native.ENTRY_POINTS, "pack",
+    monkeypatch.setitem(native.ENTRY_POINTS, entry,
                         ("tlut_missing", [], native._INT))
     status = native.status()
     assert status.path == "numpy" and "tlut_missing" in status.reason
     assert native.backend() is None
     assert native.main(["--require-native"]) == 1
     report = capsys.readouterr().out
-    assert "lookup: loop oracle" in report and "pack: numpy" in report
+    assert "lookup: loop oracle" in report and f"{entry}: numpy" in report
 
 
 @pytest.fixture
@@ -238,3 +241,70 @@ def test_offline_stage_falls_back_to_numpy(offline_calls):
     quantize_weights(w, bits=3, group_size=16, method="mse")
     preprocess_weights(qw, TMACConfig(bits=3, g=2))
     assert offline_calls == {"quantize": 0, "pack": 0}
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """The arguments of every native table build (``Backend.table``)."""
+    require_native()
+    calls = []
+    method = native.Backend.table
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(native.Backend, "table", counted)
+    return calls
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"mirror_consolidation": False}, {"act_dtype": "float32"},
+    {"executor": "parallel", "num_threads": 2, "parallel_threshold": 0}])
+def test_default_tables_are_built_natively(table_calls, options):
+    qw = quantize_weights(gaussian_weights(70, 128, seed=3), bits=4,
+                          group_size=32)
+    config = TMACConfig(bits=4, **options)
+    kernel = TMACKernel(qw, config)
+    a = gaussian_activation(3, 128, seed=4)
+    table = kernel.precompute(a)
+    assert len(table_calls) == 1
+    ref = kernel.plan.precompute(a, config)
+    np.testing.assert_array_equal(table.values, ref.values)
+    np.testing.assert_array_equal(table.scales.view(np.uint32),
+                                  ref.scales.view(np.uint32))
+    for field in ("g", "mirrored", "quantized", "scale_block", "s0", "s1",
+                  "act_dtype"):
+        assert getattr(table, field) == getattr(ref, field), field
+    np.testing.assert_array_equal(kernel.matmul(a),
+                                  kernel.matmul_with_table(a, ref))
+    assert len(table_calls) == 2
+
+
+def test_numpy_builds_every_other_table(table_calls):
+    qw = quantize_weights(gaussian_weights(70, 128, seed=3), bits=4,
+                          group_size=32)
+    a = gaussian_activation(3, 128, seed=4)
+    with native.force("numpy"):
+        TMACKernel(qw, TMACConfig(bits=4)).matmul(a)
+    # The oracle, the three ablation table modes and another transform.
+    for options in ({"executor": "loop"}, {"table_quantization": False},
+                    {"lut_scale_granularity": "fine"},
+                    {"fast_aggregation": True}, {"s0": -1.5, "s1": 1.5}):
+        TMACKernel(qw, TMACConfig(bits=4, **options)).matmul(a)
+    assert table_calls == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_native_table_underflow_and_nonfinite(requires_native):
+    backend = native.backend()
+    a = np.zeros((2, 32), dtype=np.float32)
+    a[1, 5] = 1e-44  # amax / 127 underflows: the unit scale, zero codes
+    values, scales = backend.table(a, 2, 8, False)
+    np.testing.assert_array_equal(scales, np.ones((2, 4)))
+    np.testing.assert_array_equal(values, np.zeros((2, 8, 8)))
+    a[1, 22] = np.nan
+    with pytest.raises(ValueError, match=r"table\[1, 5\] is not finite"):
+        backend.table(a, 2, 16, True)
+    with pytest.raises(ValueError, match="bad operands"):
+        backend.table(a[:, :24], 4, 8, True)

@@ -256,6 +256,59 @@ class TestNativeLutKernelProperties:
                                       oracle[:, m0:m1])
 
 
+@st.composite
+def table_activations(draw):
+    """``(activation, gpq)``: N 1-70 rows of K = 4 * gpq * blocks, each
+    scale block Gaussian at one magnitude between fp16 subnormals and the
+    fp16 range's edge (where some tables overflow), all zero, or mostly
+    zero."""
+    gpq = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    n = draw(st.integers(1, 70))
+    blocks = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, blocks, 4 * gpq)).astype(np.float32)
+    for row in range(n):
+        for blk in range(blocks):
+            kind = draw(st.sampled_from(["scaled", "zero", "sparse"]))
+            if kind == "zero":
+                a[row, blk] = rng.choice([0.0, -0.0], size=4 * gpq)
+            elif kind == "sparse":
+                a[row, blk, rng.random(4 * gpq) < 0.8] = 0.0
+            a[row, blk] *= np.float32(draw(st.sampled_from(
+                [6e-8, 1e-6, 1e-3, 1.0, 3e2, 3e3, 8e3])))
+    return a.reshape(n, blocks * 4 * gpq), gpq
+
+
+class TestNativeTableProperties:
+    @given(case=table_activations(), mirrored=st.booleans(),
+           act_dtype=st.sampled_from(["float16", "float32"]))
+    @settings(max_examples=80, deadline=None)
+    def test_native_table_is_bit_identical_to_precompute_lut(
+            self, case, mirrored, act_dtype):
+        """``Backend.table`` against ``precompute_lut``: int8 values
+        ``np.array_equal``, scales equal bit for bit, and the same
+        ``ValueError`` where a table overflows fp16."""
+        backend = native.backend()
+        if backend is None:
+            pytest.skip(f"native library unavailable: {native.status().reason}")
+        a, gpq = case
+        stored = 8 if mirrored else 16
+        try:
+            ref = precompute_lut(a, g=4, mirror_consolidation=mirrored,
+                                 scale_block=gpq, act_dtype=act_dtype)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                backend.table(a, gpq, stored, act_dtype == "float16")
+            assert str(got.value) == str(exc)
+            return
+        values, scales = backend.table(a, gpq, stored,
+                                       act_dtype == "float16")
+        assert values.shape == ref.values.shape
+        assert np.array_equal(values, ref.values)
+        np.testing.assert_array_equal(scales.view(np.uint32),
+                                      ref.scales.view(np.uint32))
+
+
 def activation_layouts(a):
     """The values of ``a`` as Fortran-ordered, row-sliced and
     transposed-view arrays, besides the C-ordered original."""

@@ -39,6 +39,18 @@ class TestQuantizeActivation:
         assert qa.scales.shape == (2, 3)
         assert qa.memory_bytes() == 2 * 96 + 2 * 3 * 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_scale_quantizes_to_zero(self):
+        """A block whose absmax is nonzero but below 127 times the smallest
+        float32 (its ``amax / 127`` underflows to 0) takes the unit scale
+        of an all-zero block instead of dividing by 0."""
+        a = np.zeros((2, 64), dtype=np.float32)
+        a[0, 5] = 1e-44
+        a[1, 40] = -5e-44
+        qa = quantize_activation(a, block_size=32)
+        np.testing.assert_array_equal(qa.scales, np.ones((2, 2)))
+        np.testing.assert_array_equal(qa.codes, np.zeros((2, 64)))
+
     def test_block_size_must_divide_k(self):
         with pytest.raises(ValueError):
             quantize_activation(np.zeros((2, 100), dtype=np.float32),
